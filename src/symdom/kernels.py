@@ -167,10 +167,11 @@ def kernel_bideg(sos: SignedSOS) -> BidegPoly:
 
 
 def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None) -> BidegPoly:
-    """h(f(w), conj f(w)) with every generator composite truncated at degree d.
+    """h(f(w), conj f(w)) restricted to the terms with |alpha| + |beta| <= d,
+    every generator composite truncated at degree d.
 
-    Every retained bidegree coefficient is then exact for a degree-d jet of a
-    true map, because a coefficient at (alpha, beta) only involves composite
+    Each returned coefficient is exact for a degree-d jet of a true map,
+    because a coefficient at (alpha, beta) only involves composite
     coefficients of degrees |alpha| and |beta|.
     """
     if f.target_dim != sos.nvars:
@@ -178,13 +179,15 @@ def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None) -> BidegPoly:
             f"jet lands in C^{f.target_dim}, expansion lives on C^{sos.nvars}")
     d = f.degree if d is None else d
     args = list(f.components)
-    acc = BidegPoly.const(f.source_dim, one(
-        "exact" if sos.mode == f.mode == "exact" else "float"))
+    mode = "exact" if sos.mode == f.mode == "exact" else "float"
+    zero_c = zero(mode)
+    e0 = (0,) * f.source_dim
+    acc = {(e0, e0): one(mode)}
     for sign, g in sos.signed_generators():
         comp = g.substitute(args, d)
-        s = BidegPoly.sandwich(comp, comp)
-        acc = acc + (s if sign > 0 else -s)
-    return acc
+        for key, c in BidegPoly.sandwich(comp, comp, d).terms.items():
+            acc[key] = acc.get(key, zero_c) + (c if sign > 0 else -c)
+    return BidegPoly(f.source_dim, acc, mode)
 
 
 def minimal_embedding(sos: SignedSOS, z: Sequence) -> List[Scalar]:

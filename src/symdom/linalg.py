@@ -18,7 +18,7 @@ from .scalars import EXACT_ONE, EXACT_ZERO, Exact, field_sqrt
 ExactMatrix = List[List[Exact]]
 
 __all__ = [
-    "ExactMatrix", "ex_identity", "ex_transpose", "ex_conj", "ex_conj_t",
+    "ExactMatrix", "ex_transpose", "ex_conj", "ex_conj_t",
     "ex_matmul", "ex_gram", "ex_rref", "ex_rank", "ex_nullspace",
     "ex_solve", "ex_solve_row_system", "ex_gs_orthonormal",
     "ex_complete_orthonormal", "ex_is_identity", "to_complex_matrix",
@@ -33,11 +33,6 @@ def _as_exact(x) -> Exact:
     if isinstance(x, (int, Fraction)):
         return Exact.of(x)
     raise TypeError(f"not an exact scalar: {x!r}")
-
-
-def ex_identity(n: int) -> ExactMatrix:
-    return [[EXACT_ONE if i == j else EXACT_ZERO for j in range(n)]
-            for i in range(n)]
 
 
 def ex_transpose(a: ExactMatrix) -> ExactMatrix:

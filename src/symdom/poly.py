@@ -82,10 +82,6 @@ class HoloPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    @property
-    def min_degree(self) -> int:
-        return min((sum(e) for e in self.terms), default=0)
-
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * self.nvars, zero(self.mode))
 
@@ -136,7 +132,9 @@ class HoloPoly:
         return self + (-other)
 
     def scale(self, c) -> "HoloPoly":
-        return HoloPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+        mode = self.mode if mode_of(c) == "exact" else "float"
+        return HoloPoly(self.nvars, {e: v * c for e, v in self.terms.items()},
+                        mode)
 
     def _buckets(self) -> Dict[int, List[Tuple[Exponent, Scalar]]]:
         out: Dict[int, List[Tuple[Exponent, Scalar]]] = {}
@@ -279,8 +277,10 @@ class BidegPoly:
         return BidegPoly(nvars, {(e, e): c}, mode)
 
     @staticmethod
-    def sandwich(f: HoloPoly, g: HoloPoly) -> "BidegPoly":
-        """f(z) * conj(g(z)) as a bidegree polynomial."""
+    def sandwich(f: HoloPoly, g: HoloPoly,
+                 d: Optional[int] = None) -> "BidegPoly":
+        """f(z) * conj(g(z)) as a bidegree polynomial, keeping only the terms
+        with |alpha| + |beta| <= d when d is given."""
         if f.nvars != g.nvars:
             raise ValueError("variable count mismatch")
         mode = "exact" if f.mode == g.mode == "exact" else "float"
@@ -288,9 +288,11 @@ class BidegPoly:
         zero_c = zero(mode)
         hermitian = f is g or f.terms == g.terms
         if hermitian:
-            items = list(f.terms.items())
-            for i, (ea, ca) in enumerate(items):
-                for eb, cb in items[i:]:
+            items = [(e, c, sum(e)) for e, c in f.terms.items()]
+            for i, (ea, ca, da) in enumerate(items):
+                for eb, cb, db in items[i:]:
+                    if d is not None and da + db > d:
+                        continue
                     val = ca * cb.conjugate()
                     key = (ea, eb)
                     acc[key] = acc.get(key, zero_c) + val
@@ -298,8 +300,12 @@ class BidegPoly:
                         mirror = (eb, ea)
                         acc[mirror] = acc.get(mirror, zero_c) + val.conjugate()
         else:
+            items_g = [(e, c, sum(e)) for e, c in g.terms.items()]
             for ea, ca in f.terms.items():
-                for eb, cb in g.terms.items():
+                da = sum(ea)
+                for eb, cb, db in items_g:
+                    if d is not None and da + db > d:
+                        continue
                     key = (ea, eb)
                     acc[key] = acc.get(key, zero_c) + ca * cb.conjugate()
         return BidegPoly(f.nvars, acc, mode)
@@ -350,7 +356,9 @@ class BidegPoly:
         return self + (-other)
 
     def scale(self, c) -> "BidegPoly":
-        return BidegPoly(self.nvars, {k: v * c for k, v in self.terms.items()})
+        mode = self.mode if mode_of(c) == "exact" else "float"
+        return BidegPoly(self.nvars, {k: v * c for k, v in self.terms.items()},
+                         mode)
 
     def mul_trunc(self, other: "BidegPoly", d: Optional[int] = None) -> "BidegPoly":
         if self.nvars != other.nvars:

@@ -132,9 +132,6 @@ class Exact:
 
     __rmul__ = __mul__
 
-    def _gaussian_parts(self):
-        return (self.ar, self.ai), (self.br, self.bi)
-
     def inverse(self) -> "Exact":
         if self.is_zero:
             raise ZeroDivisionError("division by exact zero")
@@ -263,10 +260,6 @@ def field_sqrt(x: Exact) -> Optional[Exact]:
 
 # -- generic coefficient helpers (Exact | complex) --------------------------
 
-def cconj(c: Scalar) -> Scalar:
-    return c.conjugate()
-
-
 def as_complex(c) -> complex:
     if isinstance(c, Exact):
         return complex(c)
@@ -275,10 +268,6 @@ def as_complex(c) -> complex:
 
 def cabs(c: Scalar) -> float:
     return abs(as_complex(c))
-
-
-def is_exact(c) -> bool:
-    return isinstance(c, Exact) or isinstance(c, (int, Fraction))
 
 
 def coerce(c, mode: str) -> Scalar:

@@ -7,6 +7,7 @@ Term lists are sorted so equal objects serialize identically.
 
 from __future__ import annotations
 
+import cmath
 import json
 from fractions import Fraction
 from typing import List, Sequence, Union
@@ -40,7 +41,10 @@ def scalar_from_json(obj: dict):
     if "ar" in obj:
         return Exact(Fraction(obj["ar"]), Fraction(obj["ai"]),
                      Fraction(obj["br"]), Fraction(obj["bi"]))
-    return complex(obj["re"], obj["im"])
+    z = complex(obj["re"], obj["im"])
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite coefficient {obj!r}")
+    return z
 
 
 def poly_to_json(p: HoloPoly) -> dict:

@@ -4,6 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from symdom import isometry
+from symdom.cli import main
+
 
 def run_cli(*argv, expect=0):
     proc = subprocess.run([sys.executable, "-m", "symdom.cli", *argv],
@@ -141,6 +146,42 @@ def test_verify_perturbed_jet_exits_1(tmp_path):
     report = json.loads(proc.stdout)
     assert report["passed"] is False
     assert report["functional-equation"]["max_residual"] >= 1e-4
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_verify_nan_coefficient_exits_2(tmp_path, degree):
+    jet_file = tmp_path / "jet.json"
+    run_cli("construct", "--family", "IV", "--n", "4", "--dim", "2",
+            "--seed", "1", "--mode", "float", "--degree", "4",
+            "--out", str(jet_file))
+    doc = json.loads(jet_file.read_text())
+    target = next(t for comp in doc["jet"]["components"]
+                  for t in comp["terms"] if sum(t["exp"]) == degree)
+    target["coeff"]["re"] = float("nan")
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    run_cli("verify", "--in", str(bad_file), expect=2)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_pullback_computed_once_per_jet(tmp_path, monkeypatch, mode):
+    calls = []
+    real = isometry.h_pullback
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(isometry, "h_pullback", counting)
+    jet_file = tmp_path / "jet.json"
+    assert main(["construct", "--family", "IV", "--n", "4", "--dim", "1",
+                 "--seed", "42", "--mode", mode, "--degree", "4",
+                 "--out", str(jet_file)]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["extend", "--in", str(jet_file),
+                 "--out", str(tmp_path / "ext.json")]) == 0
+    assert len(calls) == 2
 
 
 def test_verify_garbage_schema_exits_2(tmp_path):

@@ -1,5 +1,7 @@
 """Jet-level isometry verification, construction, varieties, extension."""
 
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -33,7 +35,8 @@ from symdom import (
     sos_type_i,
     sos_type_iv,
 )
-from symdom.linalg import principal_angles, to_complex_matrix
+from symdom.calabi import complete_to_unitary
+from symdom.linalg import ex_conj_t, principal_angles, to_complex_matrix
 
 DEG = 6
 
@@ -166,6 +169,51 @@ def test_solve_component_jet_float():
     rep = check_functional_eq(iso)
     assert rep.passed
     assert rep.max_residual < 1e-9
+
+
+@pytest.mark.parametrize("family,params",
+                         [("IV", {"n": 5}), ("I", {"p": 2, "q": 3})])
+def test_graded_solve_is_fixed_point(family, params):
+    # one full-degree sweep of z = conj(A)^T w + conj(U)^T (plus(z), 0)
+    # must return the graded jet unchanged
+    spec = make_spec(family, **params)
+    sos = make_sos(spec)
+    n = 2
+    rows = random_coisometry(spec.dim - n, spec.dim, 42, "exact")
+    iso = solve_component_jet(rows, sos, degree=DEG)
+    assert iso.mode == "exact"
+    full = complete_to_unitary(rows, tol=1e-10)
+    lin = ex_conj_t(full[:n])
+    uh = ex_conj_t(full[n:])
+    plus = [g.substitute(list(iso.jet.components), DEG) for g in sos.even]
+    swept = []
+    for i in range(spec.dim):
+        poly = JetMap.from_linear([lin[i]], DEG).components[0]
+        for l, v in enumerate(plus):
+            poly = poly + v.scale(uh[i][l])
+        swept.append(poly)
+    assert JetMap(swept, DEG, n) == iso.jet
+
+
+def test_nan_coefficient_fails_checks():
+    spec = make_spec("IV", n=4)
+    sos = make_sos(spec, mode="float")
+    rows = random_coisometry(spec.dim - 2, spec.dim, 1, "float")
+    iso = solve_component_jet(rows, sos, degree=4)
+    for deg in (2, 4):
+        comps = list(iso.jet.components)
+        i, exp = next((i, e) for i, c in enumerate(comps)
+                      for e in c.terms if sum(e) == deg)
+        terms = dict(comps[i].terms)
+        terms[exp] = complex(math.nan, 0.0)
+        comps[i] = HoloPoly(2, terms, "float")
+        bad = IsometryJet(JetMap(comps, 4, 2), 1, sos)
+        if deg == 2:
+            rep = check_functional_eq(bad)
+            assert math.isnan(rep.max_residual)
+            assert not rep.passed
+        assert not check_polarized_eq(bad).passed
+        assert full_verification_report(bad)["passed"] is False
 
 
 def test_solve_rejects_non_coordinate_generators():

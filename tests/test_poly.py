@@ -192,3 +192,21 @@ def test_jetmap_helpers():
     jac = lin.jacobian0()
     assert jac[0][1] == Exact(1) and jac[0][0] == Exact(0)
     assert lin.constant_free()
+
+
+def test_sandwich_truncated_matches_truncate():
+    r = random.Random(23)
+    for _ in range(5):
+        f = rand_poly(r, 2, 4, terms=6)
+        g = rand_poly(r, 2, 4, terms=6)
+        for d in range(9):
+            assert BidegPoly.sandwich(f, f, d) == \
+                BidegPoly.sandwich(f, f).truncate(d)
+            assert BidegPoly.sandwich(f, g, d) == \
+                BidegPoly.sandwich(f, g).truncate(d)
+
+
+def test_scale_keeps_mode():
+    assert HoloPoly.zero(2, "float").scale(2.0).mode == "float"
+    assert BidegPoly.zero(2, "float").scale(Fraction(1, 2)).mode == "float"
+    assert HoloPoly.var(2, 0).scale(Fraction(1, 2)).mode == "exact"
