@@ -28,7 +28,7 @@ from .isometry import (IsometryJet, FEReport, PolarizedReport,
                        full_verification_report)
 from .randmat import (random_exact_unitary, block_pair_unitary,
                       random_coisometry, random_isometric_slice,
-                      random_exact_jet, random_ball_point)
+                      random_exact_jet)
 
 __version__ = "0.1.0"
 
@@ -54,6 +54,6 @@ __all__ = [
     "solve_component_jet", "membership_residual", "build_k2_variety",
     "extend_isometry", "full_verification_report",
     "random_exact_unitary", "block_pair_unitary", "random_coisometry",
-    "random_isometric_slice", "random_exact_jet", "random_ball_point",
+    "random_isometric_slice", "random_exact_jet",
     "__version__",
 ]

@@ -49,13 +49,7 @@ def coefficient_matrix(jet: JetMap, basis: Optional[Sequence[tuple]] = None):
         for comp in jet.components:
             rows.append([comp.terms.get(e, EXACT_ZERO) for e in basis])
         return rows, list(basis)
-    mat = np.zeros((jet.target_dim, len(basis)), dtype=complex)
-    for i, comp in enumerate(jet.components):
-        for m, e in enumerate(basis):
-            c = comp.terms.get(e)
-            if c is not None:
-                mat[i, m] = complex(c)
-    return mat, list(basis)
+    return jet.float_coefficients(basis), list(basis)
 
 
 @dataclass(frozen=True)

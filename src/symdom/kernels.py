@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .domains import DomainSpec, ParameterError, make_spec
 from .poly import BidegPoly, HoloPoly, JetMap, log_truncate
 from .scalars import Exact, Scalar, as_complex, cabs, mode_of, one, zero
@@ -156,6 +158,15 @@ def kernel_polarized(sos: SignedSOS, z: Sequence, xi: Sequence) -> Scalar:
     return total
 
 
+def kernel_polarized_many(sos: SignedSOS, z, xi) -> np.ndarray:
+    """h(z_s, conj xi_s) for the rows s of two S x dim float arrays."""
+    signs, gens = zip(*sos.signed_generators())
+    stack = JetMap(gens, max(g.degree for g in gens))
+    vals = stack.evaluate_many(np.concatenate([z, xi]))
+    prods = vals[:len(z)] * vals[len(z):].conj()
+    return 1.0 + prods @ np.array(signs, dtype=float)
+
+
 def kernel_bideg(sos: SignedSOS) -> BidegPoly:
     """The full kernel polynomial as a bidegree polynomial in the ambient
     coordinates."""
@@ -246,7 +257,6 @@ def contains(sos: SignedSOS, z: Sequence, margin: float = 0.0) -> bool:
         s = sum(c * c for c in pt) / 2.0
         return n2 < 2.0 - margin and n2 < 1.0 + abs(s) ** 2 - margin
     if fam == "I":
-        import numpy as np
         p, q = sos.spec.params
         mat = np.array(pt, dtype=complex).reshape(p, q)
         smax = np.linalg.svd(mat, compute_uv=False)[0]

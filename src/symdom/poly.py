@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .scalars import Exact, Scalar, as_complex, cabs, coerce, mode_of, one, zero
 
 Exponent = Tuple[int, ...]
@@ -515,6 +517,31 @@ class JetMap:
 
     def evaluate(self, point: Sequence) -> List[Scalar]:
         return [c.evaluate(point) for c in self.components]
+
+    def float_coefficients(self, basis: Sequence[Exponent]) -> np.ndarray:
+        """target_dim x len(basis) complex array of coefficients over basis."""
+        index = {e: m for m, e in enumerate(basis)}
+        rows = [[0j] * len(basis) for _ in self.components]
+        for row, comp in zip(rows, self.components):
+            for e, c in comp.terms.items():
+                if e in index:
+                    row[index[e]] = c
+        return np.array(rows, dtype=complex).reshape(len(rows), len(basis))
+
+    def evaluate_many(self, points) -> np.ndarray:
+        """Float values at the rows of an S x source_dim array (S x target_dim):
+        monomials from a table of powers times the stacked coefficients."""
+        pts = np.asarray(points, dtype=complex)
+        basis = list(dict.fromkeys(e for c in self.components for e in c.terms))
+        exps = np.array(basis, dtype=int).reshape(len(basis), self.source_dim)
+        powers = np.ones((int(exps.max(initial=0)) + 1,) + pts.shape,
+                         dtype=complex)
+        for e in range(1, len(powers)):
+            powers[e] = powers[e - 1] * pts
+        monomials = np.ones((len(pts), len(basis)), dtype=complex)
+        for j in range(self.source_dim):
+            monomials *= powers[exps[:, j], :, j].T
+        return monomials @ self.float_coefficients(basis).T
 
     def jacobian0(self) -> List[List[Scalar]]:
         """Degree-1 coefficient matrix, target_dim x source_dim."""

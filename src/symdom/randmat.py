@@ -19,7 +19,7 @@ from .scalars import EXACT_ONE, EXACT_ZERO, HALF_SQRT2, Exact
 
 __all__ = ["as_rng", "random_unit_phase", "random_rotation_pair",
            "random_exact_unitary", "block_pair_unitary", "random_coisometry",
-           "random_isometric_slice", "random_exact_jet", "random_ball_point"]
+           "random_isometric_slice", "random_exact_jet"]
 
 Rng = Union[int, random.Random]
 
@@ -185,15 +185,3 @@ def random_exact_jet(nvars: int, ncomps: int, degree: int, rng: Rng = 0,
                                             _random_exact_scalar(r))
         comps.append(poly)
     return JetMap(comps, degree, nvars)
-
-
-def random_ball_point(n: int, rng: Rng = 0, radius: float = 0.2):
-    """Complex point with Euclidean norm at most radius."""
-    seed = rng if isinstance(rng, int) else as_rng(rng).randrange(2 ** 32)
-    g = np.random.default_rng(seed)
-    z = g.normal(size=n) + 1j * g.normal(size=n)
-    nrm = np.linalg.norm(z)
-    if nrm == 0:
-        return [0j] * n
-    scale = radius * g.uniform(0.2, 1.0) / nrm
-    return [complex(c) for c in z * scale]

@@ -261,8 +261,6 @@ def field_sqrt(x: Exact) -> Optional[Exact]:
 # -- generic coefficient helpers (Exact | complex) --------------------------
 
 def as_complex(c) -> complex:
-    if isinstance(c, Exact):
-        return complex(c)
     return complex(c)
 
 

@@ -38,9 +38,13 @@ def scalar_to_json(c) -> dict:
 
 
 def scalar_from_json(obj: dict):
-    if "ar" in obj:
-        return Exact(Fraction(obj["ar"]), Fraction(obj["ai"]),
-                     Fraction(obj["br"]), Fraction(obj["bi"]))
+    exact = "ar" in obj
+    parts = ("ar", "ai", "br", "bi") if exact else ("re", "im")
+    kinds = (str, int) if exact else (int, float)
+    if not all(type(obj.get(key)) in kinds for key in parts):
+        raise ValueError(f"malformed coefficient {obj!r}")
+    if exact:
+        return Exact(*(Fraction(obj[key]) for key in parts))
     z = complex(obj["re"], obj["im"])
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite coefficient {obj!r}")
@@ -57,9 +61,15 @@ def poly_to_json(p: HoloPoly) -> dict:
 
 
 def poly_from_json(obj: dict) -> HoloPoly:
+    nvars = obj["vars"]
+    for t in obj["terms"]:
+        exp = t["exp"]
+        if not (isinstance(exp, list) and len(exp) == nvars
+                and all(type(x) is int and x >= 0 for x in exp)):
+            raise ValueError(f"bad exponent {exp!r} for {nvars} variables")
     terms = {tuple(t["exp"]): scalar_from_json(t["coeff"])
              for t in obj["terms"]}
-    return HoloPoly(obj["vars"], terms, obj["mode"])
+    return HoloPoly(nvars, terms, obj["mode"])
 
 
 def jet_to_json(jet: JetMap) -> dict:

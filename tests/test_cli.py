@@ -184,6 +184,46 @@ def test_pullback_computed_once_per_jet(tmp_path, monkeypatch, mode):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_without_samples_exits_2(tmp_path, samples):
+    jet_file = tmp_path / "jet.json"
+    run_cli("construct", "--family", "IV", "--n", "4", "--dim", "2",
+            "--seed", "1", "--mode", "float", "--degree", "4",
+            "--out", str(jet_file))
+    proc = run_cli("verify", "--in", str(jet_file), "--samples", samples,
+                   expect=2)
+    assert proc.stderr.startswith("error:")
+
+
+def _bad_coefficient(comp):
+    comp["terms"][0]["coeff"]["re"] = "x"
+
+
+def _long_exponent(comp):
+    comp["terms"].append({"exp": [0, 1, 0],
+                          "coeff": {"re": 0.5, "im": 0.0}})
+
+
+def _negative_exponent(comp):
+    comp["terms"].append({"exp": [-1, 2], "coeff": {"re": 0.5, "im": 0.0}})
+
+
+@pytest.mark.parametrize("corrupt", [_bad_coefficient, _long_exponent,
+                                     _negative_exponent])
+def test_verify_malformed_jet_exits_2(tmp_path, corrupt):
+    jet_file = tmp_path / "jet.json"
+    run_cli("construct", "--family", "IV", "--n", "4", "--dim", "2",
+            "--seed", "1", "--mode", "float", "--degree", "4",
+            "--out", str(jet_file))
+    doc = json.loads(jet_file.read_text())
+    corrupt(doc["jet"]["components"][0])
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    proc = run_cli("verify", "--in", str(bad_file), expect=2)
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_verify_garbage_schema_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "isometry-jet/999"}))

@@ -24,6 +24,7 @@ from symdom import (
     extend_isometry,
     full_verification_report,
     jacobian_normalization_residual,
+    kernel_polarized,
     make_sos,
     make_spec,
     membership_residual,
@@ -96,6 +97,37 @@ def test_canonical_isometries_polarized_samples(builder):
     rep = check_polarized_eq(iso, samples=20, seed=3)
     assert rep.passed
     assert rep.max_residual < 1e-10
+
+
+def _scalar_polarized_residual(iso, samples, seed, radius=0.03):
+    # one point pair at a time, from the same random draws as the check
+    n = iso.jet.source_dim
+    jet = iso.jet.to_float()
+    g = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        w = g.normal(size=n) + 1j * g.normal(size=n)
+        v = g.normal(size=n) + 1j * g.normal(size=n)
+        for pt in (w, v):
+            pt *= radius * g.uniform(0.3, 1.0) / np.linalg.norm(pt)
+        lhs = complex(kernel_polarized(iso.sos, jet.evaluate(list(w)),
+                                       jet.evaluate(list(v))))
+        worst = max(worst, abs(lhs - (1.0 - complex(np.vdot(v, w))) ** iso.k))
+    return worst
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("family,params", [("IV", {"n": 5}),
+                                           ("I", {"p": 2, "q": 3})])
+def test_polarized_check_matches_scalar_reference(family, params, mode):
+    spec = make_spec(family, **params)
+    rows = random_coisometry(spec.dim - 2, spec.dim, 11, mode)
+    iso = solve_component_jet(rows, make_sos(spec, mode), degree=4)
+    for seed in (0, 7):
+        rep = check_polarized_eq(iso, samples=25, seed=seed)
+        want = _scalar_polarized_residual(iso, 25, seed)
+        assert abs(rep.max_residual - want) < 1e-14
+        assert rep.passed
 
 
 def test_full_report_structure():

@@ -25,6 +25,7 @@ from symdom import (
     sos_type_i,
     sos_type_iv,
 )
+from symdom.kernels import kernel_polarized_many
 
 
 def exact_det(m):
@@ -174,6 +175,22 @@ def test_polarized_hermitian_symmetry():
         a = complex(kernel_polarized(sos, z, xi))
         b = complex(kernel_polarized(sos, xi, z))
         assert abs(a - b.conjugate()) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [make_spec("polydisk", p=3),
+                                  make_spec("IV", n=4),
+                                  make_spec("I", p=2, q=3)],
+                         ids=lambda s: s.label)
+def test_batched_kernel_matches_scalar(spec):
+    r = random.Random(5)
+    sos = make_sos(spec, mode="float")
+    z = np.array([rand_interior(spec, r) for _ in range(8)])
+    xi = np.array([rand_interior(spec, r) for _ in range(8)])
+    batched = kernel_polarized_many(sos, z, xi)
+    assert batched.shape == (8,)
+    for s in range(8):
+        want = complex(kernel_polarized(sos, list(z[s]), list(xi[s])))
+        assert abs(batched[s] - want) < 1e-14
 
 
 def test_minimal_embedding_layout():

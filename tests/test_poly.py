@@ -210,3 +210,16 @@ def test_scale_keeps_mode():
     assert HoloPoly.zero(2, "float").scale(2.0).mode == "float"
     assert BidegPoly.zero(2, "float").scale(Fraction(1, 2)).mode == "float"
     assert HoloPoly.var(2, 0).scale(Fraction(1, 2)).mode == "exact"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_evaluate_many_matches_evaluate(mode):
+    r = random.Random(31)
+    jet = JetMap([rand_poly(r, 3, 5, mode, terms=8) for _ in range(4)], 5)
+    pts = [[complex(r.uniform(-0.5, 0.5), r.uniform(-0.5, 0.5))
+            for _ in range(3)] for _ in range(6)]
+    values = jet.evaluate_many(pts)
+    assert values.shape == (6, 4)
+    for s, pt in enumerate(pts):
+        for i, want in enumerate(jet.evaluate(pt)):
+            assert abs(values[s, i] - complex(want)) < 1e-14
