@@ -8,8 +8,8 @@ from .domains import (DomainSpec, ParameterError, make_spec, null_threshold,
                       closed_form_null_threshold, null_le_vmrt,
                       rank2_codim_inequality, dim_upper_bound,
                       vmrt_certificate, char_bundle_dims, sos_counts)
-from .poly import (HoloPoly, BidegPoly, PolarizedForm, JetMap, polarize,
-                   log_truncate, compose_truncate, squared_norm)
+from .poly import (HoloPoly, BidegPoly, JetMap, log_truncate,
+                   compose_truncate, squared_norm)
 from .kernels import (SignedSOS, make_sos, sos_polydisk, sos_type_iv,
                       sos_type_i, kernel_value, kernel_polarized,
                       kernel_bideg, h_pullback, minimal_embedding,
@@ -38,8 +38,8 @@ __all__ = [
     "DomainSpec", "ParameterError", "make_spec", "null_threshold",
     "closed_form_null_threshold", "null_le_vmrt", "rank2_codim_inequality",
     "dim_upper_bound", "vmrt_certificate", "char_bundle_dims", "sos_counts",
-    "HoloPoly", "BidegPoly", "PolarizedForm", "JetMap", "polarize",
-    "log_truncate", "compose_truncate", "squared_norm",
+    "HoloPoly", "BidegPoly", "JetMap", "log_truncate", "compose_truncate",
+    "squared_norm",
     "SignedSOS", "make_sos", "sos_polydisk", "sos_type_iv", "sos_type_i",
     "kernel_value", "kernel_polarized", "kernel_bideg", "h_pullback",
     "minimal_embedding", "curvature_at_origin", "contains",

@@ -21,7 +21,7 @@ from .linalg import (ExactMatrix, coisometry_residual, ex_complete_orthonormal,
                      ex_solve_row_system, null_space, phase_normalize_columns,
                      row_complement, to_complex_matrix)
 from .poly import JetMap
-from .scalars import EXACT_ZERO, Exact
+from .scalars import EXACT_ZERO
 
 __all__ = ["CoeffGram", "coefficient_matrix", "coefficient_gram",
            "match_unitary", "complete_to_unitary", "sos_signature_bound"]

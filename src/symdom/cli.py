@@ -24,8 +24,7 @@ from .domains import (ParameterError, closed_form_null_threshold,
                       null_threshold, rank2_codim_inequality,
                       vmrt_certificate)
 from .errors import TruncationError, VerificationError
-from .isometry import (IsometryJet, build_k1_variety, build_k2_variety,
-                       check_functional_eq, extend_isometry,
+from .isometry import (build_k1_variety, extend_isometry,
                        full_verification_report, solve_component_jet)
 from .kernels import (contains, curvature_at_origin, kernel_value, make_sos,
                       minimal_embedding)

@@ -21,22 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .calabi import complete_to_unitary, match_unitary
+from .calabi import coefficient_matrix, complete_to_unitary, match_unitary
 from .domains import DomainSpec, rank2_codim_inequality
 from .errors import (ExactCompletionError, ParameterError, TruncationError,
-                     UnitaryMatchError, VerificationError)
+                     VerificationError)
 from .kernels import SignedSOS, h_pullback, kernel_polarized_many
-from .linalg import (ExactMatrix, coisometry_residual, ex_conj_t, ex_gram,
-                     ex_gs_orthonormal, ex_is_identity, ex_matmul,
-                     ex_nullspace, ex_transpose, matrix_rank_tol,
-                     to_complex_matrix)
-from .poly import (BidegPoly, HoloPoly, JetMap, compose_truncate,
-                   squared_norm)
-from .scalars import EXACT_ONE, EXACT_ZERO, SQRT2, Exact, as_complex
+from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
+                     ex_is_identity, ex_matmul, ex_nullspace, ex_transpose,
+                     matrix_rank_tol, to_complex_matrix)
+from .poly import BidegPoly, HoloPoly, JetMap, compose_truncate
+from .scalars import EXACT_ONE, EXACT_ZERO, Exact, as_complex
 
 __all__ = [
     "IsometryJet", "FEReport", "PolarizedReport", "RecoveredUnitary",
@@ -95,8 +93,7 @@ def ball_kernel_power(n: int, k: int, mode: str = "exact",
     for a in range(n):
         w = HoloPoly.var(n, a, mode)
         base = base - BidegPoly.sandwich(w, w)
-    out = base.pow_trunc(k)
-    return out if d is None else out.truncate(d)
+    return base.pow_trunc(k, d)
 
 
 @dataclass(frozen=True)
@@ -601,10 +598,7 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
     if iso.mode == "exact":
         composites = _even_composites(iso, d)
         if all(c.is_zero for c in composites):
-            exps = sorted({e for c in iso.jet.components
-                           for e in c.terms}, key=lambda e: (sum(e), e))
-            fmat = [[comp.terms.get(e, EXACT_ZERO) for e in exps]
-                    for comp in iso.jet.components]
+            fmat, _ = coefficient_matrix(iso.jet)
             relations = ex_nullspace(ex_transpose(fmat))
             try:
                 ortho = ex_gs_orthonormal(relations)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .domains import DomainSpec, ParameterError, make_spec
 from .poly import BidegPoly, HoloPoly, JetMap, log_truncate
-from .scalars import Exact, Scalar, as_complex, cabs, mode_of, one, zero
+from .scalars import Exact, Scalar, as_complex, mode_of, one, zero
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ sum_k u[k] * conj(v[k]).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 

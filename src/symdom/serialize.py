@@ -7,10 +7,9 @@ Term lists are sorted so equal objects serialize identically.
 
 from __future__ import annotations
 
-import cmath
 import json
+import math
 from fractions import Fraction
-from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -38,17 +37,21 @@ def scalar_to_json(c) -> dict:
 
 
 def scalar_from_json(obj: dict):
+    """Decode one coefficient; every part must parse and be a finite float,
+    else ValueError."""
     exact = "ar" in obj
     parts = ("ar", "ai", "br", "bi") if exact else ("re", "im")
     kinds = (str, int) if exact else (int, float)
     if not all(type(obj.get(key)) in kinds for key in parts):
         raise ValueError(f"malformed coefficient {obj!r}")
-    if exact:
-        return Exact(*(Fraction(obj[key]) for key in parts))
-    z = complex(obj["re"], obj["im"])
-    if not cmath.isfinite(z):
-        raise ValueError(f"non-finite coefficient {obj!r}")
-    return z
+    try:
+        vals = [Fraction(obj[key]) if exact else obj[key] for key in parts]
+        finite = all(math.isfinite(float(v)) for v in vals)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError(f"malformed or non-finite coefficient {obj!r}")
+    return Exact(*vals) if exact else complex(*vals)
 
 
 def poly_to_json(p: HoloPoly) -> dict:

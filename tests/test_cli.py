@@ -208,12 +208,29 @@ def _negative_exponent(comp):
     comp["terms"].append({"exp": [-1, 2], "coeff": {"re": 0.5, "im": 0.0}})
 
 
-@pytest.mark.parametrize("corrupt", [_bad_coefficient, _long_exponent,
-                                     _negative_exponent])
-def test_verify_malformed_jet_exits_2(tmp_path, corrupt):
+def _zero_denominator(comp):
+    comp["terms"][0]["coeff"]["ar"] = "1/0"
+
+
+def _huge_float_part(comp):
+    comp["terms"][0]["coeff"]["re"] = 10 ** 400
+
+
+def _huge_exact_part(comp):
+    comp["terms"][0]["coeff"]["ar"] = 10 ** 400
+
+
+MALFORMED = [("float", _bad_coefficient), ("float", _long_exponent),
+             ("float", _negative_exponent), ("exact", _zero_denominator),
+             ("float", _huge_float_part), ("exact", _huge_exact_part)]
+
+
+@pytest.mark.parametrize("mode, corrupt", MALFORMED,
+                         ids=[c.__name__ for _, c in MALFORMED])
+def test_verify_malformed_jet_exits_2(tmp_path, mode, corrupt):
     jet_file = tmp_path / "jet.json"
     run_cli("construct", "--family", "IV", "--n", "4", "--dim", "2",
-            "--seed", "1", "--mode", "float", "--degree", "4",
+            "--seed", "1", "--mode", mode, "--degree", "4",
             "--out", str(jet_file))
     doc = json.loads(jet_file.read_text())
     corrupt(doc["jet"]["components"][0])

@@ -5,8 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from symdom import Exact, HoloPoly, BidegPoly, JetMap, polarize
+from symdom import Exact, HoloPoly, BidegPoly, JetMap
 from symdom import compose_truncate, log_truncate, squared_norm
+
+
+def rand_coeff(r, mode):
+    if mode == "exact":
+        return Exact(Fraction(r.randint(-3, 3), r.randint(1, 3)),
+                     Fraction(r.randint(-2, 2), 2))
+    return complex(r.uniform(-1, 1), r.uniform(-1, 1))
 
 
 def rand_poly(r, nvars, degree, mode="exact", terms=5):
@@ -15,13 +22,19 @@ def rand_poly(r, nvars, degree, mode="exact", terms=5):
         exp = [0] * nvars
         for _ in range(r.randint(0, degree)):
             exp[r.randrange(nvars)] += 1
-        if mode == "exact":
-            c = Exact(Fraction(r.randint(-3, 3), r.randint(1, 3)),
-                      Fraction(r.randint(-2, 2), 2))
-        else:
-            c = complex(r.uniform(-1, 1), r.uniform(-1, 1))
-        p = p + HoloPoly.monomial(nvars, tuple(exp), c, mode)
+        p = p + HoloPoly.monomial(nvars, tuple(exp), rand_coeff(r, mode), mode)
     return p
+
+
+def rand_bideg(r, nvars, degree, mode, terms=5):
+    acc = {}
+    for _ in range(terms):
+        alpha, beta = [0] * nvars, [0] * nvars
+        for _ in range(r.randint(0, degree)):
+            r.choice((alpha, beta))[r.randrange(nvars)] += 1
+        key = (tuple(alpha), tuple(beta))
+        acc[key] = acc.get(key, 0) + rand_coeff(r, mode)
+    return BidegPoly(nvars, acc, mode)
 
 
 def naive_product(a, b):
@@ -43,6 +56,70 @@ def test_mul_trunc_against_convolution():
         want = {e: c for e, c in naive_product(a, b).items()
                 if sum(e) <= d and not c.is_zero}
         assert got.terms == want
+
+
+def bideg_degree(key):
+    return sum(key[0]) + sum(key[1])
+
+
+def naive_bideg_product(a, b):
+    out = {}
+    for (a1, b1), c1 in a.items():
+        for (a2, b2), c2 in b.items():
+            key = (tuple(x + y for x, y in zip(a1, a2)),
+                   tuple(x + y for x, y in zip(b1, b2)))
+            out[key] = out.get(key, c1 * c2 * 0) + c1 * c2
+    return out
+
+
+def assert_terms_match(got, want):
+    """got holds the brute-force terms want: exactly, or to 1e-12 in float."""
+    if got.mode == "exact":
+        assert got.terms == {k: c for k, c in want.items() if not c.is_zero}
+    else:
+        for k in set(got.terms) | set(want):
+            assert abs(got.coeff(*k) - want.get(k, 0)) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_bideg_arithmetic_against_pair_convolution(mode):
+    r = random.Random(41)
+    for _ in range(6):
+        a = rand_bideg(r, 2, 3, mode)
+        b = rand_bideg(r, 2, 3, mode, terms=4)
+        assert a.degree == max(map(bideg_degree, a.terms), default=0)
+        prod = naive_bideg_product(a.terms, b.terms)
+        powers = [{((0, 0), (0, 0)): Exact(1) if mode == "exact" else 1 + 0j}]
+        for _ in range(3):
+            powers.append(naive_bideg_product(powers[-1], a.terms))
+        for d in range(8):
+            cut = a.truncate(d)
+            assert cut.terms == {k: c for k, c in a.terms.items()
+                                 if bideg_degree(k) <= d}
+            assert cut.degree <= d
+            got = a.mul_trunc(b, d)
+            assert_terms_match(got, {k: c for k, c in prod.items()
+                                     if bideg_degree(k) <= d})
+            results = [cut, got]
+            for k in range(4):
+                pw = a.pow_trunc(k, d)
+                assert_terms_match(pw, {key: c for key, c in powers[k].items()
+                                        if bideg_degree(key) <= d})
+                results.append(pw)
+            results += [a * b, a + b, a - b, -a, a.scale(2), a.to_float(),
+                        BidegPoly.zero(2, mode), BidegPoly.const(2, 1, mode)]
+            assert all(type(p) is BidegPoly for p in results)
+
+
+def test_bideg_never_equals_holo():
+    r = random.Random(43)
+    p = rand_bideg(r, 2, 3, "exact")
+    holo = HoloPoly(2, dict(p.terms), "exact")
+    assert holo.terms == p.terms
+    assert p != holo and holo != p
+    assert BidegPoly.zero(2) != HoloPoly.zero(2)
+    assert HoloPoly.zero(2) != BidegPoly.zero(2)
+    assert BidegPoly(2, dict(p.terms)) == p
 
 
 def test_mul_full_matches_float():
@@ -143,14 +220,12 @@ def test_polarize_restrict_roundtrip():
     f = rand_poly(r, 2, 2)
     g = rand_poly(r, 2, 2)
     p = BidegPoly.sandwich(f, g) + BidegPoly.sandwich(g, f)
-    form = polarize(p)
-    assert form.restrict() == p
     z = [complex(0.1, -0.2), complex(0.05, 0.3)]
     xi = [complex(-0.2, 0.1), complex(0.4, 0.0)]
-    same = form.evaluate(z, z)
+    same = p.evaluate_polarized(z, z)
     assert abs(same - complex(p.evaluate(z))) < 1e-12
-    mixed = form.evaluate(z, xi)
-    swapped = form.evaluate(xi, z)
+    mixed = p.evaluate_polarized(z, xi)
+    swapped = p.evaluate_polarized(xi, z)
     assert abs(mixed - swapped.conjugate()) < 1e-12
 
 
