@@ -248,9 +248,9 @@ def _require_coordinate_minus_block(sos: SignedSOS) -> None:
                 f"{spec.label}: minus generator {j} is not the coordinate z_{j}")
 
 
-def _even_composites(iso: IsometryJet, d: int) -> List[HoloPoly]:
-    args = list(iso.jet.components)
-    return [g.substitute(args, d) for g in iso.sos.even]
+def _even_composites(iso: IsometryJet, d: int) -> Tuple[HoloPoly, ...]:
+    even = JetMap(iso.sos.even, d, iso.sos.nvars)
+    return compose_truncate(even, iso.jet, d).components
 
 
 @dataclass(frozen=True)
@@ -394,12 +394,9 @@ def membership_residual(system: VarietySystem, jet: JetMap,
     if jet.target_dim != system.ambient_dim:
         raise ValueError("jet does not land in the ambient space")
     d = jet.degree if d is None else d
-    args = list(jet.components)
-    worst = 0.0
-    for eq in system.equations:
-        comp = eq.substitute(args, d)
-        worst = max(worst, comp.max_abs_coeff())
-    return worst
+    eqs = JetMap(system.equations, d, system.ambient_dim)
+    comps = compose_truncate(eqs, jet, d).components
+    return max((c.max_abs_coeff() for c in comps), default=0.0)
 
 
 def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
@@ -444,9 +441,9 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
         uh = np.asarray(u_part).conj().T
     jet = JetMap.from_linear(lin, degree)
     linear = jet.components
+    even = JetMap(sos.even, degree, nbig)
     for deg in range(2, degree + 1):
-        args = list(jet.components)
-        v = [g.substitute(args, deg) for g in sos.even]
+        v = compose_truncate(even, jet, deg).components
         comps = []
         for i in range(nbig):
             poly = linear[i]
@@ -496,9 +493,11 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
     nstack = max(n + m2, m0 + m1)
     d = iso.jet.degree
     jet = iso.jet.to_float()
+    composites = compose_truncate(JetMap(iso.sos.odd + iso.sos.even, d),
+                                  jet, d).components
     sq2 = math.sqrt(2.0)
     lhs = [HoloPoly.var(n, a, "float").scale(sq2) for a in range(n)]
-    lhs += [g.substitute(list(jet.components), d) for g in iso.sos.even]
+    lhs += composites[m1:]
     lhs += [HoloPoly.zero(n, "float") for _ in range(nstack - n - m2)]
     rhs = []
     for a in range(n):
@@ -508,7 +507,7 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
         for b in range(a + 1, n):
             exp = tuple(1 if c in (a, b) else 0 for c in range(n))
             rhs.append(HoloPoly.monomial(n, exp, sq2, "float"))
-    rhs += [g.substitute(list(jet.components), d) for g in iso.sos.odd]
+    rhs += composites[:m1]
     rhs += [HoloPoly.zero(n, "float") for _ in range(nstack - m0 - m1)]
     u, _ = match_unitary(JetMap(rhs, d, n), JetMap(lhs, d, n), tol)
     u = np.asarray(u, dtype=complex)
@@ -609,20 +608,11 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
             except ExactCompletionError:
                 ext = None
     if ext is None:
+        # n < n0 leaves zero rows in the recovery target, so the jet's
+        # coefficient matrix is rank-deficient and the match is a float one
         rec = recover_matching_unitary(iso, tol)
-        bottom = rec.bottom_block(n)
-        if rec.mode == "exact":
-            rows = bottom[:m2]
-            try:
-                ext = solve_component_jet(rows, iso.sos, d, tol,
-                                          allow_float_fallback=False)
-                mode_used = "exact"
-            except ExactCompletionError:
-                ext = None
-        if ext is None:
-            rows = to_complex_matrix(rec.matrix)[n:n + m2]
-            ext = solve_component_jet(rows, iso.sos, d, tol)
-            mode_used = "float"
+        rows = to_complex_matrix(rec.matrix)[n:n + m2]
+        ext = solve_component_jet(rows, iso.sos, d, tol)
     jf = iso.jet.jacobian0()
     jbig = ext.jet.jacobian0()
     if mode_used == "exact" and iso.mode == "exact" and ext.mode == "exact":

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import DomainSpec, ParameterError, make_spec
-from .poly import BidegPoly, HoloPoly, JetMap, log_truncate
+from .poly import BidegPoly, HoloPoly, JetMap, compose_truncate, log_truncate
 from .scalars import Exact, Scalar, as_complex, mode_of, one, zero
 
 
@@ -189,13 +189,13 @@ def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None) -> BidegPoly:
         raise ValueError(
             f"jet lands in C^{f.target_dim}, expansion lives on C^{sos.nvars}")
     d = f.degree if d is None else d
-    args = list(f.components)
+    signs, gens = zip(*sos.signed_generators())
+    composites = compose_truncate(JetMap(gens, d), f, d).components
     mode = "exact" if sos.mode == f.mode == "exact" else "float"
     zero_c = zero(mode)
     e0 = (0,) * f.source_dim
     acc = {(e0, e0): one(mode)}
-    for sign, g in sos.signed_generators():
-        comp = g.substitute(args, d)
+    for sign, comp in zip(signs, composites):
         for key, c in BidegPoly.sandwich(comp, comp, d).terms.items():
             acc[key] = acc.get(key, zero_c) + (c if sign > 0 else -c)
     return BidegPoly(f.source_dim, acc, mode)

@@ -12,7 +12,10 @@ Three layers:
   ``evaluate_polarized`` reads it as a function of two points (Calabi's
   polarization).
 * :class:`JetMap`     -- a tuple of HoloPoly components, the degree-d Taylor
-  polynomial of a holomorphic map.
+  polynomial of a holomorphic map.  :func:`compose_truncate` is the one
+  composition routine: a stack of polynomials (kernel generators, variety
+  equations, the components of a jet) is composed with an inner jet in one
+  call that builds each monomial once; ``HoloPoly.substitute`` calls it.
 
 Coefficients are either all exact (:class:`symdom.scalars.Exact`) or all
 ``complex``; the containers carry an explicit ``mode`` so exactness is never
@@ -192,46 +195,11 @@ class HoloPoly:
         return result
 
     def substitute(self, args: Sequence["HoloPoly"], d: int) -> "HoloPoly":
-        """Replace variable j by args[j], truncating at total degree d.
-
-        All args must be constant-free (so a term of degree m contributes
-        nothing once m > d, which keeps the loop finite and exact).
-        """
-        if len(args) != self.nvars:
-            raise ValueError("substitution needs one polynomial per variable")
-        n = args[0].nvars if args else 0
-        for a in args:
-            if a.nvars != n:
-                raise ValueError("substitution arguments disagree on variables")
-            if not _is_zero(a.constant_term()):
-                raise ValueError("substitution arguments must vanish at 0")
-        mode = self.mode
-        for a in args:
-            if a.mode == "float":
-                mode = "float"
-        pow_cache: List[Dict[int, HoloPoly]] = [dict() for _ in args]
-
-        def arg_power(j: int, e: int) -> HoloPoly:
-            cache = pow_cache[j]
-            if e not in cache:
-                if e == 1:
-                    cache[e] = args[j]
-                else:
-                    half = arg_power(j, e // 2)
-                    sq = half.mul_trunc(half, d)
-                    cache[e] = sq if e % 2 == 0 else sq.mul_trunc(args[j], d)
-            return cache[e]
-
-        out = HoloPoly.zero(n, mode)
-        for exp, c in self.sorted_terms():
-            if sum(exp) > d:
-                break
-            term = HoloPoly.const(n, c)
-            for j, e in enumerate(exp):
-                if e:
-                    term = term.mul_trunc(arg_power(j, e), d)
-            out = out + term
-        return out
+        """Replace variable j by args[j], truncating at total degree d; the
+        args must vanish at 0 (see :func:`compose_truncate`)."""
+        return compose_truncate(JetMap([self], d, self.nvars),
+                                JetMap(args, d, args[0].nvars if args else 0),
+                                d).components[0]
 
     # -- evaluation --------------------------------------------------------
 
@@ -497,16 +465,41 @@ class JetMap:
 
 
 def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
-    """Jet of outer o inner truncated at degree d; inner must vanish at 0."""
+    """Jet of outer o inner truncated at degree d; inner must vanish at 0.
+
+    Each monomial of the outer variables is built once and shared by all
+    outer components: the monomial one degree lower times one inner
+    component, truncated at d (a degree-1 monomial is the component itself).
+    """
     if outer.source_dim != inner.target_dim:
         raise ValueError(
             f"composition dimension mismatch: outer takes {outer.source_dim} "
             f"variables, inner produces {inner.target_dim}")
     if not inner.constant_free():
         raise ValueError("inner jet must vanish at the origin")
-    args = list(inner.components)
-    comps = [c.substitute(args, d) for c in outer.components]
-    return JetMap(comps, d, inner.source_dim)
+    n, m = inner.source_dim, inner.target_dim
+    mode = "exact" if outer.mode == inner.mode == "exact" else "float"
+    zero_c = zero(mode)
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    table: Dict[Exponent, HoloPoly] = dict(zip(units, inner.components))
+    table[(0,) * m] = HoloPoly.const(n, one(mode), mode)
+
+    def monomial(e: Exponent) -> HoloPoly:
+        if e not in table:
+            j = max(i for i, x in enumerate(e) if x)
+            lower = e[:j] + (e[j] - 1,) + e[j + 1:]
+            table[e] = monomial(lower).mul_trunc(inner.components[j], d)
+        return table[e]
+
+    comps = []
+    for comp in outer.components:
+        acc: Dict[Exponent, Scalar] = {}
+        for e, c in comp.terms.items():
+            if sum(e) <= d:
+                for key, v in monomial(e).terms.items():
+                    acc[key] = acc.get(key, zero_c) + c * v
+        comps.append(HoloPoly(n, acc, mode))
+    return JetMap(comps, d, n)
 
 
 def squared_norm(f: JetMap, d: Optional[int] = None) -> BidegPoly:

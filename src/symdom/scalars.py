@@ -30,6 +30,15 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _float(x: Fraction) -> float:
+    """float(x), or +-inf beyond the float range, as float arithmetic
+    overflows."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 class Exact:
     """Element (ar + ai*i) + (br + bi*i)*sqrt(2) of Q(i, sqrt2)."""
 
@@ -79,8 +88,8 @@ class Exact:
 
     def __complex__(self) -> complex:
         s = math.sqrt(2.0)
-        return complex(float(self.ar) + float(self.br) * s,
-                       float(self.ai) + float(self.bi) * s)
+        return complex(_float(self.ar) + _float(self.br) * s,
+                       _float(self.ai) + _float(self.bi) * s)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -17,7 +17,7 @@ from .domains import DomainSpec, make_spec
 from .isometry import IsometryJet, VarietySystem
 from .kernels import make_sos
 from .poly import HoloPoly, JetMap
-from .scalars import Exact
+from .scalars import Exact, mode_of
 
 SCHEMA_VERSION = "1"
 
@@ -36,14 +36,27 @@ def scalar_to_json(c) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _field(obj, key: str, kind: type):
+    """obj[key], where obj must be a JSON object and obj[key] a JSON value
+    of type kind (a bool is not an int), else ValueError."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, got {obj!r:.80}")
+    val = obj.get(key)
+    if type(val) is not kind:
+        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, "
+                         f"got {val!r:.80}")
+    return val
+
+
 def scalar_from_json(obj: dict):
     """Decode one coefficient; every part must parse and be a finite float,
     else ValueError."""
-    exact = "ar" in obj
+    exact = type(obj) is dict and "ar" in obj
     parts = ("ar", "ai", "br", "bi") if exact else ("re", "im")
     kinds = (str, int) if exact else (int, float)
-    if not all(type(obj.get(key)) in kinds for key in parts):
-        raise ValueError(f"malformed coefficient {obj!r}")
+    if type(obj) is not dict or not all(type(obj.get(key)) in kinds
+                                        for key in parts):
+        raise ValueError(f"malformed coefficient {obj!r:.80}")
     try:
         vals = [Fraction(obj[key]) if exact else obj[key] for key in parts]
         finite = all(math.isfinite(float(v)) for v in vals)
@@ -64,15 +77,23 @@ def poly_to_json(p: HoloPoly) -> dict:
 
 
 def poly_from_json(obj: dict) -> HoloPoly:
-    nvars = obj["vars"]
-    for t in obj["terms"]:
-        exp = t["exp"]
-        if not (isinstance(exp, list) and len(exp) == nvars
+    """Decode a polynomial; its coefficients must be encoded in its mode."""
+    nvars = _field(obj, "vars", int)
+    mode = _field(obj, "mode", str)
+    if mode not in ("exact", "float"):
+        raise ValueError(f"unknown polynomial mode {mode!r:.80}")
+    terms = {}
+    for t in _field(obj, "terms", list):
+        exp = _field(t, "exp", list)
+        if not (len(exp) == nvars
                 and all(type(x) is int and x >= 0 for x in exp)):
-            raise ValueError(f"bad exponent {exp!r} for {nvars} variables")
-    terms = {tuple(t["exp"]): scalar_from_json(t["coeff"])
-             for t in obj["terms"]}
-    return HoloPoly(nvars, terms, obj["mode"])
+            raise ValueError(f"bad exponent {exp!r:.80} for {nvars} "
+                             "variables")
+        c = scalar_from_json(t.get("coeff"))
+        if mode_of(c) != mode:
+            raise ValueError(f"{mode_of(c)} coefficient in a {mode} polynomial")
+        terms[tuple(exp)] = c
+    return HoloPoly(nvars, terms, mode)
 
 
 def jet_to_json(jet: JetMap) -> dict:
@@ -86,8 +107,18 @@ def jet_to_json(jet: JetMap) -> dict:
 
 
 def jet_from_json(obj: dict) -> JetMap:
-    comps = [poly_from_json(c) for c in obj["components"]]
-    return JetMap(comps, obj["degree"], obj["source_dim"])
+    """Decode a jet; its header must agree with its components."""
+    n, target, degree = (_field(obj, key, int)
+                         for key in ("source_dim", "target_dim", "degree"))
+    mode = _field(obj, "mode", str)
+    comps = [poly_from_json(c) for c in _field(obj, "components", list)]
+    jet = JetMap(comps, degree, n)
+    if degree < 0 or (n, target, mode) != (jet.source_dim, jet.target_dim,
+                                           jet.mode):
+        raise ValueError(f"jet header (source_dim {n}, target_dim {target}, "
+                         f"degree {degree}, mode {mode!r:.20}) disagrees "
+                         "with its components")
+    return jet
 
 
 def matrix_to_json(m) -> dict:
@@ -121,7 +152,12 @@ def spec_to_json(spec: DomainSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> DomainSpec:
-    return make_spec(obj["family"], **obj.get("params", {}))
+    family = _field(obj, "family", str)
+    params = obj.get("params", {})
+    if not (type(params) is dict
+            and all(type(v) is int for v in params.values())):
+        raise ValueError(f"malformed domain parameters {params!r:.80}")
+    return make_spec(family, **params)
 
 
 def iso_to_json(iso: IsometryJet) -> dict:
@@ -134,13 +170,17 @@ def iso_to_json(iso: IsometryJet) -> dict:
 
 
 def iso_from_json(obj: dict) -> IsometryJet:
-    schema = obj.get("schema", "")
+    schema = _field(obj, "schema", str)
     if schema != f"isometry-jet/{SCHEMA_VERSION}":
-        raise ValueError(f"unsupported isometry-jet document: {schema!r}")
-    spec = spec_from_json(obj["domain"])
-    jet = jet_from_json(obj["jet"])
-    sos = make_sos(spec, jet.mode)
-    return IsometryJet(jet, int(obj["isometric_constant"]), sos)
+        raise ValueError(f"unsupported isometry-jet document: {schema!r:.80}")
+    spec = spec_from_json(obj.get("domain"))
+    jet = jet_from_json(obj.get("jet"))
+    k = _field(obj, "isometric_constant", int)
+    # before make_sos, whose generators grow with the domain's dimension
+    if jet.target_dim != spec.dim:
+        raise ValueError(f"jet lands in C^{jet.target_dim}, domain has "
+                         f"dimension {spec.dim}")
+    return IsometryJet(jet, k, make_sos(spec, jet.mode))
 
 
 def variety_to_json(v: VarietySystem) -> dict:

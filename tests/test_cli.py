@@ -1,10 +1,12 @@
 """End-to-end command line checks through subprocess calls."""
 
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symdom import isometry
 from symdom.cli import main
@@ -239,6 +241,107 @@ def test_verify_malformed_jet_exits_2(tmp_path, mode, corrupt):
     proc = run_cli("verify", "--in", str(bad_file), expect=2)
     assert proc.stderr.startswith("error:")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def iv4_jet_doc(tmp_path_factory):
+    """The constructed exact IV(4) dim-1 jet (seed 3, degree 4)."""
+    path = tmp_path_factory.mktemp("iv4") / "jet.json"
+    assert main(["construct", "--family", "IV", "--n", "4", "--dim", "1",
+                 "--seed", "3", "--degree", "4", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("command", ["verify", "extend"])
+def test_overflowing_exact_jet_fails_checks(tmp_path, iv4_jet_doc, command):
+    # its square in the residual and in conj(J)^T J is beyond float range
+    doc = copy.deepcopy(iv4_jet_doc)
+    term = next(t for comp in doc["jet"]["components"]
+                for t in comp["terms"] if sum(t["exp"]) == 1)
+    term["coeff"]["ar"] = str(10 ** 200)
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+    proc = run_cli(command, "--in", str(bad_file), expect=1)
+    if command == "verify":
+        report = json.loads(proc.stdout)
+        assert report["passed"] is False
+        assert report["functional-equation"]["passed"] is False
+        assert report["jacobian-normalization"]["passed"] is False
+    else:
+        assert proc.stderr.startswith("verification failed:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def _replace(*path_and_value):
+    *path, value = path_and_value
+
+    def corrupt(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+    return corrupt
+
+
+MALFORMED_DOCS = {
+    "components": _replace("jet", "components", 3),
+    "terms": _replace("jet", "components", 0, "terms", {"a": 1}),
+    "degree": _replace("jet", "degree", "4"),
+    "domain": _replace("domain", []),
+    "params": _replace("domain", "params", "n=4"),
+    "family": _replace("domain", "family", 4),
+    "coeff": _replace("jet", "components", 0, "terms", 0, "coeff", [1, 2]),
+    "top_level_list": lambda doc: [doc],
+    "isometric_constant": _replace("isometric_constant", 1.5),
+    "source_dim": _replace("jet", "source_dim", 3),
+    "source_dim_string": _replace("jet", "source_dim", "1"),
+    "float_mode_exact_coeffs": _replace("jet", "components", 0, "mode",
+                                        "float"),
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_DOCS.values(),
+                         ids=MALFORMED_DOCS.keys())
+def test_malformed_document_exits_2(tmp_path, capsys, iv4_jet_doc, corrupt):
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(corrupt(copy.deepcopy(iv4_jet_doc))))
+    assert main(["verify", "--in", str(bad_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6)
+
+
+def _node_paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _node_paths(node[key], path + (key,))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_fuzzed_document_keeps_exit_contract(tmp_path_factory, iv4_jet_doc,
+                                             data):
+    doc = {key: iv4_jet_doc[key]
+           for key in ("schema", "domain", "isometric_constant", "jet")}
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    value = data.draw(JSON_VALUES)
+    doc = _replace(*path, value)(copy.deepcopy(doc)) if path else value
+    tmp = tmp_path_factory.getbasetemp()
+    (tmp / "fuzz.json").write_text(json.dumps(doc))
+    command = data.draw(st.sampled_from(["verify", "extend"]))
+    argv = [command, "--in", str(tmp / "fuzz.json"),
+            "--out", str(tmp / "out.json")]
+    assert main(argv) in (0, 1, 2)
 
 
 def test_verify_garbage_schema_exits_2(tmp_path):

@@ -250,6 +250,45 @@ def test_compose_truncate_chain():
     assert comp.evaluate(pt) == outer.evaluate(inner.evaluate(pt))
 
 
+def naive_compose(outer, inner):
+    """Components of outer o inner, untruncated, from brute-force products."""
+    n = inner.source_dim
+    comps = []
+    for comp in outer.components:
+        acc = HoloPoly.zero(n, comp.mode)
+        for e, c in comp.terms.items():
+            term = HoloPoly.const(n, c)
+            for j, k in enumerate(e):
+                for _ in range(k):
+                    term = HoloPoly(n, naive_product(term, inner.components[j]))
+            acc = acc + term
+        comps.append(acc)
+    return comps
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_compose_truncate_is_truncated_composition(d):
+    r = random.Random(37)
+    shared = rand_poly(r, 3, 3, terms=4)
+    outer = JetMap([shared, shared + rand_poly(r, 3, 3),
+                    shared.scale(Exact(2)) + HoloPoly.const(3, Exact(1, 1))],
+                   3)
+    assert shared.degree >= 2
+    assert not outer.components[2].constant_term().is_zero
+    inner_comps = []
+    for _ in range(3):
+        c = rand_poly(r, 2, 3, terms=4)
+        inner_comps.append(c - HoloPoly.const(2, c.constant_term()))
+    inner = JetMap(inner_comps, 3)
+    got = compose_truncate(outer, inner, d)
+    assert got.degree == d
+    assert list(got.components) == [c.truncate(d)
+                                    for c in naive_compose(outer, inner)]
+    approx = compose_truncate(outer.to_float(), inner.to_float(), d)
+    assert approx.mode == "float"
+    assert approx.max_coeff_distance(got) <= 1e-12
+
+
 def test_compose_rejects_constant_terms():
     outer = JetMap.identity(1, 2)
     bad = JetMap([HoloPoly.const(1, Exact(1))], 2, 1)
