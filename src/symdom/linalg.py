@@ -7,7 +7,6 @@ sum_k u[k] * conj(v[k]).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List
 
 import numpy as np
@@ -25,14 +24,6 @@ __all__ = [
     "phase_normalize_columns", "null_space", "row_complement",
     "principal_angles", "coisometry_residual", "matrix_rank_tol",
 ]
-
-
-def _as_exact(x) -> Exact:
-    if isinstance(x, Exact):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Exact.of(x)
-    raise TypeError(f"not an exact scalar: {x!r}")
 
 
 def ex_transpose(a: ExactMatrix) -> ExactMatrix:
@@ -82,7 +73,7 @@ def ex_gram(rows: ExactMatrix) -> ExactMatrix:
 
 def ex_rref(a: ExactMatrix):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    rows = [[_as_exact(x) for x in row] for row in a]
+    rows = [[Exact.of(x) for x in row] for row in a]
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     pivots: List[int] = []
@@ -167,7 +158,7 @@ def ex_gs_orthonormal(rows: ExactMatrix) -> ExactMatrix:
     """
     ortho: ExactMatrix = []
     for row in rows:
-        v = [_as_exact(x) for x in row]
+        v = [Exact.of(x) for x in row]
         for e in ortho:
             coef = EXACT_ZERO
             for x, y in zip(v, e):

@@ -422,12 +422,15 @@ class JetMap:
         exps = np.array(basis, dtype=int).reshape(len(basis), self.source_dim)
         powers = np.ones((int(exps.max(initial=0)) + 1,) + pts.shape,
                          dtype=complex)
-        for e in range(1, len(powers)):
-            powers[e] = powers[e - 1] * pts
-        monomials = np.ones((len(pts), len(basis)), dtype=complex)
-        for j in range(self.source_dim):
-            monomials *= powers[exps[:, j], :, j].T
-        return monomials @ self.float_coefficients(basis).T
+        # a value beyond float range reads as inf / nan, which the checks
+        # report as failing, rather than as a warning on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e in range(1, len(powers)):
+                powers[e] = powers[e - 1] * pts
+            monomials = np.ones((len(pts), len(basis)), dtype=complex)
+            for j in range(self.source_dim):
+                monomials *= powers[exps[:, j], :, j].T
+            return monomials @ self.float_coefficients(basis).T
 
     def jacobian0(self) -> List[List[Scalar]]:
         """Degree-1 coefficient matrix, target_dim x source_dim."""

@@ -27,11 +27,11 @@ _PYTHAGOREAN = [(3, 4, 5), (5, 12, 13), (8, 15, 17),
                 (7, 24, 25), (20, 21, 29), (9, 40, 41)]
 
 _UNIT_PHASES = [
-    Exact.of(1), Exact.of(-1), Exact.gaussian(0, 1), Exact.gaussian(0, -1),
-    Exact.gaussian(Fraction(3, 5), Fraction(4, 5)),
-    Exact.gaussian(Fraction(3, 5), Fraction(-4, 5)),
-    Exact.gaussian(Fraction(-5, 13), Fraction(12, 13)),
-    Exact.gaussian(Fraction(8, 17), Fraction(15, 17)),
+    Exact.of(1), Exact.of(-1), Exact(0, 1), Exact(0, -1),
+    Exact(Fraction(3, 5), Fraction(4, 5)),
+    Exact(Fraction(3, 5), Fraction(-4, 5)),
+    Exact(Fraction(-5, 13), Fraction(12, 13)),
+    Exact(Fraction(8, 17), Fraction(15, 17)),
 ]
 
 
@@ -162,7 +162,7 @@ def _random_exact_scalar(r: random.Random) -> Exact:
     den = r.randint(1, 3)
     val = Exact.of(Fraction(num, den))
     if r.random() < 0.5:
-        val = val + Exact.gaussian(0, Fraction(r.randint(-2, 2), den))
+        val = val + Exact(0, Fraction(r.randint(-2, 2), den))
     if r.random() < 0.2:
         val = val + Exact(0, 0, Fraction(r.randint(-1, 1), 2), 0)
     return val

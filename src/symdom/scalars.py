@@ -9,49 +9,84 @@ Two coefficient modes run through the whole package:
 
 Mixed arithmetic coerces to ``complex`` (exactness is lost explicitly, never
 silently re-gained: there is no float -> exact conversion).
+
+An exact element is four integer numerators over one positive common
+denominator, in lowest terms, so the field operations are integer
+arithmetic plus one gcd per result; ``complex()`` divides the integers,
+correctly rounded, with +-inf beyond the float range.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
-
-Rat = Union[int, Fraction]
 
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _float(x: Fraction) -> float:
-    """float(x), or +-inf beyond the float range, as float arithmetic
-    overflows."""
+def _div(n: int, d: int) -> float:
+    """n / d correctly rounded, or +-inf beyond the float range, as float
+    arithmetic overflows."""
     try:
-        return float(x)
+        return n / d
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if n > 0 else -math.inf
+
+
+_new = object.__new__
+
+
+def _raw(n: tuple) -> "Exact":
+    """The Exact with internal form n, which must already be canonical."""
+    x = _new(Exact)
+    x._n = n
+    return x
+
+
+def _make(a: int, b: int, c: int, e: int, d: int) -> "Exact":
+    """(a + b i + (c + e i) sqrt2) / d for d > 0, reduced to lowest terms."""
+    g = gcd(a, b, c, e, d)
+    if g != 1:
+        a, b, c, e, d = a // g, b // g, c // g, e // g, d // g
+    x = _new(Exact)
+    x._n = (a, b, c, e, d)
+    return x
 
 
 class Exact:
-    """Element (ar + ai*i) + (br + bi*i)*sqrt(2) of Q(i, sqrt2)."""
+    """Element (ar + ai*i) + (br + bi*i)*sqrt(2) of Q(i, sqrt2).
 
-    __slots__ = ("ar", "ai", "br", "bi")
+    Held as four integer numerators over one positive common denominator,
+    ``_n = (a, b, c, e, d)`` for (a + b i + (c + e i) sqrt2) / d, in lowest
+    terms: gcd(a, b, c, e, d) == 1, and zero is (0, 0, 0, 0, 1).  The form
+    is canonical, so equal elements have equal ``_n``.  Arithmetic works on
+    the integers and reduces each result with one gcd; ``ar`` / ``ai`` /
+    ``br`` / ``bi`` read the parts back as Fractions.  Instances are
+    immutable: ``_n`` is private and the parts are read-only.
+    """
+
+    __slots__ = ("_n",)
 
     def __init__(self, ar=0, ai=0, br=0, bi=0):
-        object.__setattr__(self, "ar", _frac(ar))
-        object.__setattr__(self, "ai", _frac(ai))
-        object.__setattr__(self, "br", _frac(br))
-        object.__setattr__(self, "bi", _frac(bi))
+        parts = [_frac(x) for x in (ar, ai, br, bi)]
+        # over the lcm of the parts' reduced denominators, already in
+        # lowest terms
+        d = math.lcm(*(x.denominator for x in parts))
+        self._n = tuple(x.numerator * (d // x.denominator)
+                        for x in parts) + (d,)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Exact is immutable")
+    ar = property(lambda self: Fraction(self._n[0], self._n[4]))
+    ai = property(lambda self: Fraction(self._n[1], self._n[4]))
+    br = property(lambda self: Fraction(self._n[2], self._n[4]))
+    bi = property(lambda self: Fraction(self._n[3], self._n[4]))
 
     # -- constructors ------------------------------------------------------
 
@@ -59,46 +94,53 @@ class Exact:
     def of(x) -> "Exact":
         if isinstance(x, Exact):
             return x
-        return Exact(_frac(x))
-
-    @staticmethod
-    def gaussian(re, im) -> "Exact":
-        return Exact(_frac(re), _frac(im))
+        x = _frac(x)
+        return _raw((x.numerator, 0, 0, 0, x.denominator))
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not (self.ar or self.ai or self.br or self.bi)
+        return self._n == _ZERO_N
 
     @property
     def is_rational(self) -> bool:
-        return not (self.ai or self.br or self.bi)
+        _, b, c, e, _ = self._n
+        return not (b or c or e)
 
     @property
     def is_real(self) -> bool:
-        return not (self.ai or self.bi)
+        _, b, _, e, _ = self._n
+        return not (b or e)
 
     def conjugate(self) -> "Exact":
-        return Exact(self.ar, -self.ai, self.br, -self.bi)
+        a, b, c, e, d = self._n
+        return _raw((a, -b, c, -e, d))
 
     def abs2(self) -> "Exact":
         """|x|^2, a real element of Q(sqrt2)."""
         return self * self.conjugate()
 
     def __complex__(self) -> complex:
+        a, b, c, e, d = self._n
         s = math.sqrt(2.0)
-        return complex(_float(self.ar) + _float(self.br) * s,
-                       _float(self.ai) + _float(self.bi) * s)
+        return complex(_div(a, d) + _div(c, d) * s,
+                       _div(b, d) + _div(e, d) * s)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Exact):
-            return Exact(self.ar + other.ar, self.ai + other.ai,
-                         self.br + other.br, self.bi + other.bi)
+            a1, b1, c1, e1, d1 = self._n
+            a2, b2, c2, e2, d2 = other._n
+            if d1 == d2:
+                return _make(a1 + a2, b1 + b2, c1 + c2, e1 + e2, d1)
+            return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1,
+                         c1 * d2 + c2 * d1, e1 * d2 + e2 * d1, d1 * d2)
         if isinstance(other, (int, Fraction)):
-            return Exact(self.ar + other, self.ai, self.br, self.bi)
+            a, b, c, e, d = self._n
+            p, q = other.numerator, other.denominator
+            return _make(a * q + p * d, b * q, c * q, e * q, d * q)
         if isinstance(other, (float, complex)):
             return complex(self) + other
         return NotImplemented
@@ -106,14 +148,21 @@ class Exact:
     __radd__ = __add__
 
     def __neg__(self):
-        return Exact(-self.ar, -self.ai, -self.br, -self.bi)
+        a, b, c, e, d = self._n
+        return _raw((-a, -b, -c, -e, d))
 
     def __sub__(self, other):
         if isinstance(other, Exact):
-            return Exact(self.ar - other.ar, self.ai - other.ai,
-                         self.br - other.br, self.bi - other.bi)
+            a1, b1, c1, e1, d1 = self._n
+            a2, b2, c2, e2, d2 = other._n
+            if d1 == d2:
+                return _make(a1 - a2, b1 - b2, c1 - c2, e1 - e2, d1)
+            return _make(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1,
+                         c1 * d2 - c2 * d1, e1 * d2 - e2 * d1, d1 * d2)
         if isinstance(other, (int, Fraction)):
-            return Exact(self.ar - other, self.ai, self.br, self.bi)
+            a, b, c, e, d = self._n
+            p, q = other.numerator, other.denominator
+            return _make(a * q - p * d, b * q, c * q, e * q, d * q)
         if isinstance(other, (float, complex)):
             return complex(self) - other
         return NotImplemented
@@ -123,18 +172,19 @@ class Exact:
 
     def __mul__(self, other):
         if isinstance(other, Exact):
-            # (a1 + b1 s)(a2 + b2 s) = (a1 a2 + 2 b1 b2) + (a1 b2 + a2 b1) s,
-            # with Gaussian products expanded componentwise.
-            a1r, a1i, b1r, b1i = self.ar, self.ai, self.br, self.bi
-            a2r, a2i, b2r, b2i = other.ar, other.ai, other.br, other.bi
-            ar = a1r * a2r - a1i * a2i + 2 * (b1r * b2r - b1i * b2i)
-            ai = a1r * a2i + a1i * a2r + 2 * (b1r * b2i + b1i * b2r)
-            br = a1r * b2r - a1i * b2i + a2r * b1r - a2i * b1i
-            bi = a1r * b2i + a1i * b2r + a2r * b1i + a2i * b1r
-            return Exact(ar, ai, br, bi)
+            # (x1 + y1 s)(x2 + y2 s) = (x1 x2 + 2 y1 y2) + (x1 y2 + x2 y1) s
+            # with x = a + b i, y = c + e i, expanded componentwise.
+            a1, b1, c1, e1, d1 = self._n
+            a2, b2, c2, e2, d2 = other._n
+            return _make(a1 * a2 - b1 * b2 + 2 * (c1 * c2 - e1 * e2),
+                         a1 * b2 + b1 * a2 + 2 * (c1 * e2 + e1 * c2),
+                         a1 * c2 - b1 * e2 + a2 * c1 - b2 * e1,
+                         a1 * e2 + b1 * c2 + a2 * e1 + b2 * c1,
+                         d1 * d2)
         if isinstance(other, (int, Fraction)):
-            return Exact(self.ar * other, self.ai * other,
-                         self.br * other, self.bi * other)
+            a, b, c, e, d = self._n
+            p, q = other.numerator, other.denominator
+            return _make(a * p, b * p, c * p, e * p, d * q)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -144,13 +194,12 @@ class Exact:
     def inverse(self) -> "Exact":
         if self.is_zero:
             raise ZeroDivisionError("division by exact zero")
-        # 1/(a + b s) = (a - b s) / (a^2 - 2 b^2); the denominator is Gaussian.
-        conj2 = Exact(self.ar, self.ai, -self.br, -self.bi)
-        den = self * conj2  # Gaussian rational: br = bi = 0
-        dr, di = den.ar, den.ai
-        norm = dr * dr + di * di
-        inv_den = Exact(dr / norm, -di / norm)
-        return conj2 * inv_den
+        # 1/(x + y s) = (x - y s) / (x^2 - 2 y^2); the denominator is
+        # Gaussian, u + v i, and 1/(u + v i) = (u - v i) / (u^2 + v^2).
+        a, b, c, e, d = self._n
+        conj2 = _raw((a, b, -c, -e, d))
+        u, v, _, _, w = (self * conj2)._n
+        return conj2 * _make(u * w, -v * w, 0, 0, u * u + v * v)
 
     def __truediv__(self, other):
         if isinstance(other, (Exact, int, Fraction)):
@@ -182,10 +231,9 @@ class Exact:
 
     def __eq__(self, other):
         if isinstance(other, Exact):
-            return (self.ar, self.ai, self.br, self.bi) == \
-                   (other.ar, other.ai, other.br, other.bi)
+            return self._n == other._n
         if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.ar == other
+            return self._n == (other.numerator, 0, 0, 0, other.denominator)
         if isinstance(other, (float, complex)):
             return complex(self) == other
         return NotImplemented
@@ -193,7 +241,7 @@ class Exact:
     def __hash__(self):
         if self.is_rational:
             return hash(self.ar)
-        return hash((self.ar, self.ai, self.br, self.bi))
+        return hash(self._n)
 
     def __repr__(self):
         def part(re, im):
@@ -210,6 +258,7 @@ class Exact:
         return f"Exact({a}+{b}*sqrt2)"
 
 
+_ZERO_N = (0, 0, 0, 0, 1)
 EXACT_ZERO = Exact()
 EXACT_ONE = Exact(1)
 EXACT_I = Exact(0, 1)

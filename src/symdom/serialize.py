@@ -194,6 +194,23 @@ def variety_to_json(v: VarietySystem) -> dict:
     }
 
 
+def _finite(obj):
+    """obj with every non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def dumps(obj: dict) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic strict JSON text: sorted keys, two-space indent, and
+    non-finite floats written as the strings "inf", "-inf" and "nan"."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float; the walk is paid only then
+        text = json.dumps(_finite(obj), sort_keys=True, indent=2,
+                          allow_nan=False)
+    return text + "\n"

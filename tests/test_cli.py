@@ -252,6 +252,10 @@ def iv4_jet_doc(tmp_path_factory):
     return json.loads(path.read_text())
 
 
+def _no_bare_constant(token):
+    raise AssertionError(f"bare {token} in a JSON document")
+
+
 @pytest.mark.parametrize("command", ["verify", "extend"])
 def test_overflowing_exact_jet_fails_checks(tmp_path, iv4_jet_doc, command):
     # its square in the residual and in conj(J)^T J is beyond float range
@@ -262,8 +266,9 @@ def test_overflowing_exact_jet_fails_checks(tmp_path, iv4_jet_doc, command):
     bad_file = tmp_path / "bad.json"
     bad_file.write_text(json.dumps(doc))
     proc = run_cli(command, "--in", str(bad_file), expect=1)
+    assert "RuntimeWarning" not in proc.stderr
     if command == "verify":
-        report = json.loads(proc.stdout)
+        report = json.loads(proc.stdout, parse_constant=_no_bare_constant)
         assert report["passed"] is False
         assert report["functional-equation"]["passed"] is False
         assert report["jacobian-normalization"]["passed"] is False

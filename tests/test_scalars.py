@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symdom import Exact, EXACT_ZERO, EXACT_ONE, EXACT_I, SQRT2, HALF_SQRT2
 from symdom import field_sqrt, rational_sqrt
@@ -125,3 +126,110 @@ def test_coerce_refuses_float_to_exact():
     assert coerce(Exact(1, 1), "float") == 1 + 1j
     assert mode_of(Exact(1)) == "exact"
     assert mode_of(0.25) == "float"
+
+
+# -- the integer core against four Fractions -----------------------------
+
+def _ref_float(x):
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+class Ref:
+    """Q(i, sqrt2) as four independent Fractions: the formulas the integer
+    core replaced, kept as its reference."""
+
+    def __init__(self, ar, ai, br, bi):
+        self.p = tuple(Fraction(x) for x in (ar, ai, br, bi))
+
+    def __add__(self, o):
+        return Ref(*(x + y for x, y in zip(self.p, o.p)))
+
+    def __sub__(self, o):
+        return Ref(*(x - y for x, y in zip(self.p, o.p)))
+
+    def __neg__(self):
+        return Ref(*(-x for x in self.p))
+
+    def __mul__(self, o):
+        a1r, a1i, b1r, b1i = self.p
+        a2r, a2i, b2r, b2i = o.p
+        return Ref(a1r * a2r - a1i * a2i + 2 * (b1r * b2r - b1i * b2i),
+                   a1r * a2i + a1i * a2r + 2 * (b1r * b2i + b1i * b2r),
+                   a1r * b2r - a1i * b2i + a2r * b1r - a2i * b1i,
+                   a1r * b2i + a1i * b2r + a2r * b1i + a2i * b1r)
+
+    def conjugate(self):
+        ar, ai, br, bi = self.p
+        return Ref(ar, -ai, br, -bi)
+
+    def inverse(self):
+        ar, ai, br, bi = self.p
+        conj2 = Ref(ar, ai, -br, -bi)
+        dr, di, _, _ = (self * conj2).p
+        norm = dr * dr + di * di
+        return conj2 * Ref(dr / norm, -di / norm, 0, 0)
+
+    def __complex__(self):
+        ar, ai, br, bi = (_ref_float(x) for x in self.p)
+        s = math.sqrt(2.0)
+        return complex(ar + br * s, ai + bi * s)
+
+
+def _parts(x: Exact):
+    return (x.ar, x.ai, x.br, x.bi)
+
+
+def _same_float(u: float, v: float) -> bool:
+    return u == v or (math.isnan(u) and math.isnan(v))
+
+
+_numerators = st.one_of(st.just(0), st.integers(-12, 12),
+                        st.integers(-2 ** 200, 2 ** 200),
+                        st.integers(-2 ** 1100, 2 ** 1100))
+_denominators = st.one_of(st.integers(1, 12), st.integers(1, 2 ** 200))
+_rationals = st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, _numerators, _denominators))
+_elements = st.tuples(_rationals, _rationals, _rationals, _rationals)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_elements, _elements, _elements)
+def test_integer_core_matches_fraction_reference(p, q, r):
+    x, y, z = Exact(*p), Exact(*q), Exact(*r)
+    rx, ry = Ref(*p), Ref(*q)
+    assert _parts(x) == rx.p
+    assert _parts(x + y) == (rx + ry).p
+    assert _parts(x - y) == (rx - ry).p
+    assert _parts(x * y) == (rx * ry).p
+    assert _parts(-x) == (-rx).p
+    assert _parts(x.conjugate()) == rx.conjugate().p
+    assert _parts(x + p[0]) == (rx + Ref(p[0], 0, 0, 0)).p
+    assert _parts(x * q[1]) == (rx * Ref(q[1], 0, 0, 0)).p
+    if not y.is_zero:
+        assert _parts(y.inverse()) == ry.inverse().p
+        assert _parts(x / y) == (rx * ry.inverse()).p
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    assert x.is_zero == (rx.p == (0, 0, 0, 0))
+    assert (x == y) == (rx.p == ry.p)
+    assert x == Exact(*(str(v) for v in p))
+    assert hash(x) == hash(Exact(*p))
+    assert (x == p[0]) == (rx.p == (p[0], 0, 0, 0))
+    if x.is_rational:
+        assert hash(x) == hash(p[0])
+    zx, zr = complex(x), complex(rx)
+    assert _same_float(zx.real, zr.real) and _same_float(zx.imag, zr.imag)
+    # canonical form: one value, one internal form, whatever the route
+    for u, v in (((x * y) * z, x * (y * z)), ((x + y) + z, x + (y + z)),
+                 (x * (y + z), x * y + x * z), ((x - y) + y, x),
+                 (x.conjugate().conjugate(), x), (x * EXACT_ONE, x),
+                 (x + EXACT_ZERO, x), (x - x, EXACT_ZERO)):
+        assert u._n == v._n
+    a, b, c, e, d = (x * y + z)._n
+    assert d > 0 and math.gcd(a, b, c, e, d) == 1
+    if not y.is_zero:
+        assert ((x / y) * y)._n == x._n
