@@ -1,7 +1,7 @@
 """Write BENCH_<pr>.json at the repository root: the benchmark's end-to-end
 and per-layer numbers and the tier-1 test time, measured on this machine.
 
-    python3 tools/write_bench.py 6
+    python3 tools/write_bench.py N      # writes BENCH_N.json
 
 Steps, one after another so that no two measurements share the CPU:
 
