@@ -14,7 +14,9 @@ Exit codes: 0 success, 1 a verification failed, 2 bad parameters or input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -49,7 +51,9 @@ def _emit(doc: dict, args) -> None:
     if getattr(args, "format", "json") == "text":
         lines = []
         for key in sorted(doc):
-            lines.append(f"{key}: {json.dumps(doc[key], sort_keys=True)}")
+            value = json.dumps(serialize.strict_json_value(doc[key]),
+                               sort_keys=True, allow_nan=False)
+            lines.append(f"{key}: {value}")
         _write_out("\n".join(lines) + "\n", args.out)
     else:
         _write_out(serialize.dumps(doc), args.out)
@@ -73,17 +77,21 @@ def _add_family_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_point(text: str, n: int) -> List[complex]:
-    data = json.loads(text)
+    # integers read as floats: a huge one is inf, not an OverflowError
+    data = json.loads(text, parse_int=float)
     if not isinstance(data, list):
         raise ValueError("point must be a JSON list")
     pt = []
     for x in data:
-        if isinstance(x, (int, float)):
+        if isinstance(x, float):
             pt.append(complex(x))
-        elif isinstance(x, list) and len(x) == 2:
+        elif (isinstance(x, list) and len(x) == 2
+              and all(isinstance(v, float) for v in x)):
             pt.append(complex(x[0], x[1]))
         else:
             raise ValueError(f"bad coordinate {x!r}: use a number or [re, im]")
+        if not cmath.isfinite(pt[-1]):
+            raise ValueError(f"coordinate {x!r} is not finite")
     if len(pt) != n:
         raise ValueError(f"point has {len(pt)} coordinates, domain needs {n}")
     return pt
@@ -323,6 +331,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        tol = getattr(args, "tol", 0.0)
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ParameterError(
+                f"--tol must be finite and non-negative, got {tol}")
         return args.func(args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
                      ex_is_identity, ex_matmul, ex_nullspace, ex_transpose,
                      matrix_rank_tol, to_complex_matrix)
 from .poly import BidegPoly, HoloPoly, JetMap, compose_truncate
-from .scalars import EXACT_ONE, EXACT_ZERO, Exact, as_complex
+from .scalars import EXACT_ONE, EXACT_ZERO, Exact, as_complex, one, zero
 
 __all__ = [
     "IsometryJet", "FEReport", "PolarizedReport", "RecoveredUnitary",
@@ -259,15 +259,9 @@ class RecoveredUnitary:
 
     matrix: object
     mode: str
-    residual: float
-
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
 
     def bottom_block(self, n: int):
-        return [row for row in self.matrix][n:] \
-            if isinstance(self.matrix, list) else self.matrix[n:]
+        return self.matrix[n:]
 
 
 def recover_matching_unitary(iso: IsometryJet,
@@ -278,6 +272,8 @@ def recover_matching_unitary(iso: IsometryJet,
     a source dimension within the admissible range.  Exact jets with a
     full-rank coefficient matrix give an exact U; otherwise U comes from
     the singular value decomposition with deterministic completions.
+    Either way `match_unitary` has checked U f = target on the coefficient
+    matrices.
     """
     spec = iso.spec
     if iso.k != 1:
@@ -296,32 +292,23 @@ def recover_matching_unitary(iso: IsometryJet,
         raise VerificationError(
             f"pullback equation fails (residual {fe.max_residual:.3e})")
     d = iso.jet.degree
-    nbig = spec.dim
-    m2 = len(iso.sos.even)
-    pad = nbig - n - m2
+    pad = spec.dim - n - len(iso.sos.even)
     mode = iso.jet.mode
     comps = [HoloPoly.var(n, a, mode) for a in range(n)]
     comps += _even_composites(iso, d)
     comps += [HoloPoly.zero(n, mode) for _ in range(pad)]
-    target = JetMap(comps, d, n)
-    u, umode = match_unitary(target, iso.jet, tol)
-    if umode == "exact":
-        return RecoveredUnitary(matrix=u, mode="exact", residual=0.0)
-    matched = JetMap([sum((c.to_float().scale(complex(u[i, j]))
-                           for j, c in enumerate(iso.jet.components)),
-                          HoloPoly.zero(n, "float"))
-                      for i in range(nbig)], d, n)
-    residual = matched.max_coeff_distance(target.to_float())
-    return RecoveredUnitary(matrix=u, mode="float", residual=residual)
+    u, umode = match_unitary(JetMap(comps, d, n), iso.jet, tol)
+    return RecoveredUnitary(matrix=u, mode=umode)
 
 
 @dataclass(frozen=True)
 class VarietySystem:
     """Holomorphic equations cutting out (a superset of) the jet image.
 
-    Equations live in the ambient coordinates; `projective` gives the same
-    equations as linear forms in the minimal-embedding coordinates
-    [1, minus generators, plus generators].
+    `projective` gives the equations as linear forms in the minimal-embedding
+    coordinates [1, minus generators, plus generators]; `equations` are the
+    same forms in the ambient coordinates, projective[:, 1:] applied to
+    the generators (see `_projective_equations`).
     """
 
     kind: str
@@ -336,9 +323,24 @@ class VarietySystem:
         return self.sos.nvars
 
 
+def _projective_equations(proj, sos: SignedSOS) -> Tuple[HoloPoly, ...]:
+    """proj[:, 1:] applied to the stack (minus generators, plus generators)
+    by one composition.  Column 0, the coefficient of 1, is zero for the
+    varieties built here."""
+    gens = sos.odd + sos.even
+    d = max(g.degree for g in gens)
+    forms = JetMap.from_linear([row[1:] for row in proj], d)
+    return compose_truncate(forms, JetMap(gens, d), d).components
+
+
 def build_k1_variety(u_rows, sos: SignedSOS) -> VarietySystem:
-    """Variety of a k = 1 construction: rows of u pair the coordinates
-    against plus-composites (first rows) and zero (remaining rows)."""
+    """Variety of a k = 1 construction.
+
+    The jet solves z = conj(full)^T (w, z^#(z), 0) for a unitary
+    full = [A; U] whose bottom rows U are u_rows, so U z = (z^#(z), 0):
+    row l of u pairs the coordinates against plus generator l for l < m2
+    and against zero for the remaining rows.
+    """
     _require_coordinate_minus_block(sos)
     nbig = sos.nvars
     m2 = len(sos.even)
@@ -354,35 +356,13 @@ def build_k1_variety(u_rows, sos: SignedSOS) -> VarietySystem:
     if res > 1e-8:
         raise ValueError(f"rows are not orthonormal (residual {res:.3e})")
     mode = "exact" if exact else "float"
-    eqs = []
-    for l in range(m):
-        terms = {}
-        for j in range(nbig):
-            c = rows[l][j]
-            nonzero = (not c.is_zero) if isinstance(c, Exact) else bool(abs(c))
-            if nonzero:
-                exp = tuple(1 if i == j else 0 for i in range(nbig))
-                terms[exp] = c if isinstance(c, Exact) else complex(c)
-        eq = HoloPoly(nbig, terms, mode)
-        if l < m2:
-            even = sos.even[l] if mode == "exact" else sos.even[l].to_float()
-            eq = eq - even
-        eqs.append(eq)
-    m1 = len(sos.odd)
-    width = 1 + m1 + m2
-    if exact:
-        proj = [[EXACT_ZERO] * width for _ in range(m)]
-        for l in range(m):
-            for j in range(nbig):
-                proj[l][1 + j] = rows[l][j]
-            if l < m2:
-                proj[l][1 + m1 + l] = proj[l][1 + m1 + l] - EXACT_ONE
-    else:
-        proj = np.zeros((m, width), dtype=complex)
-        proj[:, 1:1 + nbig] = rows
-        for l in range(min(m2, m)):
-            proj[l, 1 + m1 + l] -= 1.0
-    return VarietySystem(kind="k1", sos=sos, equations=tuple(eqs),
+    z0, minus = zero(mode), zero(mode) - one(mode)
+    proj = [[z0] + list(rows[l]) + [minus if i == l else z0 for i in range(m2)]
+            for l in range(m)]
+    if not exact:
+        proj = np.array(proj, dtype=complex)
+    return VarietySystem(kind="k1", sos=sos,
+                         equations=_projective_equations(proj, sos),
                          matrix=rows, projective=proj,
                          meta={"source_dim": nbig - m})
 
@@ -404,19 +384,21 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
                         allow_float_fallback: bool = True) -> IsometryJet:
     """Rebuild the k = 1 jet determined by a co-isometric row system.
 
-    Completes the rows to a unitary [A; U] and solves
-       z = conj(A)^T w + conj(U)^T (plus-composites(z), 0)
-    degree by degree.  The plus generators have degree >= 2, so the
-    degree-m part of the right side only involves parts of z below degree
-    m: substituting the jet known through degree m - 1 and truncating at m
-    makes degree m final, and m = 2..degree finishes in one pass.  Exact
-    rows stay exact when the completion stays in the field; otherwise,
-    with allow_float_fallback, the computation restarts in floating point.
+    Completes the rows U to a unitary full = [A; U] and solves, degree by
+    degree,
+       z = conj(full)^T (w, z^#(z), 0),
+    where z^# is the stack of plus generators: each degree is one
+    composition of the constant matrix conj(full)^T with that stack.  The
+    plus generators have degree >= 2, so the degree-m part of the right
+    side only involves parts of z below degree m: composing with the jet
+    known through degree m - 1 and truncating at m makes degree m final,
+    and m = 1..degree finishes in one pass.  Exact rows stay exact when
+    the completion stays in the field; otherwise, with
+    allow_float_fallback, the computation restarts in floating point.
     """
     _require_coordinate_minus_block(sos)
     nbig = sos.nvars
     m2 = len(sos.even)
-    exact = isinstance(u_rows, list)
     m = len(u_rows)
     if not m2 <= m < nbig:
         raise ParameterError(
@@ -425,36 +407,19 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
     try:
         full = complete_to_unitary(u_rows, tol=1e-10)
     except ExactCompletionError:
-        if not (exact and allow_float_fallback):
+        if not (isinstance(u_rows, list) and allow_float_fallback):
             raise
         return solve_component_jet(to_complex_matrix(u_rows), sos,
                                    degree, tol)
-    if exact:
-        a_rows = full[:n]
-        u_part = full[n:]
-        lin = ex_transpose([[x.conjugate() for x in row] for row in a_rows])
-        uh = ex_transpose([[x.conjugate() for x in row] for row in u_part])
-    else:
-        a_rows = full[:n]
-        u_part = full[n:]
-        lin = np.asarray(a_rows).conj().T
-        uh = np.asarray(u_part).conj().T
-    jet = JetMap.from_linear(lin, degree)
-    linear = jet.components
+    outer = JetMap.from_linear(ex_conj_t(full), degree)
+    mode = outer.mode
+    w = [HoloPoly.var(n, a, mode) for a in range(n)]
+    pad = [HoloPoly.zero(n, mode)] * (m - m2)
     even = JetMap(sos.even, degree, nbig)
-    for deg in range(2, degree + 1):
-        v = compose_truncate(even, jet, deg).components
-        comps = []
-        for i in range(nbig):
-            poly = linear[i]
-            for l in range(m2):
-                c = uh[i][l]
-                nonzero = (not c.is_zero) if isinstance(c, Exact) \
-                    else abs(c) > 1e-300
-                if nonzero:
-                    poly = poly + v[l].scale(c)
-            comps.append(poly)
-        jet = JetMap(comps, degree, n)
+    jet = JetMap([HoloPoly.zero(n, mode)] * nbig, 0, n)
+    for deg in range(1, degree + 1):
+        plus = list(compose_truncate(even, jet, deg).components)
+        jet = compose_truncate(outer, JetMap(w + plus + pad, deg, n), deg)
     iso = IsometryJet(jet, 1, sos)
     fe = check_functional_eq(iso, tol=tol)
     if iso.mode == "exact" and fe.max_residual != 0.0:
@@ -470,10 +435,13 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
 def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySystem:
     """Variety of a k = 2 jet: lift through the squared-coordinate map.
 
-    Matches (sqrt2 w, plus-composites, 0) to (paired squares of w,
-    minus-composites, 0) by a constant unitary, replaces the linear block
-    by (1/2) J conj(J)^T using the jacobian normalization, and returns the
-    resulting equations in the ambient coordinates.
+    Where a k = 1 jet solves z = conj(full)^T (w, z^#(z), 0) for one
+    unitary, a k = 2 jet is matched one level up: a constant unitary takes
+    (sqrt2 w, z^#(f), 0) to (paired squares of w, f, 0).  Its rows below
+    the squares, with the linear block replaced by (1/2) J conj(J)^T
+    through the jacobian normalization, are the projective forms
+    (hat - I) z + u22 z^#(z); the equations are those forms applied to
+    (z, z^#) in the ambient coordinates.
     """
     spec = iso.spec
     if iso.k != 2:
@@ -522,27 +490,8 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
     rank_gap = matrix_rank_tol(proj_half - np.eye(nbig)) - (nbig - n)
     hat = np.zeros((nstack - m0, nbig), dtype=complex)
     hat[:nbig] = proj_half
-    eqs = []
-    for i in range(nstack - m0):
-        terms = {}
-        for j in range(nbig):
-            c = hat[i, j]
-            exp = tuple(1 if jj == j else 0 for jj in range(nbig))
-            terms[exp] = complex(c)
-        eq = HoloPoly(nbig, terms, "float")
-        for l in range(m2):
-            eq = eq + iso.sos.even[l].to_float().scale(complex(u22[i, l]))
-        if i < m1:
-            eq = eq - iso.sos.odd[i].to_float()
-        eqs.append(eq)
-    width = 1 + m1 + m2
-    proj = np.zeros((nstack - m0, width), dtype=complex)
-    proj[:, 1:1 + nbig] = hat
-    for i in range(nstack - m0):
-        for l in range(m2):
-            proj[i, 1 + m1 + l] += u22[i, l]
-        if i < m1:
-            proj[i, 1 + i] -= 1.0
+    proj = np.hstack([np.zeros((nstack - m0, 1)), hat, u22[:, :m2]])
+    proj[:m1, 1:1 + m1] -= np.eye(m1)
     meta = {
         "matcher": u,
         "linear_block_gap": linear_block_gap,
@@ -550,7 +499,8 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
         "jacobian": jac,
         "stack_dim": nstack,
     }
-    return VarietySystem(kind="k2", sos=iso.sos, equations=tuple(eqs),
+    return VarietySystem(kind="k2", sos=iso.sos,
+                         equations=_projective_equations(proj, iso.sos),
                          matrix=np.hstack([hat, u22]), projective=proj,
                          meta=meta)
 

@@ -220,8 +220,8 @@ def curvature_at_origin(sos: SignedSOS, alpha: Sequence) -> float:
     """
     alpha = [Exact.of(a) if mode_of(a) == "exact" and not isinstance(a, Exact)
              else a for a in alpha]
-    norm2 = sum(abs(as_complex(a)) ** 2 for a in alpha)
-    if abs(norm2 - 1.0) > 1e-9:
+    norm2 = sum(abs(x) * abs(x) for x in map(as_complex, alpha))
+    if not abs(norm2 - 1.0) <= 1e-9:  # NaN is not unit either
         raise ValueError(f"direction must be Euclidean-unit, got |alpha|^2 = {norm2}")
     terms = {}
     mode = "exact" if sos.mode == "exact" and all(
@@ -253,9 +253,11 @@ def contains(sos: SignedSOS, z: Sequence, margin: float = 0.0) -> bool:
     if fam == "polydisk":
         return all(abs(c) < 1.0 - margin for c in pt)
     if fam == "IV":
-        n2 = sum(abs(c) ** 2 for c in pt)
-        s = sum(c * c for c in pt) / 2.0
-        return n2 < 2.0 - margin and n2 < 1.0 + abs(s) ** 2 - margin
+        # products, not ** 2: a huge coordinate overflows to inf (outside)
+        # where a float power would raise OverflowError
+        n2 = sum(abs(c) * abs(c) for c in pt)
+        s = abs(sum(c * c for c in pt) / 2.0)
+        return n2 < 2.0 - margin and n2 < 1.0 + s * s - margin
     if fam == "I":
         p, q = sos.spec.params
         mat = np.array(pt, dtype=complex).reshape(p, q)

@@ -25,7 +25,7 @@ __all__ = ["SCHEMA_VERSION", "scalar_to_json", "scalar_from_json",
            "poly_to_json", "poly_from_json", "jet_to_json", "jet_from_json",
            "matrix_to_json", "matrix_from_json", "spec_to_json",
            "spec_from_json", "iso_to_json", "iso_from_json",
-           "variety_to_json", "dumps"]
+           "variety_to_json", "strict_json_value", "dumps"]
 
 
 def scalar_to_json(c) -> dict:
@@ -194,14 +194,14 @@ def variety_to_json(v: VarietySystem) -> dict:
     }
 
 
-def _finite(obj):
+def strict_json_value(obj):
     """obj with every non-finite float replaced by "inf", "-inf" or "nan"."""
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
     if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
+        return {k: strict_json_value(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
+        return [strict_json_value(v) for v in obj]
     return obj
 
 
@@ -211,6 +211,6 @@ def dumps(obj: dict) -> str:
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:  # a non-finite float; the walk is paid only then
-        text = json.dumps(_finite(obj), sort_keys=True, indent=2,
+        text = json.dumps(strict_json_value(obj), sort_keys=True, indent=2,
                           allow_nan=False)
     return text + "\n"

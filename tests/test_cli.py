@@ -77,6 +77,31 @@ def test_kernel_bad_point_exits_2():
             expect=2)
 
 
+@pytest.mark.parametrize("option, value, code, message", [
+    ("--point", "[NaN, 0, 0, 0]", 2, "not finite"),
+    ("--point", "[Infinity, 0, 0, 0]", 2, "not finite"),
+    ("--point", "[[0, NaN], 0, 0, 0]", 2, "not finite"),
+    ("--point", '[[0, "1"], 0, 0, 0]', 2, "bad coordinate"),
+    ("--point", "[true, 0, 0, 0]", 2, "bad coordinate"),
+    ("--point", "[1" + "0" * 400 + ", 0, 0, 0]", 2, "not finite"),
+    ("--direction", "[NaN, 0, 0, 0]", 2, "not finite"),
+    ("--point", "[1e200, 0, 0, 0]", 0, ""),
+    ("--direction", "[1e200, 0, 0, 0]", 2, "Euclidean-unit"),
+], ids=["nan-point", "inf-point", "nan-imaginary", "string-imaginary",
+        "bool-coordinate", "huge-integer", "nan-direction", "huge-point",
+        "huge-direction"])
+def test_kernel_nonfinite_or_huge_input(capsys, option, value, code,
+                                        message):
+    argv = ["kernel", "--family", "IV", "--n", "4", option, value]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+    else:
+        assert json.loads(out)["inside_domain"] is False
+
+
 def test_construct_verify_extend_roundtrip(tmp_path):
     jet_file = tmp_path / "jet.json"
     proc = run_cli("construct", "--family", "IV", "--n", "4", "--dim", "2",
@@ -256,8 +281,12 @@ def _no_bare_constant(token):
     raise AssertionError(f"bare {token} in a JSON document")
 
 
-@pytest.mark.parametrize("command", ["verify", "extend"])
-def test_overflowing_exact_jet_fails_checks(tmp_path, iv4_jet_doc, command):
+@pytest.mark.parametrize("command, fmt", [("verify", "json"),
+                                          ("extend", "json"),
+                                          ("verify", "text")],
+                         ids=["verify", "extend", "verify-text"])
+def test_overflowing_exact_jet_fails_checks(tmp_path, iv4_jet_doc, command,
+                                            fmt):
     # its square in the residual and in conj(J)^T J is beyond float range
     doc = copy.deepcopy(iv4_jet_doc)
     term = next(t for comp in doc["jet"]["components"]
@@ -265,10 +294,19 @@ def test_overflowing_exact_jet_fails_checks(tmp_path, iv4_jet_doc, command):
     term["coeff"]["ar"] = str(10 ** 200)
     bad_file = tmp_path / "bad.json"
     bad_file.write_text(json.dumps(doc))
-    proc = run_cli(command, "--in", str(bad_file), expect=1)
+    proc = run_cli(command, "--in", str(bad_file), "--format", fmt,
+                   expect=1)
     assert "RuntimeWarning" not in proc.stderr
     if command == "verify":
-        report = json.loads(proc.stdout, parse_constant=_no_bare_constant)
+        if fmt == "json":
+            report = json.loads(proc.stdout,
+                                parse_constant=_no_bare_constant)
+        else:  # one "key: JSON value" line per key
+            report = {}
+            for line in proc.stdout.splitlines():
+                key, value = line.split(": ", 1)
+                report[key] = json.loads(value,
+                                         parse_constant=_no_bare_constant)
         assert report["passed"] is False
         assert report["functional-equation"]["passed"] is False
         assert report["jacobian-normalization"]["passed"] is False
@@ -347,6 +385,23 @@ def test_fuzzed_document_keeps_exit_contract(tmp_path_factory, iv4_jet_doc,
     argv = [command, "--in", str(tmp / "fuzz.json"),
             "--out", str(tmp / "out.json")]
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"],
+                         ids=["nan", "inf", "minus-inf", "negative"])
+@pytest.mark.parametrize("command", ["construct", "verify", "extend"])
+def test_bad_tolerance_exits_2(tmp_path, capsys, iv4_jet_doc, command, tol):
+    jet_file = tmp_path / "jet.json"
+    jet_file.write_text(json.dumps(iv4_jet_doc))
+    if command == "construct":
+        argv = ["construct", "--family", "IV", "--n", "4", "--dim", "1",
+                "--seed", "3", "--degree", "4"]
+    else:
+        argv = [command, "--in", str(jet_file)]
+    assert main(argv + [f"--tol={tol}", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--tol" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_garbage_schema_exits_2(tmp_path):

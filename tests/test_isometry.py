@@ -316,6 +316,41 @@ def test_k2_variety_bidisk_cuts_diagonal():
     assert off_worst > 1e-3
 
 
+def _k1_system(mode):
+    spec = make_spec("I", p=2, q=3)
+    rows = random_coisometry(spec.dim - 2, spec.dim, 7, mode)
+    return build_k1_variety(rows, make_sos(spec, mode))
+
+
+VARIETIES = {
+    "k1-exact": lambda: _k1_system("exact"),
+    "k1-float": lambda: _k1_system("float"),
+    "k2-bidisk": lambda: build_k2_variety(bidisk_diagonal()),
+    "k2-quadric": lambda: build_k2_variety(quadric_sqrt2_disk()),
+    "k2-matrix": lambda: build_k2_variety(matrix_diagonal_disk()),
+}
+
+
+@pytest.mark.parametrize("build", VARIETIES.values(), ids=VARIETIES.keys())
+def test_variety_equations_match_projective(build):
+    # equation l is projective[l, 1:] applied to (odd, even) generators,
+    # summed here term by term
+    system = build()
+    gens = system.sos.odd + system.sos.even
+    exact = isinstance(system.projective, list)
+    assert len(system.equations) == len(system.projective)
+    for row, eq in zip(system.projective, system.equations):
+        assert len(row) == 1 + len(gens) and complex(row[0]) == 0
+        want = HoloPoly.zero(system.ambient_dim, "exact" if exact else "float")
+        for c, g in zip(list(row)[1:], gens):
+            want = want + g.scale(c)
+        if exact:
+            assert eq.mode == "exact" and eq == want
+        else:
+            assert eq.mode == "float"
+            assert (eq - want).max_abs_coeff() <= 1e-12
+
+
 def test_k2_variety_rejects_k1():
     with pytest.raises(ParameterError):
         build_k2_variety(quadric_null_disk())
