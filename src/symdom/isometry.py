@@ -119,14 +119,21 @@ def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
 
     Generator composites are truncated at degree d before squaring, so for
     a degree-d jet of a true isometry every retained coefficient must
-    vanish; in exact mode the residual is then exactly zero.  The residual
-    is computed on the first call for each d and reused afterwards.
+    vanish; in exact mode the residual is then exactly zero.  A d above
+    the jet's degree is refused: the equations there involve coefficients
+    the jet does not hold, so they would hold only vacuously or fail for a
+    true isometry.  The residual is computed on the first call for each d
+    and reused afterwards.
     """
     d = iso.jet.degree if d is None else d
     if d < 2 * iso.k:
         raise TruncationError(
             f"truncation degree {d} cannot see isometric constant "
             f"{iso.k}: need at least {2 * iso.k}")
+    if d > iso.jet.degree:
+        raise TruncationError(
+            f"truncation degree {d} exceeds the jet degree "
+            f"{iso.jet.degree}: the coefficients above it are unknown")
     if d not in iso._fe:
         lhs = h_pullback(iso.sos, iso.jet.truncate(d), d)
         rhs = ball_kernel_power(iso.jet.source_dim, iso.k, lhs.mode, d)
@@ -178,8 +185,10 @@ def check_polarized_eq(iso: IsometryJet, samples: int = 25, seed: int = 0,
 
     The sampling radius keeps the degree-(d+1) tail of a truncated true
     isometry below the tolerance.  The pairs are drawn one after another
-    from ``default_rng(seed)``; the jet and the kernel generators are then
-    evaluated in floating point at all of them at once (one numpy batch).
+    from ``default_rng(seed)``, each as one normal draw of the rows
+    (re w, im w, re v, im v) and one uniform draw of the two radii; the
+    jet and the kernel generators are then evaluated in floating point at
+    all of them at once (one numpy batch).
     """
     if samples < 1:
         raise ValueError(f"need at least 1 polarized sample, got {samples}")
@@ -188,8 +197,8 @@ def check_polarized_eq(iso: IsometryJet, samples: int = 25, seed: int = 0,
     pts = np.empty((2, samples, n), dtype=complex)  # rows w_s, then v_s
     scale = np.empty((2, samples))
     for s in range(samples):
-        pts[0, s] = g.normal(size=n) + 1j * g.normal(size=n)
-        pts[1, s] = g.normal(size=n) + 1j * g.normal(size=n)
+        x = g.normal(size=(4, n))
+        pts[:, s] = x[0::2] + 1j * x[1::2]
         scale[:, s] = g.uniform(0.3, 1.0, size=2)
     nrm = np.linalg.norm(pts, axis=2)
     pts *= (radius * scale / nrm)[:, :, None]

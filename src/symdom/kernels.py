@@ -198,7 +198,7 @@ def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None) -> BidegPoly:
     for sign, comp in zip(signs, composites):
         for key, c in BidegPoly.sandwich(comp, comp, d).terms.items():
             acc[key] = acc.get(key, zero_c) + (c if sign > 0 else -c)
-    return BidegPoly(f.source_dim, acc, mode)
+    return BidegPoly.from_field(f.source_dim, acc, mode)
 
 
 def minimal_embedding(sos: SignedSOS, z: Sequence) -> List[Scalar]:

@@ -19,11 +19,20 @@ Three layers:
 
 Coefficients are either all exact (:class:`symdom.scalars.Exact`) or all
 ``complex``; the containers carry an explicit ``mode`` so exactness is never
-guessed from floats.
+guessed from floats.  The public constructor ``HoloPoly(nvars, terms, mode)``
+coerces raw coefficients (ints, Fractions, floats) to the mode.  Results of
+arithmetic are built from field elements of their mode by
+``HoloPoly.from_field``, which only drops zeros.  That holds for mixed
+exact and float operands too, because an ``Exact`` combined with a float
+gives a ``complex``; only a sum of an exact and a float polynomial goes
+through the coercing constructor, since it keeps the exact operand's
+untouched terms.  Polynomials are immutable, so ``truncate`` returns the
+polynomial itself when it drops nothing.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,11 +50,15 @@ def _is_zero(c) -> bool:
 
 
 def _add_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 class HoloPoly:
     """Holomorphic polynomial; immutable by convention.
+
+    The constructor coerces each coefficient to ``mode`` (inferred from the
+    first one when not given) and drops zeros; results of the arithmetic
+    below are built by :meth:`from_field` without coercion.
 
     The key shape enters only through ``_deg`` (total degree of a key) and
     ``_add_exp`` (key of a product of monomials), so a subclass with other
@@ -72,6 +85,21 @@ class HoloPoly:
         self.mode = inferred if inferred is not None else "exact"
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_field(cls, nvars: int, terms: Dict[Exponent, Scalar],
+                   mode: str) -> "HoloPoly":
+        """Polynomial over terms whose keys are tuples and whose coefficients
+        are already field elements of ``mode`` (``Exact`` or ``complex``):
+        no coercion, only zeros are dropped (a float NaN is kept)."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.mode = mode
+        if mode == "exact":
+            self.terms = {e: c for e, c in terms.items() if not c.is_zero}
+        else:
+            self.terms = {e: c for e, c in terms.items() if c != 0}
+        return self
 
     @classmethod
     def zero(cls, nvars: int, mode: str = "exact") -> "HoloPoly":
@@ -108,15 +136,15 @@ class HoloPoly:
 
     def homogeneous_part(self, m: int) -> "HoloPoly":
         deg = self._deg
-        return type(self)(self.nvars,
-                          {e: c for e, c in self.terms.items() if deg(e) == m},
-                          self.mode)
+        part = {e: c for e, c in self.terms.items() if deg(e) == m}
+        return self.from_field(self.nvars, part, self.mode)
 
     def truncate(self, d: int) -> "HoloPoly":
         deg = self._deg
-        return type(self)(self.nvars,
-                          {e: c for e, c in self.terms.items() if deg(e) <= d},
-                          self.mode)
+        kept = {e: c for e, c in self.terms.items() if deg(e) <= d}
+        if len(kept) == len(self.terms):
+            return self
+        return self.from_field(self.nvars, kept, self.mode)
 
     def max_abs_coeff(self) -> float:
         return max((cabs(c) for c in self.terms.values()), default=0.0)
@@ -124,9 +152,8 @@ class HoloPoly:
     def to_float(self) -> "HoloPoly":
         if self.mode == "float":
             return self
-        return type(self)(self.nvars,
-                          {e: as_complex(c) for e, c in self.terms.items()},
-                          "float")
+        floats = {e: as_complex(c) for e, c in self.terms.items()}
+        return self.from_field(self.nvars, floats, "float")
 
     def sorted_terms(self) -> List[Tuple[Exponent, Scalar]]:
         deg = self._deg
@@ -142,21 +169,25 @@ class HoloPoly:
             raise ValueError("variable count mismatch")
         mode = self._join_mode(other)
         acc: Dict[Exponent, Scalar] = dict(self.terms)
+        zero_c = zero(self.mode)
         for e, c in other.terms.items():
-            acc[e] = acc.get(e, zero(self.mode)) + c
-        return type(self)(self.nvars, acc, mode)
+            acc[e] = acc.get(e, zero_c) + c
+        # an exact self plus a float other leaves self's Exact values that
+        # other does not touch in acc, so only that sum needs coercion
+        build = self.from_field if self.mode == other.mode else type(self)
+        return build(self.nvars, acc, mode)
 
     def __neg__(self) -> "HoloPoly":
-        return type(self)(self.nvars, {e: -c for e, c in self.terms.items()},
-                          self.mode)
+        return self.from_field(self.nvars,
+                               {e: -c for e, c in self.terms.items()}, self.mode)
 
     def __sub__(self, other: "HoloPoly") -> "HoloPoly":
         return self + (-other)
 
     def scale(self, c) -> "HoloPoly":
         mode = self.mode if mode_of(c) == "exact" else "float"
-        return type(self)(self.nvars, {e: v * c for e, v in self.terms.items()},
-                          mode)
+        return self.from_field(self.nvars,
+                               {e: v * c for e, v in self.terms.items()}, mode)
 
     def _buckets(self) -> Dict[int, List[Tuple[Exponent, Scalar]]]:
         deg = self._deg
@@ -181,7 +212,7 @@ class HoloPoly:
                     for eb, cb in items_b:
                         e = add_exp(ea, eb)
                         acc[e] = acc.get(e, zero_c) + ca * cb
-        return type(self)(self.nvars, acc, mode)
+        return self.from_field(self.nvars, acc, mode)
 
     def __mul__(self, other: "HoloPoly") -> "HoloPoly":
         return self.mul_trunc(other, None)
@@ -292,15 +323,14 @@ class BidegPoly(HoloPoly):
                         continue
                     key = (ea, eb)
                     acc[key] = acc.get(key, zero_c) + ca * cb.conjugate()
-        return BidegPoly(f.nvars, acc, mode)
+        return BidegPoly.from_field(f.nvars, acc, mode)
 
     def coeff(self, alpha: Exponent, beta: Exponent) -> Scalar:
         return self.terms.get((tuple(alpha), tuple(beta)), zero(self.mode))
 
     def conj(self) -> "BidegPoly":
-        return BidegPoly(self.nvars,
-                         {(b, a): c.conjugate() for (a, b), c in self.terms.items()},
-                         self.mode)
+        flipped = {(b, a): c.conjugate() for (a, b), c in self.terms.items()}
+        return self.from_field(self.nvars, flipped, self.mode)
 
     def hermitian_residual(self) -> float:
         return (self - self.conj()).max_abs_coeff()
@@ -501,7 +531,7 @@ def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
             if sum(e) <= d:
                 for key, v in monomial(e).terms.items():
                     acc[key] = acc.get(key, zero_c) + c * v
-        comps.append(HoloPoly(n, acc, mode))
+        comps.append(HoloPoly.from_field(n, acc, mode))
     return JetMap(comps, d, n)
 
 

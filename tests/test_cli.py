@@ -404,6 +404,27 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, iv4_jet_doc, command, tol):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("degree, code", [(2, 0), (4, 0), (5, 2), (6, 2),
+                                          (8, 2)])
+def test_verify_degree_above_jet_exits_2(tmp_path, capsys, iv4_jet_doc,
+                                         degree, code):
+    # the equations above the jet's degree 4 need coefficients it lacks
+    jet_file = tmp_path / "jet.json"
+    jet_file.write_text(json.dumps(iv4_jet_doc))
+    argv = ["verify", "--in", str(jet_file), "--degree", str(degree),
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error:") and "jet degree 4" in err
+        assert len(err.strip().splitlines()) == 1
+    else:
+        assert err == ""
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["passed"] is True
+        assert report["functional-equation"]["max_residual"] == 0.0
+
+
 def test_verify_garbage_schema_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "isometry-jet/999"}))

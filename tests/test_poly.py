@@ -1,9 +1,11 @@
 """Truncated polynomial and jet arithmetic against brute-force oracles."""
 
+import cmath
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symdom import Exact, HoloPoly, BidegPoly, JetMap
 from symdom import compose_truncate, log_truncate, squared_norm
@@ -337,3 +339,140 @@ def test_evaluate_many_matches_evaluate(mode):
     for s, pt in enumerate(pts):
         for i, want in enumerate(jet.evaluate(pt)):
             assert abs(values[s, i] - complex(want)) < 1e-14
+
+
+# -- the lean core: results built once, without re-coercion -------------------
+#
+# Float coefficients are small Gaussian integers, so every sum and product
+# below is exact in double precision and the brute-force terms can be
+# compared for equality in both modes.
+
+def _coeffs(mode):
+    small = st.integers(-3, 3)
+    if mode == "exact":
+        return st.builds(lambda a, b, c, den: Exact(Fraction(a, den),
+                                                    Fraction(b, den),
+                                                    Fraction(c, 2)),
+                         small, small, small, st.integers(1, 3))
+    return st.builds(complex, small, small)
+
+
+def _polys(mode, constant_free=False):
+    low = 1 if constant_free else 0
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda e: sum(e) >= low)
+    return st.dictionaries(exps, _coeffs(mode), max_size=6).map(
+        lambda terms: HoloPoly(2, terms, mode))
+
+
+def _product_terms(ta, tb):
+    out = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out[e] + ca * cb if e in out else ca * cb
+    return out
+
+
+def _compose_terms(comp, inner):
+    acc = {}
+    for e, c in comp.terms.items():
+        term = {(0, 0): c}
+        for j, k in enumerate(e):
+            for _ in range(k):
+                term = _product_terms(term, inner.components[j].terms)
+        for key, v in term.items():
+            acc[key] = acc[key] + v if key in acc else v
+    return acc
+
+
+def _sandwich_terms(f, g, d):
+    return {(ea, eb): ca * cb.conjugate()
+            for ea, ca in f.terms.items() for eb, cb in g.terms.items()
+            if sum(ea) + sum(eb) <= d}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lean_core_matches_coercing_constructor(mode, data):
+    a, b = data.draw(_polys(mode)), data.draw(_polys(mode))
+    c = data.draw(_coeffs(mode))
+    d = data.draw(st.integers(1, 6))
+    inner = JetMap([data.draw(_polys(mode, constant_free=True))
+                    for _ in range(2)], 3)
+    field = Exact if mode == "exact" else complex
+    keys = a.terms.keys() | b.terms.keys()
+    holo = [
+        (a + b, {e: a.coeff(e) + b.coeff(e) for e in keys}),
+        (a - b, {e: a.coeff(e) - b.coeff(e) for e in keys}),
+        (-a, {e: -v for e, v in a.terms.items()}),
+        (a.scale(c), {e: v * c for e, v in a.terms.items()}),
+        (a.mul_trunc(b, d), {e: v for e, v in _product_terms(
+            a.terms, b.terms).items() if sum(e) <= d}),
+        (a.truncate(d), {e: v for e, v in a.terms.items() if sum(e) <= d}),
+        (a.homogeneous_part(d), {e: v for e, v in a.terms.items()
+                                 if sum(e) == d}),
+    ]
+    outer = JetMap([a, b], 3)
+    composed = compose_truncate(outer, inner, d).components
+    for comp, got in zip(outer.components, composed):
+        holo.append((got, {e: v for e, v in _compose_terms(comp, inner).items()
+                           if sum(e) <= d}))
+    for got, raw in holo:
+        assert got.terms == HoloPoly(2, raw, mode).terms
+    bideg = [(BidegPoly.sandwich(a, b, d), _sandwich_terms(a, b, d)),
+             (BidegPoly.sandwich(a, a, d), _sandwich_terms(a, a, d))]
+    for got, raw in bideg:
+        assert got.terms == BidegPoly(2, raw, mode).terms
+    for got, _ in holo + bideg:
+        assert got.mode == mode
+        assert all(type(v) is field for v in got.terms.values())
+    # immutable operands are shared, not copied, when nothing is cut
+    assert a.truncate(max(a.degree, d)) is a
+    assert JetMap([a], a.degree, 2).components[0] is a
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lean_core_stores_no_zero(mode, data):
+    a = data.draw(_polys(mode))
+    s = BidegPoly.sandwich(a, a)
+    for p in (a - a, a + (-a), a.scale(0), a.mul_trunc(a - a, 6), s - s):
+        assert p.is_zero and p.terms == {}
+        assert p.mode == mode
+
+
+def test_lean_core_keeps_nan():
+    nan = complex(float("nan"), 0.0)
+    p = HoloPoly(2, {(1, 0): nan, (0, 1): 1 + 0j, (2, 1): 2j}, "float")
+    one_f = HoloPoly.const(2, 1, "float")
+    results = [p + p, p - p, -p, p.scale(2.0), p.mul_trunc(one_f, 4),
+               p.truncate(2), p.homogeneous_part(1),
+               JetMap([p], 2).components[0],
+               compose_truncate(JetMap.identity(2, 3, "float"),
+                                JetMap([p, p], 3), 3).components[0],
+               BidegPoly.sandwich(p, p, 4), BidegPoly.sandwich(p, one_f, 4)]
+    for q in results:
+        assert any(cmath.isnan(c) for c in q.terms.values()), q
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mixed_modes_give_complex(data):
+    ex, fl = data.draw(_polys("exact")), data.draw(_polys("float"))
+    d = data.draw(st.integers(1, 6))
+    ex_inner = JetMap([data.draw(_polys("exact", constant_free=True))
+                       for _ in range(2)], 3)
+    fl_inner = JetMap([data.draw(_polys("float", constant_free=True))
+                       for _ in range(2)], 3)
+    results = [ex + fl, fl + ex, ex - fl, ex.mul_trunc(fl, d),
+               fl.mul_trunc(ex, d), ex.scale(0.5 + 1j),
+               fl.scale(Exact(1, 1)), fl.scale(Fraction(1, 3)),
+               BidegPoly.sandwich(ex, fl, d), BidegPoly.sandwich(fl, ex, d)]
+    results += compose_truncate(JetMap([ex, ex], 3), fl_inner, d).components
+    results += compose_truncate(JetMap([fl, fl], 3), ex_inner, d).components
+    for p in results:
+        assert p.mode == "float"
+        assert all(type(v) is complex for v in p.terms.values())

@@ -3,6 +3,10 @@ and per-layer numbers and the tier-1 test time, measured on this machine.
 
     python3 tools/write_bench.py N      # writes BENCH_N.json
 
+``env`` is the harness's environment line plus ``git_dirty``: true when
+tracked files differ from HEAD, so that the file says whether its
+``git_commit`` is what was measured.
+
 Steps, one after another so that no two measurements share the CPU:
 
 * ``e2e``: ``bench/run.py --trace 0`` on every workload of
@@ -49,6 +53,14 @@ def bench_run(workload: str, seed: int, seconds: float, trace: int):
     return json.loads(lines[0])["env"], json.loads(lines[-1])
 
 
+def git_dirty():
+    """True when tracked files differ from HEAD; None outside a git
+    checkout."""
+    proc = subprocess.run(["git", "diff", "--quiet", "HEAD", "--"],
+                          cwd=ROOT, capture_output=True)
+    return {0: False, 1: True}.get(proc.returncode)
+
+
 def summary(values) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1,
@@ -88,6 +100,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     gated = [m["name"] for m in spec["end_to_end"]]
+    dirty = git_dirty()  # the tree as measured, before any run
     env, e2e, layers = None, {}, {}
     for wl in (w["name"] for w in spec["workloads"]):
         results = []
@@ -103,7 +116,7 @@ def main(argv=None) -> int:
         _, traced = bench_run(wl, TRACE_SEED, seconds, 1)
         layers[wl] = dict(traced["metrics"], attempted=traced["attempted"],
                           failed=traced["failed"])
-    out = {"pr": args.pr, "env": env,
+    out = {"pr": args.pr, "env": dict(env, git_dirty=dirty),
            "settings": {"seconds": seconds, "seeds": list(SEEDS),
                         "trace_seed": TRACE_SEED},
            "e2e": e2e, "layers": layers}
