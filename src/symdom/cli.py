@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -259,7 +260,10 @@ def cmd_extend(args) -> int:
     return 0 if report["passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: every parse gives a
+    fresh namespace, so in-process calls of main share it."""
     parser = argparse.ArgumentParser(
         prog="symdom",
         description="Kernel expansions, invariants and jet-level isometry "

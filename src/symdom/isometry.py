@@ -396,14 +396,16 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
     Completes the rows U to a unitary full = [A; U] and solves, degree by
     degree,
        z = conj(full)^T (w, z^#(z), 0),
-    where z^# is the stack of plus generators: each degree is one
-    composition of the constant matrix conj(full)^T with that stack.  The
-    plus generators have degree >= 2, so the degree-m part of the right
-    side only involves parts of z below degree m: composing with the jet
-    known through degree m - 1 and truncating at m makes degree m final,
-    and m = 1..degree finishes in one pass.  Exact rows stay exact when
-    the completion stays in the field; otherwise, with
-    allow_float_fallback, the computation restarts in floating point.
+    where z^# is the stack of plus generators.  The plus generators have
+    degree >= 2, so the degree-m part of the right side only involves
+    parts of z below degree m: composing with the jet known through degree
+    m - 1 and truncating at m makes degree m final, and m = 1..degree
+    finishes in one pass.  The linear part conj(full)^T (w, 0, 0) is
+    computed once; each degree composes only the plus block of
+    conj(full)^T with (z^#, 0), whose terms have degree >= 2, and joins
+    the two.  Exact rows stay exact when the completion stays in the
+    field; otherwise, with allow_float_fallback, the computation restarts
+    in floating point.
     """
     _require_coordinate_minus_block(sos)
     nbig = sos.nvars
@@ -420,15 +422,22 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
             raise
         return solve_component_jet(to_complex_matrix(u_rows), sos,
                                    degree, tol)
-    outer = JetMap.from_linear(ex_conj_t(full), degree)
-    mode = outer.mode
-    w = [HoloPoly.var(n, a, mode) for a in range(n)]
-    pad = [HoloPoly.zero(n, mode)] * (m - m2)
+    adjoint = ex_conj_t(full)
+    linear_block = JetMap.from_linear([row[:n] for row in adjoint], 1)
+    plus_block = JetMap.from_linear([row[n:] for row in adjoint], degree)
     even = JetMap(sos.even, degree, nbig)
+    # exact rows with a float kernel give a float jet from degree 1 on
+    mode = "exact" if linear_block.mode == even.mode == "exact" else "float"
+    linear = compose_truncate(
+        linear_block, JetMap([HoloPoly.var(n, a, mode) for a in range(n)], 1),
+        1).components
+    pad = [HoloPoly.zero(n, mode)] * (m - m2)
     jet = JetMap([HoloPoly.zero(n, mode)] * nbig, 0, n)
     for deg in range(1, degree + 1):
         plus = list(compose_truncate(even, jet, deg).components)
-        jet = compose_truncate(outer, JetMap(w + plus + pad, deg, n), deg)
+        rest = compose_truncate(plus_block, JetMap(plus + pad, deg, n), deg)
+        jet = JetMap([HoloPoly.from_field(n, {**a.terms, **b.terms}, mode)
+                      for a, b in zip(linear, rest.components)], deg, n)
     iso = IsometryJet(jet, 1, sos)
     fe = check_functional_eq(iso, tol=tol)
     if iso.mode == "exact" and fe.max_residual != 0.0:

@@ -205,12 +205,70 @@ def strict_json_value(obj):
     return obj
 
 
+_str_json = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+_float_repr = float.__repr__
+
+
+def _write(obj, out: list, indent: str) -> None:
+    """Append obj's document text to out, in pieces; indent is the newline
+    and spaces before obj's closing bracket.  TypeError for a key that is
+    not a str, or a value that is not a str, None, bool, int, float, list,
+    tuple or dict."""
+    # json's own isinstance order, so that subclasses read as json reads them
+    if isinstance(obj, str):
+        out.append(_str_json(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(_int_repr(obj))
+    elif isinstance(obj, float):
+        text = _float_repr(obj)
+        out.append(text if -math.inf < obj < math.inf else f'"{text}"')
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not a string")
+            out.append(f"{sep}{_str_json(key)}: ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"{type(obj).__name__} is not written by dumps")
+
+
 def dumps(obj: dict) -> str:
     """Deterministic strict JSON text: sorted keys, two-space indent, and
-    non-finite floats written as the strings "inf", "-inf" and "nan"."""
+    non-finite floats written as the strings "inf", "-inf" and "nan".
+
+    The text is json.dumps(strict_json_value(obj), sort_keys=True,
+    indent=2, allow_nan=False), written in one pass by _write.  What _write
+    does not take (a non-string key, another type, an int too long to
+    print) goes through that call itself, so its text or error is json's."""
+    out = []
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:  # a non-finite float; the walk is paid only then
-        text = json.dumps(strict_json_value(obj), sort_keys=True, indent=2,
-                          allow_nan=False)
-    return text + "\n"
+        _write(obj, out, "\n")
+    except (TypeError, ValueError):
+        return json.dumps(strict_json_value(obj), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    return "".join(out) + "\n"

@@ -433,3 +433,36 @@ def test_verify_garbage_schema_exits_2(tmp_path):
 
 def test_unknown_subcommand_exits_2():
     run_cli("frobnicate", expect=2)
+
+
+def test_parser_reuse_across_in_process_calls(tmp_path, iv4_jet_doc):
+    # main builds its parser once per process: no value may carry over
+    # from one call to the next, and the documents stay those of a fresh
+    # process
+    jet_file = tmp_path / "jet.json"
+    jet_file.write_text(json.dumps(iv4_jet_doc))
+    out = tmp_path / "out"
+
+    def run(*argv):
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_text()
+
+    verify = ("verify", "--in", str(jet_file))
+    assert json.loads(run(*verify, "--degree", "2"))["degree"] == 2
+    plain = run(*verify)
+    assert json.loads(plain)["degree"] == 4
+    text = run(*verify, "--format", "text")
+    assert text.startswith("degree: 4\n")
+    assert run(*verify) == plain
+    for argv in (["verify"], ["frobnicate"], ["verify", "--in", "x",
+                                               "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    construct = ("construct", "--family", "I", "--p", "2", "--q", "3",
+                 "--dim", "2", "--seed", "5", "--mode", "float",
+                 "--degree", "4", "--variety")
+    first = run(*construct)
+    run("invariants", "--family", "IV", "--n", "5", "--format", "text")
+    assert run(*construct) == first
+    assert run_cli(*construct).stdout == first

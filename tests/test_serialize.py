@@ -1,10 +1,13 @@
 """JSON round trips for scalars, jets, isometries, varieties."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symdom import Exact, IsometryJet, make_sos, make_spec, random_exact_jet
 from symdom import build_k2_variety, solve_component_jet, random_coisometry
@@ -21,6 +24,7 @@ from symdom.serialize import (
     scalar_to_json,
     spec_from_json,
     spec_to_json,
+    strict_json_value,
     variety_to_json,
 )
 
@@ -124,3 +128,44 @@ def test_dumps_is_deterministic():
     assert s1 == s2
     assert s1.endswith("\n")
     assert s1.index('"a"') < s1.index('"b"') < s1.index('"c"')
+
+
+def reference_dumps(value) -> str:
+    """The document text dumps must write: json's own sorted, two-space
+    strict JSON, with non-finite floats as strings."""
+    try:
+        text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(strict_json_value(value), sort_keys=True,
+                          indent=2, allow_nan=False)
+    return text + "\n"
+
+
+_floats = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -5e-324]))
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 60, max_value=10 ** 60),
+    _floats, _floats.map(np.float64), st.text())
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_dumps_matches_json_reference(value):
+    assert dumps(value) == reference_dumps(value)
+
+
+def test_dumps_leaves_other_values_to_json():
+    # non-string keys and other types: json's text, or json's exception
+    value = {3: "a", 2.5: [math.inf, -0.0], False: {None: ()}}
+    assert dumps(value) == reference_dumps(value)
+    for bad in ({"a": {1, 2}}, {"a": [object()]}, {"x": math.nan, 2: "y"},
+                {"n": np.int64(3)}):
+        with pytest.raises(TypeError):
+            dumps(bad)

@@ -1,0 +1,124 @@
+"""Compare the command line outputs of this checkout with another one's.
+
+    python3 tools/compare_outputs.py OTHER_CHECKOUT
+
+Runs ``construct --variety``, then ``verify`` and ``extend`` on its output,
+through ``symdom.cli.main`` on the benchmark's construct grid
+(``bench/workloads.py``: 17 cases), in exact and float mode, at seed 9 with
+degree 6 and at seed 901 with degree 4: 204 commands.  Each checkout runs
+them in one process of its own, importing symdom from its ``src/``.  For
+every command the exit code, the lines written to stderr and the sha256 of
+the output document are compared; every difference is printed, and the
+exit status is 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = ((9, 6), (901, 4))  # (seed, degree)
+MODES = ("exact", "float")
+
+
+def commands() -> list:
+    """(label, argv) of every command, in the order they run; a document
+    name stands for a file in the working directory."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import CONSTRUCT_GRID
+
+    out = []
+    for seed, degree in RUNS:
+        for mode in MODES:
+            for family, params, dims in CONSTRUCT_GRID:
+                items = sorted(params.items())
+                fam = ["--family", family]
+                for name, val in items:
+                    fam += [f"--{name}", str(val)]
+                vals = ",".join(str(v) for _, v in items)
+                for dim in dims:
+                    case = (f"{family}({vals}) dim {dim} {mode} seed {seed} "
+                            f"degree {degree}")
+                    jet = f"{len(out)}.jet.json"
+                    out.append((f"construct {case}", [
+                        "construct", *fam, "--dim", str(dim), "--seed",
+                        str(seed), "--mode", mode, "--degree", str(degree),
+                        "--variety", "--out", jet]))
+                    for name in ("verify", "extend"):
+                        out.append((f"{name} {case}", [
+                            name, "--in", jet, "--out", f"{jet}.{name}"]))
+    return out
+
+
+def collect(argvs: list) -> list:
+    """Run each argv through symdom.cli.main in this process and working
+    directory: [exit code, stderr lines, sha256 of the document or None]."""
+    from symdom.cli import main
+
+    results = []
+    for argv in argvs:
+        path = argv[argv.index("--out") + 1]
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - a crash is a result too
+            code = f"{type(exc).__name__}: {exc}"
+        digest = None
+        if os.path.exists(path):
+            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        results.append([code, err.getvalue().splitlines(), digest])
+    return results
+
+
+def run_checkout(checkout: Path, argvs: list) -> list:
+    """collect() in a fresh process that imports symdom from checkout."""
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--collect"],
+            input=json.dumps(argvs), cwd=tmp, env=env, capture_output=True,
+            text=True)
+    if proc.returncode:
+        sys.exit(f"{checkout}: the commands did not run:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("other", nargs="?", type=Path,
+                   help="root of the checkout to compare with")
+    p.add_argument("--collect", action="store_true",
+                   help=argparse.SUPPRESS)  # the per-checkout worker
+    args = p.parse_args(argv)
+    if args.collect:
+        print(json.dumps(collect(json.load(sys.stdin))))
+        return 0
+    if args.other is None:
+        p.error("give the checkout to compare with")
+    labelled = commands()
+    argvs = [a for _, a in labelled]
+    ours, theirs = run_checkout(ROOT, argvs), run_checkout(args.other, argvs)
+    diffs = 0
+    for (label, _), a, b in zip(labelled, ours, theirs):
+        for field, x, y in zip(("exit", "stderr", "sha256"), a, b):
+            if x != y:
+                diffs += 1
+                print(f"{label}: {field}: here {x!r}, other {y!r}")
+    print(f"{len(argvs)} commands, {diffs} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
