@@ -12,9 +12,14 @@ the constant unitary behind a jet, rebuilds jets from co-isometric row
 systems one degree at a time, intersects the image with explicit
 varieties, and factors a non-maximal jet through a maximal one.
 
-The pullback residual of a jet is computed once per truncation degree and
-kept on the (frozen) IsometryJet, so a pipeline that checks the same jet
-at several stages pays for one check.
+The generator composites of a jet (odd, then even generators composed
+with it) are one stack per truncation degree, and the pullback residual
+one result per degree; both are kept on the (frozen) IsometryJet, so a
+pipeline that checks the same jet at several stages pays for one check,
+and unitary recovery and extension slice the plus block out of that
+stack.  A jet rebuilt by `solve_component_jet` is handed the stack from
+its last degree, so its check composes nothing.  Float pullbacks are one
+signed Gram product of the stack's coefficient matrix (see `h_pullback`).
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from .calabi import coefficient_matrix, complete_to_unitary, match_unitary
 from .domains import DomainSpec, rank2_codim_inequality
 from .errors import (ExactCompletionError, ParameterError, TruncationError,
                      VerificationError)
-from .kernels import SignedSOS, h_pullback, kernel_polarized_many
+from .kernels import (SignedSOS, generator_composites, h_pullback,
+                      kernel_polarized_many)
 from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
                      ex_is_identity, ex_matmul, ex_nullspace, ex_transpose,
                      matrix_rank_tol, to_complex_matrix)
@@ -59,6 +65,9 @@ class IsometryJet:
     # truncation degree -> (max residual, per-bidegree maxima, mode)
     _fe: Dict[int, tuple] = field(default_factory=dict, init=False,
                                   compare=False, repr=False)
+    # truncation degree -> generator composites of the jet
+    _stack: Dict[int, JetMap] = field(default_factory=dict, init=False,
+                                      compare=False, repr=False)
 
     def __post_init__(self):
         spec = self.sos.spec
@@ -84,6 +93,14 @@ class IsometryJet:
     def mode(self) -> str:
         return "exact" if (self.jet.mode == self.sos.mode == "exact") \
             else "float"
+
+    def composites(self, d: int) -> JetMap:
+        """The generators (odd, then even) composed with the jet, truncated
+        at d; composed on the first call for each d."""
+        if d not in self._stack:
+            self._stack[d] = generator_composites(self.sos,
+                                                  self.jet.truncate(d), d)
+        return self._stack[d]
 
 
 def ball_kernel_power(n: int, k: int, mode: str = "exact",
@@ -123,7 +140,7 @@ def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
     the jet's degree is refused: the equations there involve coefficients
     the jet does not hold, so they would hold only vacuously or fail for a
     true isometry.  The residual is computed on the first call for each d
-    and reused afterwards.
+    and reused afterwards, as is the composite stack it squares.
     """
     d = iso.jet.degree if d is None else d
     if d < 2 * iso.k:
@@ -135,7 +152,8 @@ def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
             f"truncation degree {d} exceeds the jet degree "
             f"{iso.jet.degree}: the coefficients above it are unknown")
     if d not in iso._fe:
-        lhs = h_pullback(iso.sos, iso.jet.truncate(d), d)
+        lhs = h_pullback(iso.sos, iso.jet.truncate(d), d,
+                         composites=iso.composites(d))
         rhs = ball_kernel_power(iso.jet.source_dim, iso.k, lhs.mode, d)
         diff = lhs - rhs
         per: Dict[Tuple[int, int], float] = {}
@@ -258,8 +276,7 @@ def _require_coordinate_minus_block(sos: SignedSOS) -> None:
 
 
 def _even_composites(iso: IsometryJet, d: int) -> Tuple[HoloPoly, ...]:
-    even = JetMap(iso.sos.even, d, iso.sos.nvars)
-    return compose_truncate(even, iso.jet, d).components
+    return iso.composites(d).components[len(iso.sos.odd):]
 
 
 @dataclass(frozen=True)
@@ -403,7 +420,10 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
     finishes in one pass.  The linear part conj(full)^T (w, 0, 0) is
     computed once; each degree composes only the plus block of
     conj(full)^T with (z^#, 0), whose terms have degree >= 2, and joins
-    the two.  Exact rows stay exact when the completion stays in the
+    the two.  For the same reason z^# from the last degree is already the
+    plus composites of the finished jet, and the minus composites are its
+    components, so the returned jet holds that stack for its check.  Exact
+    rows stay exact when the completion stays in the
     field; otherwise, with allow_float_fallback, the computation restarts
     in floating point.
     """
@@ -439,6 +459,7 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
         jet = JetMap([HoloPoly.from_field(n, {**a.terms, **b.terms}, mode)
                       for a, b in zip(linear, rest.components)], deg, n)
     iso = IsometryJet(jet, 1, sos)
+    iso._stack[degree] = JetMap(jet.components + tuple(plus), degree, n)
     fe = check_functional_eq(iso, tol=tol)
     if iso.mode == "exact" and fe.max_residual != 0.0:
         raise VerificationError(
@@ -479,8 +500,7 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
     nstack = max(n + m2, m0 + m1)
     d = iso.jet.degree
     jet = iso.jet.to_float()
-    composites = compose_truncate(JetMap(iso.sos.odd + iso.sos.even, d),
-                                  jet, d).components
+    composites = generator_composites(iso.sos, jet, d).components
     sq2 = math.sqrt(2.0)
     lhs = [HoloPoly.var(n, a, "float").scale(sq2) for a in range(n)]
     lhs += composites[m1:]

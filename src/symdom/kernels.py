@@ -23,9 +23,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .calabi import coefficient_matrix
 from .domains import DomainSpec, ParameterError, make_spec
 from .poly import BidegPoly, HoloPoly, JetMap, compose_truncate, log_truncate
-from .scalars import Exact, Scalar, as_complex, mode_of, one, zero
+from .scalars import EXACT_ZERO, Exact, Scalar, as_complex, mode_of, one, zero
 
 
 @dataclass(frozen=True)
@@ -177,28 +178,55 @@ def kernel_bideg(sos: SignedSOS) -> BidegPoly:
     return acc
 
 
-def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None) -> BidegPoly:
+def generator_composites(sos: SignedSOS, f: JetMap, d: int) -> JetMap:
+    """The generators (odd, then even) composed with f, truncated at d."""
+    return compose_truncate(JetMap(sos.odd + sos.even, d), f, d)
+
+
+def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None, *,
+               composites: Optional[JetMap] = None) -> BidegPoly:
     """h(f(w), conj f(w)) restricted to the terms with |alpha| + |beta| <= d,
     every generator composite truncated at degree d.
 
     Each returned coefficient is exact for a degree-d jet of a true map,
     because a coefficient at (alpha, beta) only involves composite
-    coefficients of degrees |alpha| and |beta|.
+    coefficients of degrees |alpha| and |beta|.  ``composites`` is the
+    stack ``generator_composites(sos, f, d)`` when the caller holds it
+    (an IsometryJet keeps one per degree); otherwise it is composed here.
+
+    With C the composites' coefficient matrix (``coefficient_matrix``, the
+    view ``match_unitary`` uses) and s the generator signs, the sum is
+    1 + C^T diag(s) conj(C).  Float pullbacks compute it as one numpy
+    product; a value beyond float range reads as inf / nan, which the
+    checks report as failing, with no warning.  Exact pullbacks accumulate
+    the same sum over nonzero coefficients only.
     """
     if f.target_dim != sos.nvars:
         raise ValueError(
             f"jet lands in C^{f.target_dim}, expansion lives on C^{sos.nvars}")
     d = f.degree if d is None else d
-    signs, gens = zip(*sos.signed_generators())
-    composites = compose_truncate(JetMap(gens, d), f, d).components
+    if composites is None:
+        composites = generator_composites(sos, f, d)
+    signs = [-1] * len(sos.odd) + [1] * len(sos.even)
     mode = "exact" if sos.mode == f.mode == "exact" else "float"
-    zero_c = zero(mode)
-    e0 = (0,) * f.source_dim
-    acc = {(e0, e0): one(mode)}
-    for sign, comp in zip(signs, composites):
-        for key, c in BidegPoly.sandwich(comp, comp, d).terms.items():
-            acc[key] = acc.get(key, zero_c) + (c if sign > 0 else -c)
-    return BidegPoly.from_field(f.source_dim, acc, mode)
+    n = f.source_dim
+    e0 = (0,) * n
+    if mode == "exact":
+        acc = {(e0, e0): one(mode)}
+        for sign, comp in zip(signs, composites.components):
+            for key, c in BidegPoly.sandwich(comp, comp, d).terms.items():
+                acc[key] = acc.get(key, EXACT_ZERO) + (c if sign > 0 else -c)
+        return BidegPoly.from_field(n, acc, mode)
+    mat, basis = coefficient_matrix(composites)
+    deg = np.array([sum(e) for e in basis], dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = mat.T @ (np.array(signs, dtype=float)[:, None] * mat.conj())
+    rows, cols = np.nonzero((deg[:, None] + deg[None, :] <= d) & (gram != 0))
+    acc = dict(zip([(basis[a], basis[b])
+                    for a, b in zip(rows.tolist(), cols.tolist())],
+                   gram[rows, cols].tolist()))
+    acc[(e0, e0)] = acc.get((e0, e0), 0j) + 1.0
+    return BidegPoly.from_field(n, acc, mode)
 
 
 def minimal_embedding(sos: SignedSOS, z: Sequence) -> List[Scalar]:

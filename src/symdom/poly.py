@@ -140,10 +140,10 @@ class HoloPoly:
         return self.from_field(self.nvars, part, self.mode)
 
     def truncate(self, d: int) -> "HoloPoly":
+        if self.degree <= d:
+            return self
         deg = self._deg
         kept = {e: c for e, c in self.terms.items() if deg(e) <= d}
-        if len(kept) == len(self.terms):
-            return self
         return self.from_field(self.nvars, kept, self.mode)
 
     def max_abs_coeff(self) -> float:

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdom import isometry
+from symdom import isometry, kernels, serialize
 from symdom.cli import main
 
 
@@ -209,6 +209,41 @@ def test_pullback_computed_once_per_jet(tmp_path, monkeypatch, mode):
     assert main(["extend", "--in", str(jet_file),
                  "--out", str(tmp_path / "ext.json")]) == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_extend_composes_generators_with_its_input_once(tmp_path,
+                                                        monkeypatch, mode):
+    # the input jet's generator stack is composed once and sliced for the
+    # plus block; the rebuilt jet's check uses the stack its solve left
+    calls = []
+    real = kernels.compose_truncate
+
+    def recording(outer, inner, d):
+        calls.append((outer, inner))
+        return real(outer, inner, d)
+
+    for module in (kernels, isometry):
+        monkeypatch.setattr(module, "compose_truncate", recording)
+    jet_file, ext_file = tmp_path / "jet.json", tmp_path / "ext.json"
+    assert main(["construct", "--family", "IV", "--n", "5", "--dim", "2",
+                 "--seed", "42", "--mode", mode, "--degree", "4",
+                 "--out", str(jet_file)]) == 0
+    calls.clear()
+    assert main(["extend", "--in", str(jet_file),
+                 "--out", str(ext_file)]) == 0
+    given = serialize.iso_from_json(json.loads(jet_file.read_text()))
+    built = serialize.iso_from_json(json.loads(ext_file.read_text())
+                                    ["extended"])
+    gens = list(given.sos.odd + given.sos.even)
+
+    def generator_calls(jet):
+        return sum(1 for outer, inner in calls
+                   if inner == jet.jet
+                   and all(g in gens for g in outer.components))
+
+    assert generator_calls(given) == 1
+    assert generator_calls(built) == 0
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -1,7 +1,11 @@
-"""tools/compare_outputs.py: the command grid and the per-checkout worker."""
+"""tools/compare_outputs.py: the command grid, the per-checkout worker and
+the explanation of a differing document."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 
@@ -37,3 +41,44 @@ def test_worker_records_exit_stderr_and_digest(tmp_path, monkeypatch):
     assert code1 == 2 and len(err1) == 1 and err1[0].startswith("error:")
     assert len(sha0) == len(sha2) == 64 and sha0 != sha2
     assert sha1 is None and sha3 is None
+
+
+def test_differences_name_json_paths():
+    here = {"a": {"x": 1.0, "y": [1, 2, "s"]}, "b": True, "c": 0,
+            "only_here": 1, "list": [1, 2]}
+    other = {"a": {"x": 1.5, "y": [1, 2, "t"]}, "b": 1, "c": 0.0,
+             "only_other": 2, "list": [1]}
+    assert _tool().differences(here, other) == [
+        ("a/x", 1.0, 1.5),
+        ("a/y/2", "s", "t"),
+        ("b", True, 1),
+        ("c", 0, 0.0),
+        ("list", [1, 2], [1]),
+        ("only_here", 1, None),
+        ("only_other", None, 2),
+    ]
+    assert _tool().differences(here, here) == []
+
+
+def test_explain_reports_paths_and_largest_gap(tmp_path):
+    tool = _tool()
+    here, other = tmp_path / "here.json", tmp_path / "other.json"
+    per = {f"{p},1": 1e-16 * p for p in range(1, 13)}
+    here.write_text(json.dumps({"functional-equation": {"per_bidegree": per},
+                                "mode": "float"}))
+    per = dict(per, **{"3,1": 5e-16, "12,1": 0.0})
+    per.update({f"{p},1": 2e-16 * p for p in range(4, 12)})
+    other.write_text(json.dumps({"functional-equation": {"per_bidegree": per},
+                                 "mode": "exact"}))
+    lines, largest = tool.explain(here, other)
+    assert largest == pytest.approx(1.2e-15)
+    assert lines[0] == ("  functional-equation/per_bidegree/10,1: "
+                        f"here {1e-15!r}, other {2e-15!r}")
+    assert lines[-2] == "  ... 1 more paths"
+    assert lines[-1] == ("  11 paths differ, largest absolute numeric "
+                         "difference 1.2e-15")
+    assert len(lines) == tool.SHOWN_PATHS + 2
+    here.write_text(json.dumps({"mode": "float"}))
+    lines, largest = tool.explain(here, other)
+    assert largest is None
+    assert lines[-1].endswith("difference none (no numbers differ)")

@@ -1,6 +1,8 @@
 """Jet-level isometry verification, construction, varieties, extension."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,9 @@ from symdom import (
 )
 from symdom.calabi import complete_to_unitary
 from symdom.linalg import ex_conj_t, principal_angles, to_complex_matrix
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import CONSTRUCT_GRID  # noqa: E402
 
 DEG = 6
 
@@ -399,3 +404,28 @@ def test_extend_rejects_maximal_source():
 def test_extend_rejects_k2():
     with pytest.raises(ParameterError):
         extend_isometry(quadric_sqrt2_disk())
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize(
+    "family, params, dims", CONSTRUCT_GRID,
+    ids=[f"{f}({','.join(map(str, p.values()))})" for f, p, _ in CONSTRUCT_GRID])
+def test_solve_hands_its_composites_to_the_jet(family, params, dims, mode):
+    # the stack left by the last degree of the solve is the one a fresh
+    # composition of the finished jet gives: exact stacks term for term,
+    # float stacks within 1e-12 of the largest coefficient (summation
+    # order differs, about 10^4 float64 roundings)
+    d = 4
+    spec = make_spec(family, **params)
+    sos = make_sos(spec, mode)
+    for dim in dims:
+        rows = random_coisometry(spec.dim - dim, spec.dim, 42, mode)
+        iso = solve_component_jet(rows, sos, degree=d)
+        cached = iso._stack[d]
+        fresh = compose_truncate(JetMap(sos.odd + sos.even, d), iso.jet, d)
+        assert (cached.degree, cached.mode) == (fresh.degree, fresh.mode)
+        if iso.mode == "exact":
+            assert cached == fresh
+        else:
+            scale = max(1.0, max(c.max_abs_coeff() for c in fresh.components))
+            assert cached.max_coeff_distance(fresh) <= 1e-12 * scale

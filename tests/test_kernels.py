@@ -3,15 +3,21 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from symdom import (
+    BidegPoly,
     Exact,
     HALF_SQRT2,
+    HoloPoly,
+    IsometryJet,
+    JetMap,
     ParameterError,
+    check_functional_eq,
     contains,
     curvature_at_origin,
     kernel_bideg,
@@ -20,12 +26,15 @@ from symdom import (
     make_sos,
     make_spec,
     minimal_embedding,
+    random_coisometry,
+    solve_component_jet,
     sos_counts,
     sos_polydisk,
     sos_type_i,
     sos_type_iv,
 )
-from symdom.kernels import kernel_polarized_many
+from symdom.kernels import (generator_composites, h_pullback,
+                            kernel_polarized_many)
 
 
 def exact_det(m):
@@ -249,3 +258,89 @@ def test_contains():
         s = make_sos(spec, mode="float")
         for _ in range(20):
             assert contains(s, rand_interior(spec, r))
+
+
+# -- float pullback: the signed Gram product against a loop reference -------
+
+GRAM_SPECS = [make_spec("polydisk", p=3), make_spec("IV", n=4),
+              make_spec("I", p=2, q=3)]
+
+
+def loop_pullback(sos, f, d):
+    """1 plus the signed sum of BidegPoly.sandwich(c, c, d) over the
+    generator composites: the float pullback as it was summed before the
+    Gram product."""
+    acc = BidegPoly.const(f.source_dim, 1.0, "float")
+    comps = generator_composites(sos, f, d).components
+    signs = [-1] * len(sos.odd) + [1] * len(sos.even)
+    for sign, comp in zip(signs, comps):
+        term = BidegPoly.sandwich(comp, comp, d)
+        acc = acc + (term if sign > 0 else -term)
+    return acc
+
+
+def random_float_jet(spec, r, coeff, n=2, degree=4):
+    """A constant-free float jet C^n -> C^dim with every monomial of degree
+    1..degree present, coefficients drawn by coeff(r)."""
+    exps = [e for e in itertools.product(range(degree + 1), repeat=n)
+            if 1 <= sum(e) <= degree]
+    comps = [HoloPoly(n, {e: coeff(r) for e in exps}, "float")
+             for _ in range(spec.dim)]
+    return JetMap(comps, degree, n)
+
+
+@pytest.mark.parametrize("spec", GRAM_SPECS, ids=lambda s: s.label)
+def test_float_pullback_gaussian_integers_equal_loop(spec):
+    # integer and half-integer products and sums far below 2**53 are exact
+    # in float64, so the Gram product and the loop agree term for term
+    r = random.Random(17)
+    sos = make_sos(spec, mode="float")
+    for _ in range(3):
+        f = random_float_jet(spec, r, lambda g: complex(g.randint(-2, 2),
+                                                       g.randint(-2, 2)))
+        for d in (2, 3, 4):
+            got = h_pullback(sos, f, d)
+            assert got.mode == "float"
+            assert got.terms == loop_pullback(sos, f, d).terms
+
+
+@pytest.mark.parametrize("spec", GRAM_SPECS, ids=lambda s: s.label)
+def test_float_pullback_random_jets_match_loop(spec):
+    # summation order differs; 1e-12 of the largest coefficient is about
+    # 10^4 float64 roundings at that size
+    r = random.Random(23)
+    sos = make_sos(spec, mode="float")
+    for _ in range(3):
+        f = random_float_jet(spec, r, lambda g: complex(g.gauss(0, 1),
+                                                       g.gauss(0, 1)))
+        ref = loop_pullback(sos, f, 4)
+        got = h_pullback(sos, f, 4)
+        scale = max(1.0, ref.max_abs_coeff())
+        assert (got - ref).max_abs_coeff() <= 1e-12 * scale
+        # the route is chosen by mode: an exact expansion with a float jet
+        # is a float pullback too
+        mixed = h_pullback(make_sos(spec, mode="exact"), f, 4)
+        assert mixed.mode == "float"
+        assert (mixed - ref).max_abs_coeff() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1e200, 0.0)],
+                         ids=["nan", "overflow"])
+def test_float_pullback_nonfinite_fails_quietly(bad, capfd):
+    spec = make_spec("IV", n=4)
+    sos = make_sos(spec, mode="float")
+    rows = random_coisometry(spec.dim - 2, spec.dim, 1, "float")
+    jet = solve_component_jet(rows, sos, degree=4).jet
+    comps = list(jet.components)
+    terms = dict(comps[0].terms)
+    exp = next(e for e in terms if sum(e) == 1)
+    terms[exp] = bad
+    comps[0] = HoloPoly(2, terms, "float")
+    iso = IsometryJet(JetMap(comps, 4, 2), 1, sos)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = check_functional_eq(iso)
+    assert not rep.passed
+    assert not rep.max_residual <= 1e-9
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capfd.readouterr().err == ""

@@ -9,7 +9,9 @@ degree 6 and at seed 901 with degree 4: 204 commands.  Each checkout runs
 them in one process of its own, importing symdom from its ``src/``.  For
 every command the exit code, the lines written to stderr and the sha256 of
 the output document are compared; every difference is printed, and the
-exit status is 1 if there is any, else 0.
+exit status is 1 if there is any, else 0.  For a document whose sha256
+differs, the JSON paths at which the two documents differ are printed
+too, with the largest absolute difference of the numbers among them.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import os
 import subprocess
 import sys
 import tempfile
+from numbers import Number
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = ((9, 6), (901, 4))  # (seed, degree)
 MODES = ("exact", "float")
+SHOWN_PATHS = 10  # paths listed per differing document
 
 
 def commands() -> list:
@@ -82,17 +86,65 @@ def collect(argvs: list) -> list:
     return results
 
 
-def run_checkout(checkout: Path, argvs: list) -> list:
-    """collect() in a fresh process that imports symdom from checkout."""
+def run_checkout(checkout: Path, argvs: list, cwd: Path) -> list:
+    """collect() in a fresh process that imports symdom from checkout and
+    writes the documents into cwd."""
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    with tempfile.TemporaryDirectory() as tmp:
-        proc = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--collect"],
-            input=json.dumps(argvs), cwd=tmp, env=env, capture_output=True,
-            text=True)
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--collect"],
+        input=json.dumps(argvs), cwd=cwd, env=env, capture_output=True,
+        text=True)
     if proc.returncode:
         sys.exit(f"{checkout}: the commands did not run:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, Number) and not isinstance(x, bool)
+
+
+def differences(a, b, path: str = "") -> list:
+    """(path, a, b) for each place where two JSON values differ: a leaf
+    whose values differ, a key that only one side has (its value on the
+    other side is None), or lists of different lengths."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}/{key}" if path else str(key)
+            if key in a and key in b:
+                out += differences(a[key], b[key], sub)
+            else:
+                out.append((sub, a.get(key), b.get(key)))
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        out = []
+        for i, (x, y) in enumerate(zip(a, b)):
+            out += differences(x, y, f"{path}/{i}" if path else str(i))
+        return out
+    if a == b and type(a) is type(b):
+        return []
+    return [(path, a, b)]
+
+
+def explain(here: Path, other: Path) -> tuple:
+    """(lines, largest): lines naming the JSON paths where two documents
+    differ, and the largest absolute difference between numbers at those
+    paths (None when no numbers differ)."""
+    diffs = differences(json.loads(here.read_text()),
+                        json.loads(other.read_text()))
+    gaps = [abs(x - y) for _, x, y in diffs if _is_number(x) and _is_number(y)]
+    lines = [f"  {p}: here {x!r}, other {y!r}"
+             for p, x, y in diffs[:SHOWN_PATHS]]
+    if len(diffs) > SHOWN_PATHS:
+        lines.append(f"  ... {len(diffs) - SHOWN_PATHS} more paths")
+    largest = max(gaps, default=None)
+    lines.append(f"  {len(diffs)} paths differ, largest absolute numeric "
+                 f"difference {_show(largest)}")
+    return lines, largest
+
+
+def _show(largest) -> str:
+    return "none (no numbers differ)" if largest is None else f"{largest:.3g}"
 
 
 def main(argv=None) -> int:
@@ -109,14 +161,25 @@ def main(argv=None) -> int:
         p.error("give the checkout to compare with")
     labelled = commands()
     argvs = [a for _, a in labelled]
-    ours, theirs = run_checkout(ROOT, argvs), run_checkout(args.other, argvs)
-    diffs = 0
-    for (label, _), a, b in zip(labelled, ours, theirs):
-        for field, x, y in zip(("exit", "stderr", "sha256"), a, b):
-            if x != y:
-                diffs += 1
-                print(f"{label}: {field}: here {x!r}, other {y!r}")
-    print(f"{len(argvs)} commands, {diffs} differences")
+    diffs, largest = 0, None
+    with tempfile.TemporaryDirectory() as here_dir, \
+            tempfile.TemporaryDirectory() as other_dir:
+        here_dir, other_dir = Path(here_dir), Path(other_dir)
+        ours = run_checkout(ROOT, argvs, here_dir)
+        theirs = run_checkout(args.other, argvs, other_dir)
+        for (label, argv), a, b in zip(labelled, ours, theirs):
+            for field, x, y in zip(("exit", "stderr", "sha256"), a, b):
+                if x != y:
+                    diffs += 1
+                    print(f"{label}: {field}: here {x!r}, other {y!r}")
+                    if field == "sha256" and x and y:
+                        doc = argv[argv.index("--out") + 1]
+                        lines, gap = explain(here_dir / doc, other_dir / doc)
+                        print("\n".join(lines))
+                        if gap is not None:
+                            largest = max(gap, largest or 0.0)
+    print(f"{len(argvs)} commands, {diffs} differences; largest absolute "
+          f"numeric difference in a differing document {_show(largest)}")
     return 1 if diffs else 0
 
 
