@@ -500,7 +500,7 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
     nstack = max(n + m2, m0 + m1)
     d = iso.jet.degree
     jet = iso.jet.to_float()
-    composites = generator_composites(iso.sos, jet, d).components
+    composites = iso.composites(d).to_float().components
     sq2 = math.sqrt(2.0)
     lhs = [HoloPoly.var(n, a, "float").scale(sq2) for a in range(n)]
     lhs += composites[m1:]

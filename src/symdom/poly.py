@@ -16,6 +16,13 @@ Three layers:
   composition routine: a stack of polynomials (kernel generators, variety
   equations, the components of a jet) is composed with an inner jet in one
   call that builds each monomial once; ``HoloPoly.substitute`` calls it.
+  The route is chosen by mode.  Exact compositions multiply sparse
+  polynomials.  Float ones work on coefficient arrays over one graded
+  basis (the monomials of degree <= d in the inner variables): each outer
+  monomial's row is its lower monomial's row times one row of the inner
+  coefficient matrix, summed through a product index built once per
+  (variables, degree) and cached, and the outer coefficients times those
+  rows is one matmul.
 
 Coefficients are either all exact (:class:`symdom.scalars.Exact`) or all
 ``complex``; the containers carry an explicit ``mode`` so exactness is never
@@ -32,13 +39,16 @@ polynomial itself when it drops nothing.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import Exact, Scalar, as_complex, cabs, coerce, mode_of, one, zero
+from .scalars import (EXACT_ONE, EXACT_ZERO, Exact, Scalar, as_complex, cabs,
+                      coerce, mode_of, one, zero)
 
 Exponent = Tuple[int, ...]
 
@@ -497,12 +507,121 @@ class JetMap:
                 f"{self.degree}, {self.mode})")
 
 
+@functools.cache
+def _product_index(n: int, d: int):
+    """The graded basis of the monomials of degree <= d in n variables, and
+    its product index (i, j, starts, k).
+
+    The pairs (i, j) with deg_i, deg_j >= 1 and deg_i + deg_j <= d are
+    sorted by the index of basis[i] * basis[j]; ``starts`` marks where each
+    run of equal index begins and ``k`` holds the index of each run, the
+    form ``np.add.reduceat`` sums.  The pairs, C(2n+d, d) - 2 C(n+d, d) + 1
+    of them, are built one (deg_i, deg_j) block at a time, so no M x M array
+    is formed (M = len(basis)).
+    """
+    combos = [c for s in range(d + 1)
+              for c in itertools.combinations_with_replacement(range(n), s)]
+    basis = [tuple(map(c.count, range(n))) for c in combos]
+    index = {e: i for i, e in enumerate(basis)}
+    first = [0] * (d + 2)  # basis[first[s]:first[s + 1]] has degree s
+    for c in combos:
+        first[len(c) + 1] += 1
+    first = list(itertools.accumulate(first))
+    units = _units(n)
+    # up[i, v]: the index of basis[i] * z_v, for deg_i < d
+    up = np.array([[index[_add_exp(e, unit)] for unit in units]
+                   for e in basis[:first[d]]],
+                  dtype=np.intp).reshape(first[d], n)
+    blocks = [(np.zeros(0, np.intp),) * 3]  # d < 2 has no pairs
+    for a in range(1, d):
+        left = np.arange(first[a], first[a + 1])
+        for b in range(1, d - a + 1):
+            right = np.arange(first[b], first[b + 1])
+            factors = np.array(combos[first[b]:first[b + 1]],
+                               dtype=np.intp).reshape(len(right), b)
+            i = np.repeat(left, len(right))
+            k = i
+            for t in range(b):  # multiply basis[i] by z_v, v in basis[j]
+                k = up[k, np.tile(factors[:, t], len(left))]
+            blocks.append((i, np.tile(right, len(left)), k))
+    i, j, k = (np.concatenate(x) for x in zip(*blocks))
+    order = np.argsort(k, kind="stable")
+    i, j, k = i[order], j[order], k[order]
+    starts = np.flatnonzero(np.diff(k, prepend=-1))
+    return basis, (i, j, starts, k[starts])
+
+
+def _units(m: int) -> List[Exponent]:
+    return [tuple(int(i == j) for i in range(m)) for j in range(m)]
+
+
+def _lower(e: Exponent) -> Tuple[Exponent, int]:
+    """(e with one factor z_j taken off, j) for the last variable j of e."""
+    j = max(i for i, x in enumerate(e) if x)
+    return e[:j] + (e[j] - 1,) + e[j + 1:], j
+
+
+def _compose_float(outer: JetMap, inner: JetMap, d: int) -> JetMap:
+    """compose_truncate's float route: coefficient rows over the graded
+    basis of _product_index.
+
+    The rows of the outer monomials that the outer terms of degree <= d
+    need are built level by level, each the row one degree lower times one
+    row of the inner coefficient matrix; the outer coefficient matrix
+    times those rows is the result.  A value beyond float range reads as
+    inf / nan, as in ``evaluate_many``, with no warning.
+    """
+    n = inner.source_dim
+    basis, (pi, pj, starts, pk) = _product_index(n, d)
+    inner_c = inner.float_coefficients(basis)
+    # levels[s]: needed monomials of degree s -> (lower monomial, variable)
+    levels: List[Dict[Exponent, Tuple[Exponent, int]]] = \
+        [{} for _ in range(d + 1)]
+    for comp in outer.components:
+        for e in comp.terms:
+            s = sum(e)
+            if s == 0:
+                levels[0][e] = (e, 0)
+            while 0 < s <= d and e not in levels[s]:
+                lower, j = _lower(e)
+                levels[s][e] = (lower, j)
+                e, s = lower, s - 1
+    pos: Dict[Exponent, int] = {}
+    table = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, level in enumerate(levels):
+            if not level:
+                continue
+            lowers, js = zip(*level.values())
+            if s == 0:
+                rows = np.zeros((1, len(basis)), dtype=complex)
+                rows[0, 0] = 1.0
+            elif s == 1:
+                rows = inner_c[list(js)]
+            else:  # the lower monomials are rows of the previous level
+                low = table[-1][[pos[e] - base for e in lowers]]
+                rows = np.zeros_like(low)
+                rows[:, pk] = np.add.reduceat(
+                    low[:, pi] * inner_c[list(js)][:, pj], starts, axis=1)
+            base = len(pos)
+            pos.update(zip(level, range(base, base + len(level))))
+            table.append(rows)
+        out = outer.float_coefficients(list(pos)) @ (
+            np.concatenate(table) if table
+            else np.zeros((0, len(basis)), dtype=complex))
+    # from_field keeps the entries != 0, a NaN among them
+    return JetMap([HoloPoly.from_field(n, dict(zip(basis, row)), "float")
+                   for row in out.tolist()], d, n)
+
+
 def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
     """Jet of outer o inner truncated at degree d; inner must vanish at 0.
 
     Each monomial of the outer variables is built once and shared by all
     outer components: the monomial one degree lower times one inner
     component, truncated at d (a degree-1 monomial is the component itself).
+    Exact compositions do this on sparse polynomials; float ones on dense
+    coefficient rows (see ``_compose_float``).
     """
     if outer.source_dim != inner.target_dim:
         raise ValueError(
@@ -510,17 +629,15 @@ def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
             f"variables, inner produces {inner.target_dim}")
     if not inner.constant_free():
         raise ValueError("inner jet must vanish at the origin")
+    if not outer.mode == inner.mode == "exact":
+        return _compose_float(outer, inner, d)
     n, m = inner.source_dim, inner.target_dim
-    mode = "exact" if outer.mode == inner.mode == "exact" else "float"
-    zero_c = zero(mode)
-    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
-    table: Dict[Exponent, HoloPoly] = dict(zip(units, inner.components))
-    table[(0,) * m] = HoloPoly.const(n, one(mode), mode)
+    table: Dict[Exponent, HoloPoly] = dict(zip(_units(m), inner.components))
+    table[(0,) * m] = HoloPoly.const(n, EXACT_ONE, "exact")
 
     def monomial(e: Exponent) -> HoloPoly:
         if e not in table:
-            j = max(i for i, x in enumerate(e) if x)
-            lower = e[:j] + (e[j] - 1,) + e[j + 1:]
+            lower, j = _lower(e)
             table[e] = monomial(lower).mul_trunc(inner.components[j], d)
         return table[e]
 
@@ -530,8 +647,8 @@ def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
         for e, c in comp.terms.items():
             if sum(e) <= d:
                 for key, v in monomial(e).terms.items():
-                    acc[key] = acc.get(key, zero_c) + c * v
-        comps.append(HoloPoly.from_field(n, acc, mode))
+                    acc[key] = acc.get(key, EXACT_ZERO) + c * v
+        comps.append(HoloPoly.from_field(n, acc, "exact"))
     return JetMap(comps, d, n)
 
 

@@ -82,3 +82,48 @@ def test_explain_reports_paths_and_largest_gap(tmp_path):
     lines, largest = tool.explain(here, other)
     assert largest is None
     assert lines[-1].endswith("difference none (no numbers differ)")
+
+
+def test_compare_tags_differences_propagated_from_the_input(tmp_path):
+    tool = _tool()
+    here, other = tmp_path / "here", tmp_path / "other"
+    here.mkdir()
+    other.mkdir()
+    docs = {  # document -> (here, other) value of its one number
+        "a.jet": (1.0, 1.0 + 2 ** -52),
+        "a.jet.verify": (0.25, 0.75),
+        "a.jet.extend": (2.0, 2.0),
+        "b.jet": (3.0, 3.0),
+        "b.jet.verify": (1e-16, 4e-16),
+    }
+    for name, (x, y) in docs.items():
+        (here / name).write_text(json.dumps({"x": x}))
+        (other / name).write_text(json.dumps({"x": y}))
+    labelled = [("construct a", ["construct", "--out", "a.jet"]),
+                ("verify a", ["verify", "--in", "a.jet", "--out",
+                              "a.jet.verify"]),
+                ("extend a", ["extend", "--in", "a.jet", "--out",
+                              "a.jet.extend"]),
+                ("construct b", ["construct", "--out", "b.jet"]),
+                ("verify b", ["verify", "--in", "b.jet", "--out",
+                              "b.jet.verify"])]
+
+    def results(side):
+        return [[0, [], f"{name}-{x if side == 0 else y}"]
+                for name, (x, y) in docs.items()]
+
+    lines, diffs, largest = tool.compare(labelled, results(0), results(1),
+                                         here, other)
+    heads = [line for line in lines if not line.startswith("  ")]
+    assert diffs == 3
+    assert [h.split(":")[0] for h in heads] == ["construct a", "verify a",
+                                                "verify b"]
+    assert heads[1].endswith(" (input differs)")
+    assert not heads[0].endswith(")") and not heads[2].endswith(")")
+    assert largest == {"identical": pytest.approx(3e-16), "differs": 0.5}
+    assert tool.summary(5, diffs, largest) == (
+        "5 commands, 3 differences; largest absolute numeric difference in "
+        "a differing document 3e-16 where its input is identical, 0.5 where "
+        "its input differs")
+    _, _, same = tool.compare(labelled, results(0), results(0), here, other)
+    assert same == {"identical": None, "differs": None}

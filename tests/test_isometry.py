@@ -38,6 +38,7 @@ from symdom import (
     sos_type_i,
     sos_type_iv,
 )
+from symdom import isometry, kernels
 from symdom.calabi import complete_to_unitary
 from symdom.linalg import ex_conj_t, principal_angles, to_complex_matrix
 
@@ -319,6 +320,29 @@ def test_k2_variety_bidisk_cuts_diagonal():
     off_worst = max(abs(complex(eq.evaluate(off_pt))) for eq in system.equations)
     assert on_worst < 1e-10
     assert off_worst > 1e-3
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("builder", [quadric_sqrt2_disk, matrix_diagonal_disk])
+def test_k2_variety_composes_generators_once(builder, mode, monkeypatch):
+    # the FE check and the quadric lift share the jet's one generator stack
+    calls = []
+    real = kernels.compose_truncate
+
+    def recording(outer, inner, d):
+        calls.append(outer)
+        return real(outer, inner, d)
+
+    for module in (kernels, isometry):
+        monkeypatch.setattr(module, "compose_truncate", recording)
+    iso = builder(mode)
+    gens = iso.sos.odd + iso.sos.even
+    system = build_k2_variety(iso)
+    stacks = [outer for outer in calls
+              if len(outer.components) == len(gens)
+              and all(a is b for a, b in zip(outer.components, gens))]
+    assert len(stacks) == 1
+    assert membership_residual(system, iso.jet) < 1e-10
 
 
 def _k1_system(mode):

@@ -1,5 +1,6 @@
 """Signed-square kernel expansions against closed-form oracles."""
 
+import cmath
 import itertools
 import math
 import random
@@ -343,4 +344,8 @@ def test_float_pullback_nonfinite_fails_quietly(bad, capfd):
     assert not rep.passed
     assert not rep.max_residual <= 1e-9
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    # the float composition route carried the bad value into the stack the
+    # check squared
+    stack = iso.composites(4).components
+    assert not all(cmath.isfinite(c) for g in stack for c in g.terms.values())
     assert capfd.readouterr().err == ""

@@ -1,14 +1,19 @@
 """Truncated polynomial and jet arithmetic against brute-force oracles."""
 
 import cmath
+import itertools
+import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symdom import Exact, HoloPoly, BidegPoly, JetMap
 from symdom import compose_truncate, log_truncate, squared_norm
+from symdom import poly
 
 
 def rand_coeff(r, mode):
@@ -374,13 +379,17 @@ def _product_terms(ta, tb):
     return out
 
 
-def _compose_terms(comp, inner):
+def _compose_terms(comp, inner, d=None):
+    """comp o inner term by term; with d, every partial product is cut at
+    degree d."""
     acc = {}
     for e, c in comp.terms.items():
-        term = {(0, 0): c}
+        term = {(0,) * inner.source_dim: c}
         for j, k in enumerate(e):
             for _ in range(k):
-                term = _product_terms(term, inner.components[j].terms)
+                term = {key: v for key, v in _product_terms(
+                    term, inner.components[j].terms).items()
+                        if d is None or sum(key) <= d}
         for key, v in term.items():
             acc[key] = acc[key] + v if key in acc else v
     return acc
@@ -451,11 +460,27 @@ def test_lean_core_keeps_nan():
     results = [p + p, p - p, -p, p.scale(2.0), p.mul_trunc(one_f, 4),
                p.truncate(2), p.homogeneous_part(1),
                JetMap([p], 2).components[0],
-               compose_truncate(JetMap.identity(2, 3, "float"),
-                                JetMap([p, p], 3), 3).components[0],
                BidegPoly.sandwich(p, p, 4), BidegPoly.sandwich(p, one_f, 4)]
+    # the float composition route: a NaN in either factor, or a value
+    # beyond float range, reaches the result, and numpy warns of neither
+    big = HoloPoly(2, {(1, 0): 1e200 + 0j, (0, 1): 1 + 0j}, "float")
+    square = JetMap([HoloPoly.monomial(2, (1, 1), 1.0, "float"),
+                     HoloPoly.var(2, 0, "float")], 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results += [compose_truncate(JetMap.identity(2, 3, "float"),
+                                     JetMap([p, p], 3), 3).components[0],
+                    compose_truncate(square, JetMap([p, p], 3),
+                                     3).components[0],
+                    compose_truncate(JetMap([p], 3),
+                                     JetMap.identity(2, 3, "float"),
+                                     3).components[0]]
+        overflow = compose_truncate(square, JetMap([big, big], 3), 3)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     for q in results:
         assert any(cmath.isnan(c) for c in q.terms.values()), q
+    assert not all(cmath.isfinite(c)
+                   for c in overflow.components[0].terms.values())
 
 
 @settings(max_examples=25, deadline=None)
@@ -476,3 +501,97 @@ def test_mixed_modes_give_complex(data):
     for p in results:
         assert p.mode == "float"
         assert all(type(v) is complex for v in p.terms.values())
+
+
+# -- the float composition route against the exact one ------------------------
+#
+# Outer stacks carry a constant term, a term above d and a zero component;
+# inner jets have terms above d.  Gaussian-integer coefficients keep every
+# sum and product exact in double precision, so the float route must give
+# the exact route's terms; random floats are held to the loop reference.
+
+def _gaussian_terms(nvars, low, top):
+    """Terms of degree low..top in nvars variables, coefficient pairs of
+    small integers (real, imaginary)."""
+    exps = st.lists(st.integers(0, nvars - 1), min_size=low,
+                    max_size=top).map(
+        lambda vs: tuple(vs.count(v) for v in range(nvars)))
+    pairs = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    return st.dictionaries(exps, pairs, max_size=4)
+
+
+def _composition_case(data):
+    """(n, d, outer terms, inner terms), coefficients as integer pairs."""
+    n = data.draw(st.integers(1, 4), label="n")
+    d = data.draw(st.integers(1, 6), label="d")
+    m = data.draw(st.integers(1, 3), label="m")
+    nonzero = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+    outer = [data.draw(_gaussian_terms(m, 0, d + 2))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    outer[0][(0,) * m] = data.draw(nonzero)
+    outer[-1][(d + 1,) + (0,) * (m - 1)] = data.draw(nonzero)
+    outer.append({})
+    inner = [data.draw(_gaussian_terms(n, 1, d + 2)) for _ in range(m)]
+    inner[0][(0,) * (n - 1) + (d + 1,)] = data.draw(nonzero)
+    return n, d, outer, inner
+
+
+def _jet(terms_list, nvars, degree, coeff):
+    return JetMap([HoloPoly.from_field(nvars, {e: coeff(*c)
+                                               for e, c in terms.items()},
+                                       "exact" if coeff is Exact else "float")
+                   for terms in terms_list], degree, nvars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float_composition_equals_exact_on_gaussian_integers(data):
+    n, d, outer, inner = _composition_case(data)
+    m = len(inner)
+    ex_outer, ex_inner = (_jet(outer, m, d + 2, Exact),
+                          _jet(inner, n, d + 2, Exact))
+    fl_outer, fl_inner = (_jet(outer, m, d + 2, complex),
+                          _jet(inner, n, d + 2, complex))
+    assert ex_inner.components[0].degree > d
+    want = [c.to_float().terms
+            for c in compose_truncate(ex_outer, ex_inner, d).components]
+    for o, i in ((fl_outer, fl_inner), (ex_outer, fl_inner),
+                 (fl_outer, ex_inner)):
+        got = compose_truncate(o, i, d)
+        assert (got.mode, got.degree, got.source_dim) == ("float", d, n)
+        assert [c.terms for c in got.components] == want
+    # the cached product index holds exactly the pairs of its definition
+    basis, (pi, pj, starts, pk) = poly._product_index(n, d)
+    assert poly._product_index(n, d)[0] is basis
+    assert basis == sorted(basis, key=sum)
+    assert len(basis) == math.comb(n + d, d)
+    pairs = {(i, j) for (i, a), (j, b) in itertools.product(enumerate(basis),
+                                                            repeat=2)
+             if sum(a) >= 1 and sum(b) >= 1 and sum(a) + sum(b) <= d}
+    assert len(pi) == len(pairs) == \
+        math.comb(2 * n + d, d) - 2 * math.comb(n + d, d) + 1
+    runs = np.diff(np.append(starts, len(pi)))
+    assert set(zip(pi.tolist(), pj.tolist())) == pairs
+    for i, j, k in zip(pi, pj, np.repeat(pk, runs)):
+        assert basis[k] == tuple(x + y for x, y in zip(basis[i], basis[j]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_float_composition_matches_loop_on_random_floats(data):
+    n, d, outer, inner = _composition_case(data)
+    m = len(inner)
+    r = random.Random(data.draw(st.integers(0, 2 ** 16), label="seed"))
+
+    def rand(*_):
+        return complex(r.gauss(0, 1), r.gauss(0, 1))
+
+    fl_outer, fl_inner = (_jet(outer, m, d + 2, rand),
+                          _jet(inner, n, d + 2, rand))
+    got = compose_truncate(fl_outer, fl_inner, d)
+    refs = [_compose_terms(comp, fl_inner, d) for comp in fl_outer.components]
+    scale = max([1.0] + [abs(v) for ref in refs for v in ref.values()])
+    for comp, ref in zip(got.components, refs):
+        for e in comp.terms.keys() | ref.keys():
+            assert sum(e) <= d
+            assert abs(comp.coeff(e) - ref.get(e, 0j)) <= 1e-12 * scale

@@ -11,7 +11,12 @@ every command the exit code, the lines written to stderr and the sha256 of
 the output document are compared; every difference is printed, and the
 exit status is 1 if there is any, else 0.  For a document whose sha256
 differs, the JSON paths at which the two documents differ are printed
-too, with the largest absolute difference of the numbers among them.
+too, with the largest absolute difference of the numbers among them.  A
+``verify`` or ``extend`` whose input document (the ``construct`` output)
+differs too is tagged "input differs", and the summary gives the largest
+difference separately for documents whose input is identical and for
+those whose input differs: a difference that only propagates from the
+input is told apart from one the command itself makes.
 """
 
 from __future__ import annotations
@@ -147,6 +152,43 @@ def _show(largest) -> str:
     return "none (no numbers differ)" if largest is None else f"{largest:.3g}"
 
 
+def compare(labelled: list, ours: list, theirs: list, here_dir: Path,
+            other_dir: Path) -> tuple:
+    """(lines, differences, largest): a line per difference between the
+    results of two checkouts, each document's explanation after it, the
+    number of differences, and the largest absolute numeric difference
+    among differing documents as {"identical": x, "differs": y}, keyed by
+    whether the command's input document is identical (None when no
+    numbers differ)."""
+    lines, diffs = [], 0
+    largest = {"identical": None, "differs": None}
+    changed = {}  # document -> whether its sha256 differs
+    for (label, argv), a, b in zip(labelled, ours, theirs):
+        source = argv[argv.index("--in") + 1] if "--in" in argv else None
+        key = "differs" if changed.get(source) else "identical"
+        tag = " (input differs)" if key == "differs" else ""
+        doc = argv[argv.index("--out") + 1]
+        changed[doc] = a[2] != b[2]
+        for field, x, y in zip(("exit", "stderr", "sha256"), a, b):
+            if x != y:
+                diffs += 1
+                lines.append(
+                    f"{label}: {field}: here {x!r}, other {y!r}{tag}")
+                if field == "sha256" and x and y:
+                    more, gap = explain(here_dir / doc, other_dir / doc)
+                    lines += more
+                    if gap is not None:
+                        largest[key] = max(gap, largest[key] or 0.0)
+    return lines, diffs, largest
+
+
+def summary(commands_run: int, diffs: int, largest: dict) -> str:
+    return (f"{commands_run} commands, {diffs} differences; largest absolute "
+            f"numeric difference in a differing document "
+            f"{_show(largest['identical'])} where its input is identical, "
+            f"{_show(largest['differs'])} where its input differs")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("other", nargs="?", type=Path,
@@ -161,25 +203,14 @@ def main(argv=None) -> int:
         p.error("give the checkout to compare with")
     labelled = commands()
     argvs = [a for _, a in labelled]
-    diffs, largest = 0, None
     with tempfile.TemporaryDirectory() as here_dir, \
             tempfile.TemporaryDirectory() as other_dir:
         here_dir, other_dir = Path(here_dir), Path(other_dir)
         ours = run_checkout(ROOT, argvs, here_dir)
         theirs = run_checkout(args.other, argvs, other_dir)
-        for (label, argv), a, b in zip(labelled, ours, theirs):
-            for field, x, y in zip(("exit", "stderr", "sha256"), a, b):
-                if x != y:
-                    diffs += 1
-                    print(f"{label}: {field}: here {x!r}, other {y!r}")
-                    if field == "sha256" and x and y:
-                        doc = argv[argv.index("--out") + 1]
-                        lines, gap = explain(here_dir / doc, other_dir / doc)
-                        print("\n".join(lines))
-                        if gap is not None:
-                            largest = max(gap, largest or 0.0)
-    print(f"{len(argvs)} commands, {diffs} differences; largest absolute "
-          f"numeric difference in a differing document {_show(largest)}")
+        lines, diffs, largest = compare(labelled, ours, theirs, here_dir,
+                                        other_dir)
+    print("\n".join(lines + [summary(len(argvs), diffs, largest)]))
     return 1 if diffs else 0
 
 
