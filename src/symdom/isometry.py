@@ -17,9 +17,14 @@ with it) are one stack per truncation degree, and the pullback residual
 one result per degree; both are kept on the (frozen) IsometryJet, so a
 pipeline that checks the same jet at several stages pays for one check,
 and unitary recovery and extension slice the plus block out of that
-stack.  A jet rebuilt by `solve_component_jet` is handed the stack from
-its last degree, so its check composes nothing.  Float pullbacks are one
-signed Gram product of the stack's coefficient matrix (see `h_pullback`).
+stack.  A jet rebuilt by `solve_component_jet` is handed the stack its
+solve built, so its check composes nothing.  In floating point the solve
+is one pass over the degrees on coefficient arrays (see
+`poly.solve_graded_float`), and the pullback check is one array identity:
+the signed Gram product of the stack's coefficient matrix (see
+`kernels.signed_gram`) plus 1 minus the diagonal of (1 - |w|^2)^k, read
+off by bidegree blocks.  Exact jets keep the sparse routes: a solve that
+composes once per degree and a pullback summed as bidegree polynomials.
 """
 
 from __future__ import annotations
@@ -35,11 +40,12 @@ from .domains import DomainSpec, rank2_codim_inequality
 from .errors import (ExactCompletionError, ParameterError, TruncationError,
                      VerificationError)
 from .kernels import (SignedSOS, generator_composites, h_pullback,
-                      kernel_polarized_many)
+                      kernel_polarized_many, signed_gram)
 from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
                      ex_is_identity, ex_matmul, ex_nullspace, ex_transpose,
                      matrix_rank_tol, to_complex_matrix)
-from .poly import BidegPoly, HoloPoly, JetMap, compose_truncate
+from .poly import (BidegPoly, HoloPoly, JetMap, _graded_runs, _product_index,
+                   compose_truncate, solve_graded_float)
 from .scalars import EXACT_ONE, EXACT_ZERO, Exact, as_complex, one, zero
 
 __all__ = [
@@ -130,6 +136,42 @@ def _nan_max(a: float, b: float) -> float:
     return b if b > a or b != b else a
 
 
+def _ball_kernel_diagonal(basis, k: int) -> np.ndarray:
+    """The coefficients of |w^alpha|^2 in (1 - |w|^2)^k for alpha in basis,
+    (-1)^|alpha| binom(k, |alpha|) |alpha|!/alpha!; (1 - |w|^2)^k has no
+    other terms."""
+    out = []
+    for alpha in basis:
+        s = sum(alpha)
+        multinomial = math.factorial(s) // math.prod(map(math.factorial, alpha))
+        out.append((-1) ** s * math.comb(k, s) * multinomial)
+    return np.array(out, dtype=float)
+
+
+def _float_residual(iso: IsometryJet, d: int) -> tuple:
+    """The float FE residual as one array identity on the graded basis of
+    the monomials of degree <= d: D = C^T diag(s) conj(C) + E00 - B, with
+    B the diagonal of ``_ball_kernel_diagonal``, read off on the blocks
+    (p, q) of D with p + q <= d.  A block is reported when it holds an
+    entry != 0, and a NaN entry makes its maximum NaN."""
+    n = iso.jet.source_dim
+    basis, _ = _product_index(n, d)
+    first, _ = _graded_runs(n, d)
+    diff = signed_gram(iso.sos, iso.composites(d), basis)
+    diff[0, 0] += 1.0
+    top = first[iso.k + 1]  # B vanishes beyond |alpha| = k
+    diff[range(top), range(top)] -= _ball_kernel_diagonal(basis[:top], iso.k)
+    # hypot rounds as Python's abs of a complex does; np.abs does not
+    mags = np.hypot(diff.real, diff.imag)
+    blocks = np.maximum.reduceat(
+        np.maximum.reduceat(mags, first[:-1], axis=0), first[:-1], axis=1)
+    kept = np.add.outer(np.arange(d + 1), np.arange(d + 1)) <= d
+    rows, cols = np.nonzero(kept & (blocks != 0))
+    per = {(p, q): float(blocks[p, q])
+           for p, q in zip(rows.tolist(), cols.tolist())}
+    return float(np.max(blocks[kept])), per, "float"
+
+
 def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
                         tol: float = DEFAULT_TOL) -> FEReport:
     """Compare h(f(w), conj f(w)) with (1 - |w|^2)^k up to degree d.
@@ -140,7 +182,11 @@ def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
     the jet's degree is refused: the equations there involve coefficients
     the jet does not hold, so they would hold only vacuously or fail for a
     true isometry.  The residual is computed on the first call for each d
-    and reused afterwards, as is the composite stack it squares.
+    and reused afterwards, as is the composite stack it squares.  Exact
+    jets subtract ``ball_kernel_power`` from ``h_pullback`` term by term;
+    float jets compute the same differences as one array (see
+    ``_float_residual``), so that a NaN anywhere in the jet makes the
+    residual NaN.
     """
     d = iso.jet.degree if d is None else d
     if d < 2 * iso.k:
@@ -151,6 +197,8 @@ def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
         raise TruncationError(
             f"truncation degree {d} exceeds the jet degree "
             f"{iso.jet.degree}: the coefficients above it are unknown")
+    if d not in iso._fe and iso.mode == "float":
+        iso._fe[d] = _float_residual(iso, d)
     if d not in iso._fe:
         lhs = h_pullback(iso.sos, iso.jet.truncate(d), d,
                          composites=iso.composites(d))
@@ -415,17 +463,20 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
        z = conj(full)^T (w, z^#(z), 0),
     where z^# is the stack of plus generators.  The plus generators have
     degree >= 2, so the degree-m part of the right side only involves
-    parts of z below degree m: composing with the jet known through degree
-    m - 1 and truncating at m makes degree m final, and m = 1..degree
-    finishes in one pass.  The linear part conj(full)^T (w, 0, 0) is
-    computed once; each degree composes only the plus block of
-    conj(full)^T with (z^#, 0), whose terms have degree >= 2, and joins
-    the two.  For the same reason z^# from the last degree is already the
+    parts of z below degree m, and m = 1..degree finishes in one pass.
+    Float solves (float rows or a float kernel) run that pass on
+    coefficient arrays over the graded monomial basis, building only the
+    degree-m columns at step m (``solve_graded_float``).  Exact solves
+    compute the linear part conj(full)^T (w, 0, 0) once, and at each
+    degree compose z^# with the jet known through degree m - 1, truncated
+    at m, then the plus block of conj(full)^T with (z^#, 0), whose terms
+    have degree >= 2, and join the two.  Either way z^# is already the
     plus composites of the finished jet, and the minus composites are its
-    components, so the returned jet holds that stack for its check.  Exact
-    rows stay exact when the completion stays in the
-    field; otherwise, with allow_float_fallback, the computation restarts
-    in floating point.
+    components, so the returned jet holds that stack for its check.  A
+    degree below 2 is refused before the completion, as the check refuses
+    it.  Exact rows stay exact when the completion stays in the field;
+    otherwise, with allow_float_fallback, the computation restarts in
+    floating point.
     """
     _require_coordinate_minus_block(sos)
     nbig = sos.nvars
@@ -434,6 +485,10 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
     if not m2 <= m < nbig:
         raise ParameterError(
             f"row count {m} outside {m2}..{nbig - 1}")
+    if degree < 2:
+        raise TruncationError(
+            f"truncation degree {degree} cannot see isometric constant 1: "
+            f"need at least 2")
     n = nbig - m
     try:
         full = complete_to_unitary(u_rows, tol=1e-10)
@@ -442,24 +497,31 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
             raise
         return solve_component_jet(to_complex_matrix(u_rows), sos,
                                    degree, tol)
-    adjoint = ex_conj_t(full)
-    linear_block = JetMap.from_linear([row[:n] for row in adjoint], 1)
-    plus_block = JetMap.from_linear([row[n:] for row in adjoint], degree)
     even = JetMap(sos.even, degree, nbig)
-    # exact rows with a float kernel give a float jet from degree 1 on
-    mode = "exact" if linear_block.mode == even.mode == "exact" else "float"
-    linear = compose_truncate(
-        linear_block, JetMap([HoloPoly.var(n, a, mode) for a in range(n)], 1),
-        1).components
-    pad = [HoloPoly.zero(n, mode)] * (m - m2)
-    jet = JetMap([HoloPoly.zero(n, mode)] * nbig, 0, n)
-    for deg in range(1, degree + 1):
-        plus = list(compose_truncate(even, jet, deg).components)
-        rest = compose_truncate(plus_block, JetMap(plus + pad, deg, n), deg)
-        jet = JetMap([HoloPoly.from_field(n, {**a.terms, **b.terms}, mode)
-                      for a, b in zip(linear, rest.components)], deg, n)
+    if not (isinstance(full, list) and even.mode == "exact"):
+        # exact rows with a float kernel give a float jet from degree 1 on
+        adjoint = to_complex_matrix(full).conj().T
+        jet, plus = solve_graded_float(adjoint[:, :n], even,
+                                       adjoint[:, n:n + m2], degree)
+    else:
+        adjoint = ex_conj_t(full)
+        linear_block = JetMap.from_linear([row[:n] for row in adjoint], 1)
+        plus_block = JetMap.from_linear([row[n:] for row in adjoint], degree)
+        linear = compose_truncate(
+            linear_block,
+            JetMap([HoloPoly.var(n, a, "exact") for a in range(n)], 1),
+            1).components
+        pad = (HoloPoly.zero(n, "exact"),) * (m - m2)
+        jet = JetMap([HoloPoly.zero(n, "exact")] * nbig, 0, n)
+        for deg in range(1, degree + 1):
+            plus = compose_truncate(even, jet, deg)
+            rest = compose_truncate(
+                plus_block, JetMap(plus.components + pad, deg, n), deg)
+            jet = JetMap([HoloPoly.from_field(n, {**a.terms, **b.terms},
+                                              "exact")
+                          for a, b in zip(linear, rest.components)], deg, n)
     iso = IsometryJet(jet, 1, sos)
-    iso._stack[degree] = JetMap(jet.components + tuple(plus), degree, n)
+    iso._stack[degree] = JetMap(jet.components + plus.components, degree, n)
     fe = check_functional_eq(iso, tol=tol)
     if iso.mode == "exact" and fe.max_residual != 0.0:
         raise VerificationError(

@@ -23,9 +23,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .calabi import coefficient_matrix
 from .domains import DomainSpec, ParameterError, make_spec
-from .poly import BidegPoly, HoloPoly, JetMap, compose_truncate, log_truncate
+from .poly import (BidegPoly, HoloPoly, JetMap, _product_index,
+                   compose_truncate, log_truncate)
 from .scalars import EXACT_ZERO, Exact, Scalar, as_complex, mode_of, one, zero
 
 
@@ -183,6 +183,19 @@ def generator_composites(sos: SignedSOS, f: JetMap, d: int) -> JetMap:
     return compose_truncate(JetMap(sos.odd + sos.even, d), f, d)
 
 
+def signed_gram(sos: SignedSOS, composites: JetMap,
+                basis: Sequence[tuple]) -> np.ndarray:
+    """C^T diag(s) conj(C) in floating point, for C the coefficient matrix
+    of a generator composite stack (odd, then even) over basis and s the
+    generator signs: entry (a, b) is the coefficient of
+    w^basis[a] conj(w)^basis[b] in sum_g s_g |g o f|^2.  A value beyond
+    float range reads as inf / nan, with no warning."""
+    mat = composites.float_coefficients(basis)
+    signs = np.array([-1.0] * len(sos.odd) + [1.0] * len(sos.even))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mat.T @ (signs[:, None] * mat.conj())
+
+
 def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None, *,
                composites: Optional[JetMap] = None) -> BidegPoly:
     """h(f(w), conj f(w)) restricted to the terms with |alpha| + |beta| <= d,
@@ -194,12 +207,11 @@ def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None, *,
     stack ``generator_composites(sos, f, d)`` when the caller holds it
     (an IsometryJet keeps one per degree); otherwise it is composed here.
 
-    With C the composites' coefficient matrix (``coefficient_matrix``, the
-    view ``match_unitary`` uses) and s the generator signs, the sum is
-    1 + C^T diag(s) conj(C).  Float pullbacks compute it as one numpy
-    product; a value beyond float range reads as inf / nan, which the
-    checks report as failing, with no warning.  Exact pullbacks accumulate
-    the same sum over nonzero coefficients only.
+    With C the composites' coefficient matrix and s the generator signs,
+    the sum is 1 + C^T diag(s) conj(C).  Float pullbacks take it from
+    ``signed_gram`` over the graded basis of the monomials of degree <= d
+    and keep the entries != 0 (a NaN among them); exact pullbacks
+    accumulate the same sum over nonzero coefficients only.
     """
     if f.target_dim != sos.nvars:
         raise ValueError(
@@ -217,10 +229,9 @@ def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None, *,
             for key, c in BidegPoly.sandwich(comp, comp, d).terms.items():
                 acc[key] = acc.get(key, EXACT_ZERO) + (c if sign > 0 else -c)
         return BidegPoly.from_field(n, acc, mode)
-    mat, basis = coefficient_matrix(composites)
+    basis, _ = _product_index(n, d)
+    gram = signed_gram(sos, composites, basis)
     deg = np.array([sum(e) for e in basis], dtype=int)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = mat.T @ (np.array(signs, dtype=float)[:, None] * mat.conj())
     rows, cols = np.nonzero((deg[:, None] + deg[None, :] <= d) & (gram != 0))
     acc = dict(zip([(basis[a], basis[b])
                     for a, b in zip(rows.tolist(), cols.tolist())],

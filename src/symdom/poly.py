@@ -22,7 +22,9 @@ Three layers:
   monomial's row is its lower monomial's row times one row of the inner
   coefficient matrix, summed through a product index built once per
   (variables, degree) and cached, and the outer coefficients times those
-  rows is one matmul.
+  rows is one matmul.  :func:`solve_graded_float` shares that level
+  building to solve z = linear w + back outer(z) in one pass over the
+  degrees, filling only the degree-m columns at step m.
 
 Coefficients are either all exact (:class:`symdom.scalars.Exact`) or all
 ``complex``; the containers carry an explicit ``mode`` so exactness is never
@@ -551,6 +553,27 @@ def _product_index(n: int, d: int):
     return basis, (i, j, starts, k[starts])
 
 
+@functools.cache
+def _graded_runs(n: int, d: int):
+    """(first, runs) for the graded basis and product index of
+    ``_product_index(n, d)``: basis[first[s]:first[s + 1]] has degree s,
+    and runs[m], for m = 2..d, is the run (i, j, starts) of the pairs whose
+    product has degree m, with starts counted from its first pair.  The
+    basis is graded and the pairs are sorted by product, so these pairs
+    are contiguous and their sums are the columns first[m]:first[m + 1] in
+    order."""
+    basis, (i, j, starts, k) = _product_index(n, d)
+    first = np.searchsorted([sum(e) for e in basis],
+                            np.arange(d + 2)).tolist()
+    bounds = np.append(starts, len(i))
+    runs = {}
+    for m in range(2, d + 1):
+        r0, r1 = np.searchsorted(k, [first[m], first[m + 1]])
+        p0, p1 = bounds[r0], bounds[r1]
+        runs[m] = (i[p0:p1], j[p0:p1], starts[r0:r1] - p0)
+    return first, runs
+
+
 def _units(m: int) -> List[Exponent]:
     return [tuple(int(i == j) for i in range(m)) for j in range(m)]
 
@@ -559,6 +582,47 @@ def _lower(e: Exponent) -> Tuple[Exponent, int]:
     """(e with one factor z_j taken off, j) for the last variable j of e."""
     j = max(i for i, x in enumerate(e) if x)
     return e[:j] + (e[j] - 1,) + e[j + 1:], j
+
+
+def _monomial_levels(polys: Sequence[HoloPoly], d: int):
+    """The monomials that the terms of degree <= d of polys need, level by
+    level: for s = 0..d, (monomials of degree s, for s >= 2 the position of
+    each one's lower monomial in level s - 1, the variable that lower
+    monomial is multiplied by).  A needed monomial's lower monomials are
+    needed too."""
+    levels: List[Dict[Exponent, Tuple[Exponent, int]]] = \
+        [{} for _ in range(d + 1)]
+    for poly in polys:
+        for e in poly.terms:
+            s = sum(e)
+            if s == 0:
+                levels[0][e] = (e, 0)
+            while 0 < s <= d and e not in levels[s]:
+                lower, j = _lower(e)
+                levels[s][e] = (lower, j)
+                e, s = lower, s - 1
+    out = []
+    for s, level in enumerate(levels):
+        prev = {e: p for p, e in enumerate(levels[s - 1])} if s > 1 else {}
+        out.append((list(level),
+                    [prev[e] for e, _ in level.values()] if s > 1 else [],
+                    [j for _, j in level.values()]))
+    return out
+
+
+def _products(low: np.ndarray, right: np.ndarray, run) -> np.ndarray:
+    """The columns of the products low[t] * right[t] that a run
+    (i, j, starts) of a product index covers: each one the sum of
+    low[t, i] * right[t, j] over its pairs."""
+    i, j, starts = run
+    return np.add.reduceat(low[:, i] * right[:, j], starts, axis=1)
+
+
+def _rows_jet(rows: np.ndarray, basis: Sequence[Exponent], n: int,
+              d: int) -> JetMap:
+    # from_field keeps the entries != 0, a NaN among them
+    return JetMap([HoloPoly.from_field(n, dict(zip(basis, row)), "float")
+                   for row in rows.tolist()], d, n)
 
 
 def _compose_float(outer: JetMap, inner: JetMap, d: int) -> JetMap:
@@ -574,44 +638,70 @@ def _compose_float(outer: JetMap, inner: JetMap, d: int) -> JetMap:
     n = inner.source_dim
     basis, (pi, pj, starts, pk) = _product_index(n, d)
     inner_c = inner.float_coefficients(basis)
-    # levels[s]: needed monomials of degree s -> (lower monomial, variable)
-    levels: List[Dict[Exponent, Tuple[Exponent, int]]] = \
-        [{} for _ in range(d + 1)]
-    for comp in outer.components:
-        for e in comp.terms:
-            s = sum(e)
-            if s == 0:
-                levels[0][e] = (e, 0)
-            while 0 < s <= d and e not in levels[s]:
-                lower, j = _lower(e)
-                levels[s][e] = (lower, j)
-                e, s = lower, s - 1
-    pos: Dict[Exponent, int] = {}
+    order: List[Exponent] = []
     table = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, level in enumerate(levels):
-            if not level:
+        for s, (monomials, lower, js) in enumerate(
+                _monomial_levels(outer.components, d)):
+            if not monomials:
                 continue
-            lowers, js = zip(*level.values())
             if s == 0:
                 rows = np.zeros((1, len(basis)), dtype=complex)
                 rows[0, 0] = 1.0
             elif s == 1:
-                rows = inner_c[list(js)]
+                rows = inner_c[js]
             else:  # the lower monomials are rows of the previous level
-                low = table[-1][[pos[e] - base for e in lowers]]
-                rows = np.zeros_like(low)
-                rows[:, pk] = np.add.reduceat(
-                    low[:, pi] * inner_c[list(js)][:, pj], starts, axis=1)
-            base = len(pos)
-            pos.update(zip(level, range(base, base + len(level))))
+                rows = np.zeros((len(monomials), len(basis)), dtype=complex)
+                rows[:, pk] = _products(table[-1][lower], inner_c[js],
+                                        (pi, pj, starts))
+            order += monomials
             table.append(rows)
-        out = outer.float_coefficients(list(pos)) @ (
+        out = outer.float_coefficients(order) @ (
             np.concatenate(table) if table
             else np.zeros((0, len(basis)), dtype=complex))
-    # from_field keeps the entries != 0, a NaN among them
-    return JetMap([HoloPoly.from_field(n, dict(zip(basis, row)), "float")
-                   for row in out.tolist()], d, n)
+    return _rows_jet(out, basis, n, d)
+
+
+def solve_graded_float(linear: np.ndarray, outer: JetMap, back: np.ndarray,
+                       d: int) -> Tuple[JetMap, JetMap]:
+    """The degree-d jet z of the solution of z = linear w + back outer(z)
+    in floating point, and outer(z) truncated at d.
+
+    ``linear`` is N x n, ``outer`` a stack of K polynomials in N variables
+    whose terms have degree >= 2, and ``back`` N x K.  The degree-m part
+    of outer(z) then involves only the parts of z below degree m, so one
+    pass over m = 2..d on the graded basis of ``_product_index(n, d)``
+    makes each degree final: it fills the degree-m columns of the outer
+    monomials' rows (level by level, each the row one level lower times
+    one row of z, over the pairs of the product index whose product has
+    degree m), then those of outer(z) and of z.
+    """
+    n = linear.shape[1]
+    basis, _ = _product_index(n, d)
+    first, runs = _graded_runs(n, d)
+    z = np.zeros((linear.shape[0], len(basis)), dtype=complex)
+    z[:, first[1]:first[2]] = linear
+    levels = _monomial_levels(outer.components, d)
+    # the rows of the outer monomials of degree >= 2, level after level
+    order = [e for monomials, _, _ in levels[2:] for e in monomials]
+    table = np.zeros((len(order), len(basis)), dtype=complex)
+    steps, top = [], 0  # (view of a level's rows, lower positions, variables)
+    for monomials, lower, js in levels[2:]:
+        if monomials:
+            steps.append((table[top:top + len(monomials)], lower, js))
+            top += len(monomials)
+    coeffs = outer.float_coefficients(order)
+    q = np.zeros((outer.target_dim, len(basis)), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(2, d + 1):
+            cols = slice(first[m], first[m + 1])
+            low = z[levels[1][2]]
+            for rows, lower, js in steps:
+                rows[:, cols] = _products(low[lower], z[js], runs[m])
+                low = rows
+            q[:, cols] = coeffs @ table[:, cols]
+            z[:, cols] = back @ q[:, cols]
+    return _rows_jet(z, basis, n, d), _rows_jet(q, basis, n, d)
 
 
 def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:

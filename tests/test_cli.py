@@ -192,14 +192,17 @@ def test_verify_nan_coefficient_exits_2(tmp_path, degree):
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_pullback_computed_once_per_jet(tmp_path, monkeypatch, mode):
+    # exact checks square the composites through h_pullback, float checks
+    # through the signed Gram product
     calls = []
-    real = isometry.h_pullback
+    name = "h_pullback" if mode == "exact" else "signed_gram"
+    real = getattr(isometry, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(isometry, "h_pullback", counting)
+    monkeypatch.setattr(isometry, name, counting)
     jet_file = tmp_path / "jet.json"
     assert main(["construct", "--family", "IV", "--n", "4", "--dim", "1",
                  "--seed", "42", "--mode", mode, "--degree", "4",
@@ -437,6 +440,21 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, iv4_jet_doc, command, tol):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--tol" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("degree", [-1, 0, 1])
+def test_construct_degree_below_two_exits_2(tmp_path, capsys, degree, mode):
+    # the solve refuses before it completes the rows, with the message the
+    # check gives degree 1
+    argv = ["construct", "--family", "IV", "--n", "4", "--dim", "1",
+            "--mode", mode, "--degree", str(degree),
+            "--out", str(tmp_path / "jet.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: truncation degree {degree} cannot see isometric constant "
+        f"1: need at least 2\n")
+    assert not (tmp_path / "jet.json").exists()
 
 
 @pytest.mark.parametrize("degree, code", [(2, 0), (4, 0), (5, 2), (6, 2),

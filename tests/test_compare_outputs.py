@@ -112,8 +112,8 @@ def test_compare_tags_differences_propagated_from_the_input(tmp_path):
         return [[0, [], f"{name}-{x if side == 0 else y}"]
                 for name, (x, y) in docs.items()]
 
-    lines, diffs, largest = tool.compare(labelled, results(0), results(1),
-                                         here, other)
+    lines, diffs, largest, exact_docs = tool.compare(
+        labelled, results(0), results(1), here, other)
     heads = [line for line in lines if not line.startswith("  ")]
     assert diffs == 3
     assert [h.split(":")[0] for h in heads] == ["construct a", "verify a",
@@ -121,9 +121,45 @@ def test_compare_tags_differences_propagated_from_the_input(tmp_path):
     assert heads[1].endswith(" (input differs)")
     assert not heads[0].endswith(")") and not heads[2].endswith(")")
     assert largest == {"identical": pytest.approx(3e-16), "differs": 0.5}
-    assert tool.summary(5, diffs, largest) == (
+    assert exact_docs == 3  # a construct without --mode is exact
+    assert tool.summary(5, diffs, largest, exact_docs) == (
         "5 commands, 3 differences; largest absolute numeric difference in "
         "a differing document 3e-16 where its input is identical, 0.5 where "
-        "its input differs")
-    _, _, same = tool.compare(labelled, results(0), results(0), here, other)
-    assert same == {"identical": None, "differs": None}
+        "its input differs; 3 exact-mode documents differ")
+    _, _, same, none = tool.compare(labelled, results(0), results(0), here,
+                                    other)
+    assert same == {"identical": None, "differs": None} and none == 0
+
+
+def test_compare_counts_differing_exact_mode_documents(tmp_path):
+    # construct and verify documents take the construct's --mode; an
+    # extend document counts as exact when either side wrote mode "exact"
+    tool = _tool()
+    here, other = tmp_path / "here", tmp_path / "other"
+    here.mkdir()
+    other.mkdir()
+    extend_modes = {"e": ("exact", "exact"), "f": ("float", "float"),
+                    "g": ("float", "exact")}
+    labelled = []
+    for jet, mode in (("e.jet", "exact"), ("f.jet", "float"),
+                      ("g.jet", "float")):
+        x, y = extend_modes[jet[0]]
+        for name, here_doc, other_doc in (
+                (jet, {"v": 1}, {"v": 2}),
+                (f"{jet}.verify", {"v": 1}, {"v": 2}),
+                (f"{jet}.extend", {"mode": x, "v": 1}, {"mode": y, "v": 2})):
+            (here / name).write_text(json.dumps(here_doc))
+            (other / name).write_text(json.dumps(other_doc))
+        labelled += [
+            (f"construct {jet}", ["construct", "--mode", mode, "--out", jet]),
+            (f"verify {jet}", ["verify", "--in", jet, "--out",
+                               f"{jet}.verify"]),
+            (f"extend {jet}", ["extend", "--in", jet, "--out",
+                               f"{jet}.extend"])]
+    ours = [[0, [], f"here-{i}"] for i in range(len(labelled))]
+    theirs = [[0, [], f"other-{i}"] for i in range(len(labelled))]
+    diffs, exact_docs = tool.compare(labelled, ours, theirs, here, other)[1::2]
+    # e: construct, verify, extend; g: the extend document only
+    assert (diffs, exact_docs) == (9, 4)
+    theirs[1] = ours[1]  # the exact verify document agrees
+    assert tool.compare(labelled, ours, theirs, here, other)[3] == 3

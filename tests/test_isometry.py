@@ -2,11 +2,13 @@
 
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from symdom import (
     Exact,
@@ -41,6 +43,7 @@ from symdom import (
 from symdom import isometry, kernels
 from symdom.calabi import complete_to_unitary
 from symdom.linalg import ex_conj_t, principal_angles, to_complex_matrix
+from symdom.poly import _product_index
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import CONSTRUCT_GRID  # noqa: E402
@@ -209,17 +212,19 @@ def test_solve_component_jet_float():
     assert rep.max_residual < 1e-9
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("family,params",
                          [("IV", {"n": 5}), ("I", {"p": 2, "q": 3})])
-def test_graded_solve_is_fixed_point(family, params):
+def test_graded_solve_is_fixed_point(family, params, mode):
     # one full-degree sweep of z = conj(A)^T w + conj(U)^T (plus(z), 0)
-    # must return the graded jet unchanged
+    # must return the graded jet unchanged: exactly, or in float within
+    # 1e-12 of the largest coefficient
     spec = make_spec(family, **params)
-    sos = make_sos(spec)
+    sos = make_sos(spec, mode)
     n = 2
-    rows = random_coisometry(spec.dim - n, spec.dim, 42, "exact")
+    rows = random_coisometry(spec.dim - n, spec.dim, 42, mode)
     iso = solve_component_jet(rows, sos, degree=DEG)
-    assert iso.mode == "exact"
+    assert iso.mode == mode
     full = complete_to_unitary(rows, tol=1e-10)
     lin = ex_conj_t(full[:n])
     uh = ex_conj_t(full[n:])
@@ -230,7 +235,135 @@ def test_graded_solve_is_fixed_point(family, params):
         for l, v in enumerate(plus):
             poly = poly + v.scale(uh[i][l])
         swept.append(poly)
-    assert JetMap(swept, DEG, n) == iso.jet
+    swept = JetMap(swept, DEG, n)
+    if mode == "exact":
+        assert swept == iso.jet
+    else:
+        scale = max(1.0, max(c.max_abs_coeff() for c in iso.jet.components))
+        assert swept.max_coeff_distance(iso.jet) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from([(f, p, dim) for f, p, dims in CONSTRUCT_GRID
+                             for dim in dims]),
+       seed=st.integers(0, 2 ** 20), d=st.integers(2, 6))
+def test_float_solve_matches_exact_solve(case, seed, d):
+    # exact rows with a float kernel take the float route on the exact
+    # completion converted to float; the result and the composite stack it
+    # hands to the jet agree with the exact route's within 1e-12 of the
+    # largest coefficient
+    family, params, dim = case
+    spec = make_spec(family, **params)
+    rows = random_coisometry(spec.dim - dim, spec.dim, seed, "exact")
+    exact = solve_component_jet(rows, make_sos(spec, "exact"), degree=d)
+    approx = solve_component_jet(rows, make_sos(spec, "float"), degree=d)
+    assert (exact.mode, approx.mode) == ("exact", "float")
+    want, got = exact._stack[d].to_float(), approx._stack[d]
+    assert (got.degree, got.target_dim) == (d, want.target_dim)
+    scale = max(1.0, max(c.max_abs_coeff() for c in want.components))
+    assert approx.jet.max_coeff_distance(exact.jet.to_float()) <= 1e-12 * scale
+    assert got.max_coeff_distance(want) <= 1e-12 * scale
+
+
+def _nan_max(a, b):
+    return b if b > a or b != b else a
+
+
+def _reference_fe(iso, d):
+    # the pullback minus (1 - |w|^2)^k as bidegree polynomials, read off
+    # one term at a time, on the composite stack the check squares
+    lhs = kernels.h_pullback(iso.sos, iso.jet.truncate(d), d,
+                             composites=iso.composites(d))
+    diff = lhs - isometry.ball_kernel_power(iso.source_dim, iso.k, "float",
+                                            d)
+    per, worst = {}, 0.0
+    for (alpha, beta), c in diff.terms.items():
+        key = (sum(alpha), sum(beta))
+        per[key] = _nan_max(per.get(key, 0.0), abs(complex(c)))
+        worst = _nan_max(worst, abs(complex(c)))
+    return worst, per
+
+
+def _same_value(x, y):
+    return x == y or abs(x - y) <= 1e-15 or (math.isnan(x) and math.isnan(y))
+
+
+def _assert_fe_matches_reference(iso, d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_functional_eq(iso, d)
+    worst, per = _reference_fe(iso, d)
+    assert rep.mode == "float"
+    assert rep.per_bidegree.keys() == per.keys()
+    assert all(_same_value(rep.per_bidegree[key], v) for key, v in per.items())
+    assert rep.max_residual == worst or (math.isnan(rep.max_residual)
+                                         and math.isnan(worst))
+    return rep
+
+
+def _float_construct(family, params, dim, d=5):
+    spec = make_spec(family, **params)
+    rows = random_coisometry(spec.dim - dim, spec.dim, 3, "float")
+    return solve_component_jet(rows, make_sos(spec, "float"), degree=d)
+
+
+def _with_coefficient(iso, deg, value):
+    # a fresh jet whose first degree-deg coefficient has value added
+    comps = list(iso.jet.components)
+    i, exp = next((i, e) for i, c in enumerate(comps)
+                  for e in c.terms if sum(e) == deg)
+    terms = dict(comps[i].terms)
+    terms[exp] += value
+    comps[i] = HoloPoly(iso.source_dim, terms, "float")
+    return IsometryJet(JetMap(comps, iso.jet.degree, iso.source_dim), iso.k,
+                       iso.sos)
+
+
+FE_JETS = {
+    "IV(5)-dim2": lambda: _float_construct("IV", {"n": 5}, 2),
+    "IV(4)-dim1": lambda: _float_construct("IV", {"n": 4}, 1),
+    "I(2,3)-dim3": lambda: _float_construct("I", {"p": 2, "q": 3}, 3),
+    **{b.__name__: (lambda b=b: b("float")) for b in CANONICAL},
+}
+
+
+@pytest.mark.parametrize("name", list(FE_JETS))
+def test_float_fe_matches_bidegree_reference(name):
+    # constructed jets and the float disks (k = 1 and k = 2), at every
+    # truncation degree the jet allows
+    iso = FE_JETS[name]()
+    for d in range(2 * iso.k, iso.jet.degree + 1):
+        rep = _assert_fe_matches_reference(iso, d)
+        assert rep.passed
+
+
+@pytest.mark.parametrize("value", [0.1, 1e200, math.nan])
+@pytest.mark.parametrize("name", ["IV(5)-dim2", "quadric_sqrt2_disk"])
+def test_float_fe_matches_reference_on_perturbed_jets(name, value):
+    # a perturbation at any degree 1..d; a NaN propagates to the residual
+    # and an overflow reads as inf / nan, neither with a RuntimeWarning
+    iso = FE_JETS[name]()
+    d = iso.jet.degree
+    for deg in range(1, d + 1):
+        if not any(sum(e) == deg for c in iso.jet.components for e in c.terms):
+            continue
+        rep = _assert_fe_matches_reference(_with_coefficient(iso, deg, value),
+                                           d)
+        if value != value:
+            assert math.isnan(rep.max_residual) and not rep.passed
+        elif deg < d:  # the triangle pairs degree deg with degree 1
+            assert not rep.passed
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (2, 2)])
+def test_ball_kernel_diagonal_matches_power(n, k):
+    d = 2 * k + 1
+    basis, _ = _product_index(n, d)
+    diagonal = isometry._ball_kernel_diagonal(basis, k)
+    power = isometry.ball_kernel_power(n, k, "exact", d)
+    assert all(alpha == beta for alpha, beta in power.terms)
+    assert {alpha: complex(c) for (alpha, _), c in power.terms.items()} == \
+        {alpha: b for alpha, b in zip(basis, diagonal.tolist()) if b}
 
 
 def test_nan_coefficient_fails_checks():

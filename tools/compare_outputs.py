@@ -16,7 +16,10 @@ too, with the largest absolute difference of the numbers among them.  A
 differs too is tagged "input differs", and the summary gives the largest
 difference separately for documents whose input is identical and for
 those whose input differs: a difference that only propagates from the
-input is told apart from one the command itself makes.
+input is told apart from one the command itself makes.  The summary also
+counts the differing exact-mode documents: ``construct`` and ``verify``
+documents of the exact cases, and ``extend`` documents with
+``"mode": "exact"`` (an exact input may extend in floating point).
 """
 
 from __future__ import annotations
@@ -152,23 +155,42 @@ def _show(largest) -> str:
     return "none (no numbers differ)" if largest is None else f"{largest:.3g}"
 
 
+def _extend_mode(*paths: Path) -> str:
+    """The ``mode`` of an extend document: "exact" when either side wrote
+    one that says so."""
+    for path in paths:
+        if path.is_file() and json.loads(path.read_text()).get("mode") \
+                == "exact":
+            return "exact"
+    return "float"
+
+
 def compare(labelled: list, ours: list, theirs: list, here_dir: Path,
             other_dir: Path) -> tuple:
-    """(lines, differences, largest): a line per difference between the
-    results of two checkouts, each document's explanation after it, the
-    number of differences, and the largest absolute numeric difference
-    among differing documents as {"identical": x, "differs": y}, keyed by
-    whether the command's input document is identical (None when no
-    numbers differ)."""
-    lines, diffs = [], 0
+    """(lines, differences, largest, exact_docs): a line per difference
+    between the results of two checkouts, each document's explanation
+    after it, the number of differences, the largest absolute numeric
+    difference among differing documents as {"identical": x,
+    "differs": y}, keyed by whether the command's input document is
+    identical (None when no numbers differ), and the number of differing
+    exact-mode documents."""
+    lines, diffs, exact_docs = [], 0, 0
     largest = {"identical": None, "differs": None}
     changed = {}  # document -> whether its sha256 differs
+    modes = {}  # jet document -> mode of its construct
     for (label, argv), a, b in zip(labelled, ours, theirs):
         source = argv[argv.index("--in") + 1] if "--in" in argv else None
         key = "differs" if changed.get(source) else "identical"
         tag = " (input differs)" if key == "differs" else ""
         doc = argv[argv.index("--out") + 1]
         changed[doc] = a[2] != b[2]
+        if argv[0] == "construct":
+            modes[doc] = argv[argv.index("--mode") + 1] \
+                if "--mode" in argv else "exact"
+        if changed[doc]:
+            mode = (_extend_mode(here_dir / doc, other_dir / doc)
+                    if argv[0] == "extend" else modes.get(source or doc))
+            exact_docs += mode == "exact"
         for field, x, y in zip(("exit", "stderr", "sha256"), a, b):
             if x != y:
                 diffs += 1
@@ -179,14 +201,16 @@ def compare(labelled: list, ours: list, theirs: list, here_dir: Path,
                     lines += more
                     if gap is not None:
                         largest[key] = max(gap, largest[key] or 0.0)
-    return lines, diffs, largest
+    return lines, diffs, largest, exact_docs
 
 
-def summary(commands_run: int, diffs: int, largest: dict) -> str:
+def summary(commands_run: int, diffs: int, largest: dict,
+            exact_docs: int) -> str:
     return (f"{commands_run} commands, {diffs} differences; largest absolute "
             f"numeric difference in a differing document "
             f"{_show(largest['identical'])} where its input is identical, "
-            f"{_show(largest['differs'])} where its input differs")
+            f"{_show(largest['differs'])} where its input differs; "
+            f"{exact_docs} exact-mode documents differ")
 
 
 def main(argv=None) -> int:
@@ -208,9 +232,10 @@ def main(argv=None) -> int:
         here_dir, other_dir = Path(here_dir), Path(other_dir)
         ours = run_checkout(ROOT, argvs, here_dir)
         theirs = run_checkout(args.other, argvs, other_dir)
-        lines, diffs, largest = compare(labelled, ours, theirs, here_dir,
-                                        other_dir)
-    print("\n".join(lines + [summary(len(argvs), diffs, largest)]))
+        lines, diffs, largest, exact_docs = compare(
+            labelled, ours, theirs, here_dir, other_dir)
+    print("\n".join(lines + [summary(len(argvs), diffs, largest,
+                                      exact_docs)]))
     return 1 if diffs else 0
 
 
