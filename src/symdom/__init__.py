@@ -8,24 +8,22 @@ from .domains import (DomainSpec, ParameterError, make_spec, null_threshold,
                       closed_form_null_threshold, null_le_vmrt,
                       rank2_codim_inequality, dim_upper_bound,
                       vmrt_certificate, char_bundle_dims, sos_counts)
-from .poly import (HoloPoly, BidegPoly, JetMap, log_truncate,
-                   compose_truncate, squared_norm)
+from .poly import HoloPoly, BidegPoly, JetMap, compose_truncate
 from .kernels import (SignedSOS, make_sos, sos_polydisk, sos_type_iv,
                       sos_type_i, kernel_value, kernel_polarized,
-                      kernel_bideg, h_pullback, minimal_embedding,
-                      curvature_at_origin, contains)
-from .calabi import (CoeffGram, coefficient_matrix, coefficient_gram,
-                     match_unitary, complete_to_unitary, sos_signature_bound)
+                      h_pullback, minimal_embedding, curvature_at_origin,
+                      contains)
+from .calabi import (coefficient_matrix, match_unitary, complete_to_unitary,
+                     sos_signature_bound)
 from .errors import (VerificationError, UnitaryMatchError,
                      ExactCompletionError, TruncationError)
 from .isometry import (IsometryJet, FEReport, PolarizedReport,
                        RecoveredUnitary, VarietySystem, ExtensionResult,
-                       ball_kernel_power, check_functional_eq,
-                       jacobian_normalization_residual, check_polarized_eq,
-                       recover_matching_unitary, build_k1_variety,
-                       solve_component_jet, membership_residual,
-                       build_k2_variety, extend_isometry,
-                       full_verification_report)
+                       check_functional_eq, jacobian_normalization_residual,
+                       check_polarized_eq, recover_matching_unitary,
+                       build_k1_variety, solve_component_jet,
+                       membership_residual, build_k2_variety,
+                       extend_isometry, full_verification_report)
 from .randmat import (random_exact_unitary, block_pair_unitary,
                       random_coisometry, random_isometric_slice,
                       random_exact_jet)
@@ -38,17 +36,16 @@ __all__ = [
     "DomainSpec", "ParameterError", "make_spec", "null_threshold",
     "closed_form_null_threshold", "null_le_vmrt", "rank2_codim_inequality",
     "dim_upper_bound", "vmrt_certificate", "char_bundle_dims", "sos_counts",
-    "HoloPoly", "BidegPoly", "JetMap", "log_truncate", "compose_truncate",
-    "squared_norm",
+    "HoloPoly", "BidegPoly", "JetMap", "compose_truncate",
     "SignedSOS", "make_sos", "sos_polydisk", "sos_type_iv", "sos_type_i",
-    "kernel_value", "kernel_polarized", "kernel_bideg", "h_pullback",
+    "kernel_value", "kernel_polarized", "h_pullback",
     "minimal_embedding", "curvature_at_origin", "contains",
-    "CoeffGram", "coefficient_matrix", "coefficient_gram", "match_unitary",
-    "complete_to_unitary", "sos_signature_bound",
+    "coefficient_matrix", "match_unitary", "complete_to_unitary",
+    "sos_signature_bound",
     "VerificationError", "UnitaryMatchError", "ExactCompletionError",
     "TruncationError",
     "IsometryJet", "FEReport", "PolarizedReport", "RecoveredUnitary",
-    "VarietySystem", "ExtensionResult", "ball_kernel_power",
+    "VarietySystem", "ExtensionResult",
     "check_functional_eq", "jacobian_normalization_residual",
     "check_polarized_eq", "recover_matching_unitary", "build_k1_variety",
     "solve_component_jet", "membership_residual", "build_k2_variety",

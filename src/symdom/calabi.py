@@ -9,8 +9,7 @@ diagonal targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,12 +18,12 @@ from .errors import ExactCompletionError, UnitaryMatchError
 from .linalg import (ExactMatrix, coisometry_residual, ex_complete_orthonormal,
                      ex_conj_t, ex_gram, ex_is_identity, ex_matmul, ex_rank,
                      ex_solve_row_system, null_space, phase_normalize_columns,
-                     row_complement, to_complex_matrix)
+                     row_complement)
 from .poly import JetMap
 from .scalars import EXACT_ZERO
 
-__all__ = ["CoeffGram", "coefficient_matrix", "coefficient_gram",
-           "match_unitary", "complete_to_unitary", "sos_signature_bound"]
+__all__ = ["coefficient_matrix", "match_unitary", "complete_to_unitary",
+           "sos_signature_bound"]
 
 
 def _monomial_basis(jets: Sequence[JetMap]) -> List[tuple]:
@@ -50,26 +49,6 @@ def coefficient_matrix(jet: JetMap, basis: Optional[Sequence[tuple]] = None):
             rows.append([comp.terms.get(e, EXACT_ZERO) for e in basis])
         return rows, list(basis)
     return jet.float_coefficients(basis), list(basis)
-
-
-@dataclass(frozen=True)
-class CoeffGram:
-    """Hermitian Gram of monomial coefficient columns, as floats."""
-
-    basis: Tuple[tuple, ...]
-    matrix: np.ndarray
-
-    def max_difference(self, other: "CoeffGram") -> float:
-        if self.basis != other.basis:
-            raise ValueError("Gram matrices use different bases")
-        return float(np.max(np.abs(self.matrix - other.matrix)))
-
-
-def coefficient_gram(jet: JetMap,
-                     basis: Optional[Sequence[tuple]] = None) -> CoeffGram:
-    mat, basis = coefficient_matrix(jet, basis)
-    m = to_complex_matrix(mat)
-    return CoeffGram(tuple(basis), m.conj().T @ m)
 
 
 def _float_match(fmat: np.ndarray, gmat: np.ndarray, tol: float,

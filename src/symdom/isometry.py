@@ -24,7 +24,9 @@ is one pass over the degrees on coefficient arrays (see
 the signed Gram product of the stack's coefficient matrix (see
 `kernels.signed_gram`) plus 1 minus the diagonal of (1 - |w|^2)^k, read
 off by bidegree blocks.  Exact jets keep the sparse routes: a solve that
-composes once per degree and a pullback summed as bidegree polynomials.
+composes once per degree, and a pullback summed as a bidegree polynomial
+(`kernels.h_pullback`) from whose terms the same diagonal, as integers,
+is subtracted in place.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ from .kernels import (SignedSOS, generator_composites, h_pullback,
 from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
                      ex_is_identity, ex_matmul, ex_nullspace, ex_transpose,
                      matrix_rank_tol, to_complex_matrix)
-from .poly import (BidegPoly, HoloPoly, JetMap, _graded_runs, _product_index,
+from .poly import (HoloPoly, JetMap, _graded_runs, _product_index,
                    compose_truncate, solve_graded_float)
-from .scalars import EXACT_ONE, EXACT_ZERO, Exact, as_complex, one, zero
+from .scalars import EXACT_ZERO, Exact, as_complex, one, zero
 
 __all__ = [
     "IsometryJet", "FEReport", "PolarizedReport", "RecoveredUnitary",
-    "VarietySystem", "ExtensionResult", "ball_kernel_power",
+    "VarietySystem", "ExtensionResult",
     "check_functional_eq", "jacobian_normalization_residual",
     "check_polarized_eq", "recover_matching_unitary", "build_k1_variety",
     "solve_component_jet", "membership_residual", "build_k2_variety",
@@ -109,16 +111,6 @@ class IsometryJet:
         return self._stack[d]
 
 
-def ball_kernel_power(n: int, k: int, mode: str = "exact",
-                      d: Optional[int] = None) -> BidegPoly:
-    """(1 - |w|^2)^k on C^n as a bidegree polynomial."""
-    base = BidegPoly.const(n, EXACT_ONE if mode == "exact" else 1.0)
-    for a in range(n):
-        w = HoloPoly.var(n, a, mode)
-        base = base - BidegPoly.sandwich(w, w)
-    return base.pow_trunc(k, d)
-
-
 @dataclass(frozen=True)
 class FEReport:
     """Coefficientwise residual of the pullback equation."""
@@ -136,16 +128,16 @@ def _nan_max(a: float, b: float) -> float:
     return b if b > a or b != b else a
 
 
-def _ball_kernel_diagonal(basis, k: int) -> np.ndarray:
+def _ball_kernel_diagonal(basis, k: int) -> list:
     """The coefficients of |w^alpha|^2 in (1 - |w|^2)^k for alpha in basis,
-    (-1)^|alpha| binom(k, |alpha|) |alpha|!/alpha!; (1 - |w|^2)^k has no
-    other terms."""
+    (-1)^|alpha| binom(k, |alpha|) |alpha|!/alpha!, as Python ints;
+    (1 - |w|^2)^k has no other terms."""
     out = []
     for alpha in basis:
         s = sum(alpha)
         multinomial = math.factorial(s) // math.prod(map(math.factorial, alpha))
         out.append((-1) ** s * math.comb(k, s) * multinomial)
-    return np.array(out, dtype=float)
+    return out
 
 
 def _float_residual(iso: IsometryJet, d: int) -> tuple:
@@ -160,7 +152,8 @@ def _float_residual(iso: IsometryJet, d: int) -> tuple:
     diff = signed_gram(iso.sos, iso.composites(d), basis)
     diff[0, 0] += 1.0
     top = first[iso.k + 1]  # B vanishes beyond |alpha| = k
-    diff[range(top), range(top)] -= _ball_kernel_diagonal(basis[:top], iso.k)
+    diff[range(top), range(top)] -= np.array(
+        _ball_kernel_diagonal(basis[:top], iso.k), dtype=float)
     # hypot rounds as Python's abs of a complex does; np.abs does not
     mags = np.hypot(diff.real, diff.imag)
     blocks = np.maximum.reduceat(
@@ -170,6 +163,28 @@ def _float_residual(iso: IsometryJet, d: int) -> tuple:
     per = {(p, q): float(blocks[p, q])
            for p, q in zip(rows.tolist(), cols.tolist())}
     return float(np.max(blocks[kept])), per, "float"
+
+
+def _exact_residual(iso: IsometryJet, d: int) -> tuple:
+    """The exact FE residual: the terms of ``h_pullback`` with the diagonal
+    of ``_ball_kernel_diagonal`` subtracted in place, read off term by
+    term; every diagonal entry of B has |alpha| <= k <= d / 2, so B lies
+    inside the triangle |alpha| + |beta| <= d."""
+    diff = dict(h_pullback(iso.sos, iso.jet.truncate(d), d,
+                           composites=iso.composites(d)).terms)
+    basis, _ = _product_index(iso.source_dim, iso.k)  # |alpha| <= k
+    for alpha, b in zip(basis, _ball_kernel_diagonal(basis, iso.k)):
+        diff[alpha, alpha] = diff.get((alpha, alpha), EXACT_ZERO) - b
+    per: Dict[Tuple[int, int], float] = {}
+    worst = 0.0
+    for (alpha, beta), c in diff.items():
+        if c.is_zero:
+            continue
+        key = (sum(alpha), sum(beta))
+        mag = abs(as_complex(c))
+        per[key] = _nan_max(per.get(key, 0.0), mag)
+        worst = _nan_max(worst, mag)
+    return worst, per, "exact"
 
 
 def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
@@ -183,10 +198,10 @@ def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
     the jet does not hold, so they would hold only vacuously or fail for a
     true isometry.  The residual is computed on the first call for each d
     and reused afterwards, as is the composite stack it squares.  Exact
-    jets subtract ``ball_kernel_power`` from ``h_pullback`` term by term;
-    float jets compute the same differences as one array (see
-    ``_float_residual``), so that a NaN anywhere in the jet makes the
-    residual NaN.
+    jets subtract the diagonal of (1 - |w|^2)^k from the terms of
+    ``h_pullback`` (see ``_exact_residual``); float jets compute the same
+    differences as one array (see ``_float_residual``), so that a NaN
+    anywhere in the jet makes the residual NaN.
     """
     d = iso.jet.degree if d is None else d
     if d < 2 * iso.k:
@@ -197,21 +212,9 @@ def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
         raise TruncationError(
             f"truncation degree {d} exceeds the jet degree "
             f"{iso.jet.degree}: the coefficients above it are unknown")
-    if d not in iso._fe and iso.mode == "float":
-        iso._fe[d] = _float_residual(iso, d)
     if d not in iso._fe:
-        lhs = h_pullback(iso.sos, iso.jet.truncate(d), d,
-                         composites=iso.composites(d))
-        rhs = ball_kernel_power(iso.jet.source_dim, iso.k, lhs.mode, d)
-        diff = lhs - rhs
-        per: Dict[Tuple[int, int], float] = {}
-        worst = 0.0
-        for (alpha, beta), c in diff.terms.items():
-            key = (sum(alpha), sum(beta))
-            mag = abs(as_complex(c))
-            per[key] = _nan_max(per.get(key, 0.0), mag)
-            worst = _nan_max(worst, mag)
-        iso._fe[d] = (worst, per, diff.mode)
+        iso._fe[d] = (_float_residual(iso, d) if iso.mode == "float"
+                      else _exact_residual(iso, d))
     worst, per, mode = iso._fe[d]
     return FEReport(max_residual=worst, per_bidegree=dict(per),
                     passed=worst <= tol, mode=mode, degree=d, tol=tol)

@@ -12,6 +12,12 @@ The first ``dim`` odd generators are always the coordinates themselves.
 Implemented expansions: polydisk (square-free monomials), type IV
 (coordinates and one half-sum of squares), type I (all k x k minors, signs by
 Cauchy-Binet).
+
+The pullback h(f, conj f) of a jet f is summed from its generator
+composites: as a sparse bidegree polynomial (`h_pullback`, the exact FE
+check's route), or as one signed Gram product of their coefficient matrix
+(`signed_gram`, the float check's route).  Curvature at the origin is a
+closed form in the generators' values along the direction.
 """
 
 from __future__ import annotations
@@ -24,9 +30,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import DomainSpec, ParameterError, make_spec
-from .poly import (BidegPoly, HoloPoly, JetMap, _product_index,
-                   compose_truncate, log_truncate)
-from .scalars import EXACT_ZERO, Exact, Scalar, as_complex, mode_of, one, zero
+from .poly import BidegPoly, HoloPoly, JetMap, compose_truncate
+from .scalars import Exact, Scalar, as_complex, mode_of, one, zero
 
 
 @dataclass(frozen=True)
@@ -168,16 +173,6 @@ def kernel_polarized_many(sos: SignedSOS, z, xi) -> np.ndarray:
     return 1.0 + prods @ np.array(signs, dtype=float)
 
 
-def kernel_bideg(sos: SignedSOS) -> BidegPoly:
-    """The full kernel polynomial as a bidegree polynomial in the ambient
-    coordinates."""
-    acc = BidegPoly.const(sos.nvars, one(sos.mode), sos.mode)
-    for sign, g in sos.signed_generators():
-        s = BidegPoly.sandwich(g, g)
-        acc = acc + (s if sign > 0 else -s)
-    return acc
-
-
 def generator_composites(sos: SignedSOS, f: JetMap, d: int) -> JetMap:
     """The generators (odd, then even) composed with f, truncated at d."""
     return compose_truncate(JetMap(sos.odd + sos.even, d), f, d)
@@ -207,11 +202,9 @@ def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None, *,
     stack ``generator_composites(sos, f, d)`` when the caller holds it
     (an IsometryJet keeps one per degree); otherwise it is composed here.
 
-    With C the composites' coefficient matrix and s the generator signs,
-    the sum is 1 + C^T diag(s) conj(C).  Float pullbacks take it from
-    ``signed_gram`` over the graded basis of the monomials of degree <= d
-    and keep the entries != 0 (a NaN among them); exact pullbacks
-    accumulate the same sum over nonzero coefficients only.
+    The sum, 1 plus the signed ``BidegPoly.sandwich(c, c, d)`` of each
+    composite c, runs over nonzero coefficients only, in either mode; the
+    float check uses ``signed_gram`` instead.
     """
     if f.target_dim != sos.nvars:
         raise ValueError(
@@ -223,20 +216,11 @@ def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None, *,
     mode = "exact" if sos.mode == f.mode == "exact" else "float"
     n = f.source_dim
     e0 = (0,) * n
-    if mode == "exact":
-        acc = {(e0, e0): one(mode)}
-        for sign, comp in zip(signs, composites.components):
-            for key, c in BidegPoly.sandwich(comp, comp, d).terms.items():
-                acc[key] = acc.get(key, EXACT_ZERO) + (c if sign > 0 else -c)
-        return BidegPoly.from_field(n, acc, mode)
-    basis, _ = _product_index(n, d)
-    gram = signed_gram(sos, composites, basis)
-    deg = np.array([sum(e) for e in basis], dtype=int)
-    rows, cols = np.nonzero((deg[:, None] + deg[None, :] <= d) & (gram != 0))
-    acc = dict(zip([(basis[a], basis[b])
-                    for a, b in zip(rows.tolist(), cols.tolist())],
-                   gram[rows, cols].tolist()))
-    acc[(e0, e0)] = acc.get((e0, e0), 0j) + 1.0
+    zero_c = zero(mode)
+    acc = {(e0, e0): one(mode)}
+    for sign, comp in zip(signs, composites.components):
+        for key, c in BidegPoly.sandwich(comp, comp, d).terms.items():
+            acc[key] = acc.get(key, zero_c) + (c if sign > 0 else -c)
     return BidegPoly.from_field(n, acc, mode)
 
 
@@ -253,30 +237,27 @@ def curvature_at_origin(sos: SignedSOS, alpha: Sequence) -> float:
     """Holomorphic sectional curvature of the canonical metric at 0 along a
     Euclidean-unit direction alpha.
 
-    Restricts h to the line t*alpha (each generator is homogeneous, so the
-    restriction has only diagonal bidegrees), takes log, and reads off the
-    |t|^4 coefficient c: the curvature is 4c. Always in [-2, -2/rank].
+    Each generator is homogeneous, so on the line t*alpha the kernel is
+    h = 1 + c1 |t|^2 + c2 |t|^4 + ..., with c_j the signed sum of
+    |g(alpha)|^2 over the degree-j generators.  The curvature is 4 times
+    the |t|^4 coefficient of log h, 4 Re(c2 - c1^2 / 2).  Always in
+    [-2, -2/rank].
     """
     alpha = [Exact.of(a) if mode_of(a) == "exact" and not isinstance(a, Exact)
              else a for a in alpha]
     norm2 = sum(abs(x) * abs(x) for x in map(as_complex, alpha))
     if not abs(norm2 - 1.0) <= 1e-9:  # NaN is not unit either
         raise ValueError(f"direction must be Euclidean-unit, got |alpha|^2 = {norm2}")
-    terms = {}
     mode = "exact" if sos.mode == "exact" and all(
         mode_of(a) == "exact" for a in alpha) else "float"
-    e0 = ((0,), (0,))
-    terms[e0] = one(mode)
+    c = {1: zero(mode), 2: zero(mode)}
     for sign, g in sos.signed_generators():
-        k = g.degree
-        val = g.evaluate(alpha)
-        mag = val * (val.conjugate() if isinstance(val, Exact)
-                     else complex(val).conjugate())
-        key = ((k,), (k,))
-        terms[key] = terms.get(key, zero(mode)) + mag * sign
-    h_line = BidegPoly(1, terms, mode)
-    c22 = log_truncate(h_line, 4).coeff((2,), (2,))
-    return 4.0 * as_complex(c22).real
+        if g.degree in c:
+            val = g.evaluate(alpha)
+            mag = val * (val.conjugate() if isinstance(val, Exact)
+                         else complex(val).conjugate())
+            c[g.degree] = c[g.degree] + mag * sign
+    return 4.0 * as_complex(c[2] - c[1] * c[1] / 2).real
 
 
 # -- interior membership and sampling ---------------------------------------

@@ -4,13 +4,13 @@ Three layers:
 
 * :class:`HoloPoly`   -- holomorphic polynomial in z_1..z_n; sparse dict from
   exponent tuples to coefficients. Zero coefficients are never stored. It
-  holds the one sparse arithmetic core (sums, scaling, truncated products
-  and powers).
+  holds the one sparse arithmetic core (sums, scaling and truncated
+  products).
 * :class:`BidegPoly`  -- polynomial in z and conj(z), a :class:`HoloPoly`
   whose keys are exponent pairs (alpha, beta) with degree |alpha| + |beta|,
   so ``truncate(d)`` and ``mul_trunc(other, d)`` cut at total degree d.
-  ``evaluate_polarized`` reads it as a function of two points (Calabi's
-  polarization).
+  ``sandwich(f, g, d)`` builds f(z) conj(g(z)); it exists for the exact
+  pullback ``kernels.h_pullback``, the one caller left.
 * :class:`JetMap`     -- a tuple of HoloPoly components, the degree-d Taylor
   polynomial of a holomorphic map.  :func:`compose_truncate` is the one
   composition routine: a stack of polynomials (kernel generators, variety
@@ -146,11 +146,6 @@ class HoloPoly:
     def coeff(self, exp: Exponent) -> Scalar:
         return self.terms.get(tuple(exp), zero(self.mode))
 
-    def homogeneous_part(self, m: int) -> "HoloPoly":
-        deg = self._deg
-        part = {e: c for e, c in self.terms.items() if deg(e) == m}
-        return self.from_field(self.nvars, part, self.mode)
-
     def truncate(self, d: int) -> "HoloPoly":
         if self.degree <= d:
             return self
@@ -229,14 +224,6 @@ class HoloPoly:
     def __mul__(self, other: "HoloPoly") -> "HoloPoly":
         return self.mul_trunc(other, None)
 
-    def pow_trunc(self, k: int, d: Optional[int] = None) -> "HoloPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        result = self.const(self.nvars, one(self.mode), self.mode)
-        for _ in range(k):
-            result = result.mul_trunc(self, d)
-        return result
-
     def substitute(self, args: Sequence["HoloPoly"], d: int) -> "HoloPoly":
         """Replace variable j by args[j], truncating at total degree d; the
         args must vanish at 0 (see :func:`compose_truncate`)."""
@@ -298,11 +285,6 @@ class BidegPoly(HoloPoly):
     # __add__, so the inherited method is bound here by name
     __add__ = HoloPoly.__add__
 
-    @classmethod
-    def const(cls, nvars: int, c, mode: Optional[str] = None) -> "BidegPoly":
-        e = (0,) * nvars
-        return cls(nvars, {(e, e): c}, mode)
-
     @staticmethod
     def sandwich(f: HoloPoly, g: HoloPoly,
                  d: Optional[int] = None) -> "BidegPoly":
@@ -337,68 +319,8 @@ class BidegPoly(HoloPoly):
                     acc[key] = acc.get(key, zero_c) + ca * cb.conjugate()
         return BidegPoly.from_field(f.nvars, acc, mode)
 
-    def coeff(self, alpha: Exponent, beta: Exponent) -> Scalar:
-        return self.terms.get((tuple(alpha), tuple(beta)), zero(self.mode))
-
-    def conj(self) -> "BidegPoly":
-        flipped = {(b, a): c.conjugate() for (a, b), c in self.terms.items()}
-        return self.from_field(self.nvars, flipped, self.mode)
-
-    def hermitian_residual(self) -> float:
-        return (self - self.conj()).max_abs_coeff()
-
-    def evaluate(self, z: Sequence) -> Scalar:
-        return self.evaluate_polarized(z, z)
-
-    def evaluate_polarized(self, z: Sequence, xi: Sequence) -> Scalar:
-        """Value with the anti-holomorphic side taken at xi: sum of
-        c * z^alpha * conj(xi)^beta."""
-        if len(z) != self.nvars or len(xi) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        z = [Exact.of(p) if isinstance(p, (int, Fraction)) else p for p in z]
-        xi = [Exact.of(p) if isinstance(p, (int, Fraction)) else p for p in xi]
-        exact_pt = all(mode_of(p) == "exact" for p in list(z) + list(xi))
-        total = zero(self.mode if exact_pt else "float")
-        xbar = [p.conjugate() if isinstance(p, Exact) else complex(p).conjugate()
-                for p in xi]
-        for (a, b), c in self.terms.items():
-            val = c
-            for j, e in enumerate(a):
-                for _ in range(e):
-                    val = val * z[j]
-            for j, e in enumerate(b):
-                for _ in range(e):
-                    val = val * xbar[j]
-            total = total + val
-        return total
-
     def __repr__(self):
         return f"BidegPoly({self.nvars} vars, {len(self.terms)} terms)"
-
-
-def log_truncate(p: BidegPoly, d: int) -> BidegPoly:
-    """log of a bidegree polynomial with constant term 1, truncated at total
-    degree d via the log(1 + x) series."""
-    e0 = (0,) * p.nvars
-    c0 = p.coeff(e0, e0)
-    if p.mode == "exact":
-        if not c0 == 1:
-            raise ValueError("log_truncate needs constant term exactly 1")
-    elif cabs(c0 - 1) > 1e-12:
-        raise ValueError("log_truncate needs constant term 1")
-    q = (p - BidegPoly.const(p.nvars, one(p.mode), p.mode)).truncate(d)
-    if q.is_zero:
-        return BidegPoly.zero(p.nvars, p.mode)
-    acc = BidegPoly.zero(p.nvars, p.mode)
-    power = BidegPoly.const(p.nvars, one(p.mode), p.mode)
-    for m in range(1, d + 1):
-        power = power.mul_trunc(q, d)
-        if power.is_zero:
-            break
-        coeff = Fraction((-1) ** (m + 1), m) if p.mode == "exact" \
-            else complex((-1) ** (m + 1) / m)
-        acc = acc + power.scale(coeff)
-    return acc
 
 
 class JetMap:
@@ -740,12 +662,3 @@ def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
                     acc[key] = acc.get(key, EXACT_ZERO) + c * v
         comps.append(HoloPoly.from_field(n, acc, "exact"))
     return JetMap(comps, d, n)
-
-
-def squared_norm(f: JetMap, d: Optional[int] = None) -> BidegPoly:
-    """sum_j f^j(z) conj(f^j(z)), each factor truncated at degree d."""
-    d = f.degree if d is None else d
-    acc = BidegPoly.zero(f.source_dim, f.mode)
-    for comp in f.components:
-        acc = acc + BidegPoly.sandwich(comp.truncate(d), comp.truncate(d))
-    return acc

@@ -117,10 +117,6 @@ class Exact:
         a, b, c, e, d = self._n
         return _raw((a, -b, c, -e, d))
 
-    def abs2(self) -> "Exact":
-        """|x|^2, a real element of Q(sqrt2)."""
-        return self * self.conjugate()
-
     def __complex__(self) -> complex:
         a, b, c, e, d = self._n
         s = math.sqrt(2.0)

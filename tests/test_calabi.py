@@ -10,7 +10,6 @@ import pytest
 from symdom import (
     Exact,
     UnitaryMatchError,
-    coefficient_gram,
     coefficient_matrix,
     complete_to_unitary,
     match_unitary,
@@ -25,7 +24,6 @@ from symdom.linalg import (
     ex_gram,
     ex_is_identity,
     ex_matmul,
-    to_complex_matrix,
 )
 from symdom.poly import HoloPoly, JetMap
 
@@ -117,17 +115,6 @@ def test_match_unitary_rejects_gram_mismatch():
     doubled = JetMap([c.scale(Exact(2)) for c in g.components], g.degree, 2)
     with pytest.raises(UnitaryMatchError):
         match_unitary(doubled, g)
-
-
-def test_coefficient_gram():
-    g = random_exact_jet(2, 3, 3, rng=random.Random(14))
-    gram = coefficient_gram(g)
-    assert gram.matrix.shape == (len(gram.basis), len(gram.basis))
-    assert np.max(np.abs(gram.matrix - gram.matrix.conj().T)) < 1e-12
-    assert gram.max_difference(coefficient_gram(g)) == 0.0
-    mat, basis = coefficient_matrix(g)
-    m = to_complex_matrix(mat)
-    assert np.max(np.abs(m.conj().T @ m - gram.matrix)) < 1e-12
 
 
 def test_random_coisometry_modes():

@@ -18,7 +18,8 @@ def _tool():
 
 
 def test_grid_is_204_commands():
-    labelled = _tool().commands()
+    labelled = [(label, argv) for label, argv in _tool().commands()
+                if argv[0] != "kernel"]
     names = [argv[0] for _, argv in labelled]
     assert len(labelled) == 204
     assert names[:3] == ["construct", "verify", "extend"]
@@ -26,6 +27,34 @@ def test_grid_is_204_commands():
     assert len({label for label, _ in labelled}) == 204
     assert all("--variety" in argv for _, argv in labelled
                if argv[0] == "construct")
+
+
+def test_kernel_directions_follow_the_grid():
+    # each of the grid's 5 families, in both modes, along the two unit
+    # directions, after the 204 grid commands
+    tool = _tool()
+    labelled = tool.commands()
+    kernel = labelled[204:]
+    assert len(labelled) == 224
+    assert len({label for label, _ in labelled}) == 224
+    assert [argv[0] for _, argv in kernel] == ["kernel"] * 20
+    families = {tuple(argv[1:argv.index("--mode")]) for _, argv in kernel}
+    assert len(families) == 5
+    for family in families:
+        runs = [argv for _, argv in kernel
+                if tuple(argv[1:argv.index("--mode")]) == family]
+        assert sorted(argv[argv.index("--mode") + 1] for argv in runs) == \
+            ["exact", "exact", "float", "float"]
+        assert len({argv[argv.index("--direction") + 1]
+                    for argv in runs}) == 2
+    for dim in (4, 6, 8):
+        for _, direction in tool.directions(dim):
+            coords = [complex(*c) if isinstance(c, list) else c
+                      for c in direction]
+            assert len(coords) == dim
+            assert abs(sum(abs(c) ** 2 for c in coords) - 1.0) < 1e-15
+        axis, off = (d for _, d in tool.directions(dim))
+        assert sum(c != 0 for c in axis) == 1 and sum(c != 0 for c in off) == 2
 
 
 def test_worker_records_exit_stderr_and_digest(tmp_path, monkeypatch):
@@ -163,3 +192,23 @@ def test_compare_counts_differing_exact_mode_documents(tmp_path):
     assert (diffs, exact_docs) == (9, 4)
     theirs[1] = ours[1]  # the exact verify document agrees
     assert tool.compare(labelled, ours, theirs, here, other)[3] == 3
+
+
+def test_compare_counts_exact_kernel_documents(tmp_path):
+    # a kernel document takes its command's --mode
+    tool = _tool()
+    here, other = tmp_path / "here", tmp_path / "other"
+    here.mkdir()
+    other.mkdir()
+    labelled = []
+    for name, mode in (("e.kernel", "exact"), ("f.kernel", "float")):
+        (here / name).write_text(json.dumps({"curvature": -1.0}))
+        (other / name).write_text(json.dumps({"curvature": -1.0 + 2 ** -52}))
+        labelled.append((f"kernel {name}", [
+            "kernel", "--mode", mode, "--direction", "[1.0]", "--out", name]))
+    ours = [[0, [], "here-e"], [0, [], "here-f"]]
+    theirs = [[0, [], "other-e"], [0, [], "other-f"]]
+    _, diffs, largest, exact_docs = tool.compare(labelled, ours, theirs,
+                                                 here, other)
+    assert (diffs, exact_docs) == (2, 1)
+    assert largest == {"identical": 2 ** -52, "differs": None}

@@ -1,5 +1,6 @@
 """Jet-level isometry verification, construction, varieties, extension."""
 
+import functools
 import math
 import sys
 import warnings
@@ -46,7 +47,9 @@ from symdom.linalg import ex_conj_t, principal_angles, to_complex_matrix
 from symdom.poly import _product_index
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 from workloads import CONSTRUCT_GRID  # noqa: E402
+from bideg_reference import ball_kernel_power, gram_pullback  # noqa: E402
 
 DEG = 6
 
@@ -271,11 +274,14 @@ def _nan_max(a, b):
 
 def _reference_fe(iso, d):
     # the pullback minus (1 - |w|^2)^k as bidegree polynomials, read off
-    # one term at a time, on the composite stack the check squares
-    lhs = kernels.h_pullback(iso.sos, iso.jet.truncate(d), d,
-                             composites=iso.composites(d))
-    diff = lhs - isometry.ball_kernel_power(iso.source_dim, iso.k, "float",
-                                            d)
+    # one term at a time, on the composite stack the check squares: the
+    # sparse sum of h_pullback for exact jets, the masked Gram product for
+    # float ones
+    stack = iso.composites(d)
+    lhs = (kernels.h_pullback(iso.sos, iso.jet.truncate(d), d,
+                              composites=stack) if iso.mode == "exact"
+           else gram_pullback(iso.sos, stack, d))
+    diff = lhs - ball_kernel_power(iso.source_dim, iso.k, iso.mode, d)
     per, worst = {}, 0.0
     for (alpha, beta), c in diff.terms.items():
         key = (sum(alpha), sum(beta))
@@ -360,10 +366,61 @@ def test_ball_kernel_diagonal_matches_power(n, k):
     d = 2 * k + 1
     basis, _ = _product_index(n, d)
     diagonal = isometry._ball_kernel_diagonal(basis, k)
-    power = isometry.ball_kernel_power(n, k, "exact", d)
+    assert all(type(b) is int for b in diagonal)
+    power = ball_kernel_power(n, k, "exact", d)
     assert all(alpha == beta for alpha, beta in power.terms)
-    assert {alpha: complex(c) for (alpha, _), c in power.terms.items()} == \
-        {alpha: b for alpha, b in zip(basis, diagonal.tolist()) if b}
+    assert {alpha: c for (alpha, _), c in power.terms.items()} == \
+        {alpha: b for alpha, b in zip(basis, diagonal) if b}
+
+
+def _plus_tenth(iso, d, i, deg):
+    """The jet truncated at d with 1/10 added to component i at its first
+    degree-deg monomial (w_1^deg when it has none), as an IsometryJet."""
+    comps = list(iso.jet.truncate(d).components)
+    n = iso.source_dim
+    exp = next((e for e, _ in comps[i].sorted_terms() if sum(e) == deg),
+               (deg,) + (0,) * (n - 1))
+    terms = dict(comps[i].terms)
+    terms[exp] = terms.get(exp, 0) + Fraction(1, 10)
+    comps[i] = HoloPoly(n, terms, "exact")
+    return IsometryJet(JetMap(comps, d, n), iso.k, iso.sos)
+
+
+def _exact_construct(family, params, dim, d=6):
+    spec = make_spec(family, **params)
+    rows = random_coisometry(spec.dim - dim, spec.dim, 1, "exact")
+    return solve_component_jet(rows, make_sos(spec, "exact"), degree=d)
+
+
+EXACT_FE_JETS = {
+    **{f"{family}({','.join(map(str, params.values()))})-dim{dim}":
+       functools.partial(_exact_construct, family, params, dim)
+       for family, params, dims in CONSTRUCT_GRID for dim in dims},
+    **{b.__name__: b for b in CANONICAL},
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_FE_JETS))
+def test_exact_fe_matches_bidegree_reference(name):
+    # the exact grid jets at seed 1 and the exact disks (k = 1 and k = 2):
+    # every truncation degree d from 2k to 6, as built and with 1/10 added
+    # at each degree 1..d of each component
+    iso = EXACT_FE_JETS[name]()
+    assert iso.mode == "exact"
+    failed = 0
+    for d in range(2 * iso.k, iso.jet.degree + 1):
+        jets = [IsometryJet(iso.jet.truncate(d), iso.k, iso.sos)]
+        jets += [_plus_tenth(iso, d, i, deg)
+                 for i in range(iso.jet.target_dim) for deg in range(1, d + 1)]
+        for j, jet in enumerate(jets):
+            rep = check_functional_eq(jet, d)
+            assert rep.mode == "exact"
+            assert (rep.max_residual, rep.per_bidegree) == \
+                _reference_fe(jet, d)
+            if j == 0:
+                assert rep.max_residual == 0.0 and rep.per_bidegree == {}
+            failed += not rep.passed
+    assert failed > 0
 
 
 def test_nan_coefficient_fails_checks():

@@ -4,8 +4,10 @@ import cmath
 import itertools
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +23,13 @@ from symdom import (
     check_functional_eq,
     contains,
     curvature_at_origin,
-    kernel_bideg,
     kernel_polarized,
     kernel_value,
     make_sos,
     make_spec,
     minimal_embedding,
     random_coisometry,
+    random_exact_unitary,
     solve_component_jet,
     sos_counts,
     sos_polydisk,
@@ -36,6 +38,10 @@ from symdom import (
 )
 from symdom.kernels import (generator_composites, h_pullback,
                             kernel_polarized_many)
+from symdom.scalars import mode_of, one, zero
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bideg_reference import gram_pullback  # noqa: E402
 
 
 def exact_det(m):
@@ -170,10 +176,6 @@ def test_kernel_is_one_at_origin():
         sos = make_sos(spec)
         zero_pt = [Exact(0)] * spec.dim
         assert kernel_value(sos, zero_pt) == Exact(1)
-        kb = kernel_bideg(sos)
-        for (alpha, beta) in kb.terms:
-            if sum(beta) == 0:
-                assert sum(alpha) == 0
 
 
 def test_polarized_hermitian_symmetry():
@@ -214,18 +216,21 @@ def test_minimal_embedding_layout():
                for c in emb[4:])
 
 
-def test_curvature_anchors():
-    disk2 = sos_polydisk(2)
-    assert abs(curvature_at_origin(disk2, [Exact(1), Exact(0)]) + 2.0) < 1e-12
-    assert abs(curvature_at_origin(disk2, [HALF_SQRT2, HALF_SQRT2]) + 1.0) < 1e-12
-    disk4 = sos_polydisk(4)
+def _curvature_anchors():
+    """(expansion, exact unit direction, curvature) at known values."""
     half = Exact(Fraction(1, 2))
-    assert abs(curvature_at_origin(disk4, [half] * 4) + 0.5) < 1e-12
-    quad = sos_type_iv(4)
     e1 = [Exact(1), Exact(0), Exact(0), Exact(0)]
-    assert abs(curvature_at_origin(quad, e1) + 1.0) < 1e-12
     null_dir = [HALF_SQRT2, Exact(0, 0, 0, Fraction(1, 2)), Exact(0), Exact(0)]
-    assert abs(curvature_at_origin(quad, null_dir) + 2.0) < 1e-12
+    return [(sos_polydisk(2), [Exact(1), Exact(0)], -2.0),
+            (sos_polydisk(2), [HALF_SQRT2, HALF_SQRT2], -1.0),
+            (sos_polydisk(4), [half] * 4, -0.5),
+            (sos_type_iv(4), e1, -1.0),
+            (sos_type_iv(4), null_dir, -2.0)]
+
+
+def test_curvature_anchors():
+    for sos, direction, want in _curvature_anchors():
+        assert abs(curvature_at_origin(sos, direction) - want) < 1e-12
 
 
 def test_curvature_window():
@@ -241,6 +246,63 @@ def test_curvature_window():
             v = [c / nrm for c in v]
             k = curvature_at_origin(sos, v)
             assert lo <= k <= hi
+
+
+def log_series_curvature(sos, alpha):
+    """4 times the |t|^4 coefficient of log h on the line t*alpha, from the
+    series log(1 + x) = x - x^2/2 + x^3/3 - ... in bidegree polynomials of
+    one variable, cut at total degree 4."""
+    alpha = [Exact.of(a) if mode_of(a) == "exact" and not isinstance(a, Exact)
+             else a for a in alpha]
+    mode = "exact" if sos.mode == "exact" and all(
+        mode_of(a) == "exact" for a in alpha) else "float"
+    e0 = ((0,), (0,))
+    terms = {e0: one(mode)}
+    for sign, g in sos.signed_generators():
+        val = g.evaluate(alpha)
+        mag = val * (val.conjugate() if isinstance(val, Exact)
+                     else complex(val).conjugate())
+        key = ((g.degree,), (g.degree,))
+        terms[key] = terms.get(key, zero(mode)) + mag * sign
+    unit = BidegPoly(1, {e0: one(mode)}, mode)
+    x = (BidegPoly(1, terms, mode) - unit).truncate(4)
+    log, power = BidegPoly.zero(1, mode), unit
+    for m in range(1, 5):
+        power = power.mul_trunc(x, 4)
+        coeff = Fraction((-1) ** (m + 1), m) if mode == "exact" \
+            else complex((-1) ** (m + 1) / m)
+        log = log + power.scale(coeff)
+    return 4.0 * complex(log.terms.get(((2,), (2,)), 0)).real
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("spec", [make_spec("polydisk", p=3),
+                                  make_spec("IV", n=5),
+                                  make_spec("I", p=2, q=3)],
+                         ids=lambda s: s.label)
+def test_curvature_closed_form_equals_log_series(spec, mode):
+    # 30 unit directions: exact rows of exact unitaries, or normalized
+    # Gaussian vectors; then the anchors of test_curvature_anchors
+    r = random.Random(321)
+    sos = make_sos(spec, mode=mode)
+    if mode == "exact":
+        dirs = [row for seed in range(30)
+                for row in random_exact_unitary(spec.dim, seed)][:30]
+    else:
+        dirs = []
+        for _ in range(30):
+            v = [complex(r.gauss(0, 1), r.gauss(0, 1))
+                 for _ in range(spec.dim)]
+            nrm = math.sqrt(sum(abs(c) ** 2 for c in v))
+            dirs.append([c / nrm for c in v])
+    cases = [(sos, v) for v in dirs]
+    for anchor, v, _ in _curvature_anchors():
+        if mode == "float":
+            anchor = make_sos(anchor.spec, mode="float")
+            v = [complex(c) for c in v]
+        cases.append((anchor, v))
+    for s, v in cases:
+        assert curvature_at_origin(s, v) == log_series_curvature(s, v)
 
 
 def test_contains():
@@ -261,7 +323,8 @@ def test_contains():
             assert contains(s, rand_interior(spec, r))
 
 
-# -- float pullback: the signed Gram product against a loop reference -------
+# -- float pullback: 1 + the triangle-masked signed Gram product, as the ----
+# -- float FE check forms it, against a loop reference ----------------------
 
 GRAM_SPECS = [make_spec("polydisk", p=3), make_spec("IV", n=4),
               make_spec("I", p=2, q=3)]
@@ -269,9 +332,9 @@ GRAM_SPECS = [make_spec("polydisk", p=3), make_spec("IV", n=4),
 
 def loop_pullback(sos, f, d):
     """1 plus the signed sum of BidegPoly.sandwich(c, c, d) over the
-    generator composites: the float pullback as it was summed before the
-    Gram product."""
-    acc = BidegPoly.const(f.source_dim, 1.0, "float")
+    generator composites, summed term by term."""
+    e0 = (0,) * f.source_dim
+    acc = BidegPoly(f.source_dim, {(e0, e0): 1.0}, "float")
     comps = generator_composites(sos, f, d).components
     signs = [-1] * len(sos.odd) + [1] * len(sos.even)
     for sign, comp in zip(signs, comps):
@@ -300,8 +363,7 @@ def test_float_pullback_gaussian_integers_equal_loop(spec):
         f = random_float_jet(spec, r, lambda g: complex(g.randint(-2, 2),
                                                        g.randint(-2, 2)))
         for d in (2, 3, 4):
-            got = h_pullback(sos, f, d)
-            assert got.mode == "float"
+            got = gram_pullback(sos, generator_composites(sos, f, d), d)
             assert got.terms == loop_pullback(sos, f, d).terms
 
 
@@ -315,11 +377,10 @@ def test_float_pullback_random_jets_match_loop(spec):
         f = random_float_jet(spec, r, lambda g: complex(g.gauss(0, 1),
                                                        g.gauss(0, 1)))
         ref = loop_pullback(sos, f, 4)
-        got = h_pullback(sos, f, 4)
+        got = gram_pullback(sos, generator_composites(sos, f, 4), 4)
         scale = max(1.0, ref.max_abs_coeff())
         assert (got - ref).max_abs_coeff() <= 1e-12 * scale
-        # the route is chosen by mode: an exact expansion with a float jet
-        # is a float pullback too
+        # an exact expansion with a float jet is a float pullback too
         mixed = h_pullback(make_sos(spec, mode="exact"), f, 4)
         assert mixed.mode == "float"
         assert (mixed - ref).max_abs_coeff() <= 1e-12 * scale

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symdom import Exact, HoloPoly, BidegPoly, JetMap
-from symdom import compose_truncate, log_truncate, squared_norm
+from symdom import compose_truncate
 from symdom import poly
 
 
@@ -85,7 +85,7 @@ def assert_terms_match(got, want):
         assert got.terms == {k: c for k, c in want.items() if not c.is_zero}
     else:
         for k in set(got.terms) | set(want):
-            assert abs(got.coeff(*k) - want.get(k, 0)) < 1e-12
+            assert abs(got.terms.get(k, 0) - want.get(k, 0)) < 1e-12
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -96,9 +96,6 @@ def test_bideg_arithmetic_against_pair_convolution(mode):
         b = rand_bideg(r, 2, 3, mode, terms=4)
         assert a.degree == max(map(bideg_degree, a.terms), default=0)
         prod = naive_bideg_product(a.terms, b.terms)
-        powers = [{((0, 0), (0, 0)): Exact(1) if mode == "exact" else 1 + 0j}]
-        for _ in range(3):
-            powers.append(naive_bideg_product(powers[-1], a.terms))
         for d in range(8):
             cut = a.truncate(d)
             assert cut.terms == {k: c for k, c in a.terms.items()
@@ -107,14 +104,8 @@ def test_bideg_arithmetic_against_pair_convolution(mode):
             got = a.mul_trunc(b, d)
             assert_terms_match(got, {k: c for k, c in prod.items()
                                      if bideg_degree(k) <= d})
-            results = [cut, got]
-            for k in range(4):
-                pw = a.pow_trunc(k, d)
-                assert_terms_match(pw, {key: c for key, c in powers[k].items()
-                                        if bideg_degree(key) <= d})
-                results.append(pw)
-            results += [a * b, a + b, a - b, -a, a.scale(2), a.to_float(),
-                        BidegPoly.zero(2, mode), BidegPoly.const(2, 1, mode)]
+            results = [cut, got, a * b, a + b, a - b, -a, a.scale(2),
+                       a.to_float(), BidegPoly.zero(2, mode)]
             assert all(type(p) is BidegPoly for p in results)
 
 
@@ -170,7 +161,7 @@ def test_homogeneous_parts_and_truncate():
     p = rand_poly(r, 2, 4, terms=8)
     rebuilt = HoloPoly.zero(2)
     for m in range(p.degree + 1):
-        part = p.homogeneous_part(m)
+        part = p.truncate(m) - p.truncate(m - 1)
         for e in part.terms:
             assert sum(e) == m
         rebuilt = rebuilt + part
@@ -178,70 +169,13 @@ def test_homogeneous_parts_and_truncate():
     assert p.truncate(2).degree <= 2
 
 
-def test_squared_norm_pointwise():
-    r = random.Random(31)
-    comps = [rand_poly(r, 2, 3, mode="float") for _ in range(3)]
-    comps = [c - HoloPoly.const(2, c.constant_term(), "float") for c in comps]
-    f = JetMap(comps, 3, 2)
-    sn = squared_norm(f)
-    for _ in range(20):
-        pt = [complex(r.uniform(-0.4, 0.4), r.uniform(-0.4, 0.4))
-              for _ in range(2)]
-        direct = sum(abs(c.evaluate(pt)) ** 2 for c in comps)
-        assert abs(sn.evaluate(pt) - direct) < 1e-10
-
-
-def test_log_of_disk_kernel():
-    # log(1 - |w|^2) = -|w|^2 - |w|^4/2 - |w|^6/3 - ...
-    w = HoloPoly.var(1, 0)
-    h = BidegPoly.const(1, Exact(1)) - BidegPoly.sandwich(w, w)
-    lg = log_truncate(h, 6)
-    assert lg.coeff((1,), (1,)) == Exact(-1)
-    assert lg.coeff((2,), (2,)) == Exact(Fraction(-1, 2))
-    assert lg.coeff((3,), (3,)) == Exact(Fraction(-1, 3))
-    assert lg.coeff((1,), (2,)).is_zero
-
-
-def exp_truncate(p, d):
-    acc = BidegPoly.const(p.nvars, Exact(1)) if p.mode == "exact" else \
-        BidegPoly.const(p.nvars, 1.0, "float")
-    term = acc
-    for k in range(1, d + 1):
-        term = term.mul_trunc(p, d).scale(Exact(Fraction(1, k))
-                                          if p.mode == "exact" else 1.0 / k)
-        acc = acc + term
-    return acc
-
-
-def test_exp_log_roundtrip():
-    w1 = HoloPoly.var(2, 0)
-    w2 = HoloPoly.var(2, 1)
-    h = (BidegPoly.const(2, Exact(1)) - BidegPoly.sandwich(w1, w1)
-         - BidegPoly.sandwich(w2, w2).scale(Exact(Fraction(1, 2))))
-    d = 6
-    assert exp_truncate(log_truncate(h, d), d).truncate(d) == h.truncate(d)
-
-
-def test_polarize_restrict_roundtrip():
-    r = random.Random(13)
-    f = rand_poly(r, 2, 2)
-    g = rand_poly(r, 2, 2)
-    p = BidegPoly.sandwich(f, g) + BidegPoly.sandwich(g, f)
-    z = [complex(0.1, -0.2), complex(0.05, 0.3)]
-    xi = [complex(-0.2, 0.1), complex(0.4, 0.0)]
-    same = p.evaluate_polarized(z, z)
-    assert abs(same - complex(p.evaluate(z))) < 1e-12
-    mixed = p.evaluate_polarized(z, xi)
-    swapped = p.evaluate_polarized(xi, z)
-    assert abs(mixed - swapped.conjugate()) < 1e-12
-
-
 def test_sandwich_hermitian():
     r = random.Random(17)
     for _ in range(10):
         f = rand_poly(r, 2, 3)
         p = BidegPoly.sandwich(f, f)
-        assert p.hermitian_residual() == 0.0
+        assert all(p.terms[b, a] == c.conjugate()
+                   for (a, b), c in p.terms.items())
 
 
 def test_compose_truncate_chain():
@@ -420,8 +354,6 @@ def test_lean_core_matches_coercing_constructor(mode, data):
         (a.mul_trunc(b, d), {e: v for e, v in _product_terms(
             a.terms, b.terms).items() if sum(e) <= d}),
         (a.truncate(d), {e: v for e, v in a.terms.items() if sum(e) <= d}),
-        (a.homogeneous_part(d), {e: v for e, v in a.terms.items()
-                                 if sum(e) == d}),
     ]
     outer = JetMap([a, b], 3)
     composed = compose_truncate(outer, inner, d).components
@@ -458,7 +390,7 @@ def test_lean_core_keeps_nan():
     p = HoloPoly(2, {(1, 0): nan, (0, 1): 1 + 0j, (2, 1): 2j}, "float")
     one_f = HoloPoly.const(2, 1, "float")
     results = [p + p, p - p, -p, p.scale(2.0), p.mul_trunc(one_f, 4),
-               p.truncate(2), p.homogeneous_part(1),
+               p.truncate(2),
                JetMap([p], 2).components[0],
                BidegPoly.sandwich(p, p, 4), BidegPoly.sandwich(p, one_f, 4)]
     # the float composition route: a NaN in either factor, or a value

@@ -5,7 +5,11 @@
 Runs ``construct --variety``, then ``verify`` and ``extend`` on its output,
 through ``symdom.cli.main`` on the benchmark's construct grid
 (``bench/workloads.py``: 17 cases), in exact and float mode, at seed 9 with
-degree 6 and at seed 901 with degree 4: 204 commands.  Each checkout runs
+degree 6 and at seed 901 with degree 4: 204 commands.  Then ``kernel
+--direction`` on each of the grid's 5 families, in both modes, along a
+coordinate axis and along one direction off the axes: 20 commands, whose
+documents hold the curvature at the origin; 224 commands in all.  Each
+checkout runs
 them in one process of its own, importing symdom from its ``src/``.  For
 every command the exit code, the lines written to stderr and the sha256 of
 the output document are compared; every difference is printed, and the
@@ -18,8 +22,9 @@ difference separately for documents whose input is identical and for
 those whose input differs: a difference that only propagates from the
 input is told apart from one the command itself makes.  The summary also
 counts the differing exact-mode documents: ``construct`` and ``verify``
-documents of the exact cases, and ``extend`` documents with
-``"mode": "exact"`` (an exact input may extend in floating point).
+documents of the exact cases, ``kernel`` documents with ``--mode exact``,
+and ``extend`` documents with ``"mode": "exact"`` (an exact input may
+extend in floating point).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,11 +58,7 @@ def commands() -> list:
     for seed, degree in RUNS:
         for mode in MODES:
             for family, params, dims in CONSTRUCT_GRID:
-                items = sorted(params.items())
-                fam = ["--family", family]
-                for name, val in items:
-                    fam += [f"--{name}", str(val)]
-                vals = ",".join(str(v) for _, v in items)
+                fam, vals = _family(family, params)
                 for dim in dims:
                     case = (f"{family}({vals}) dim {dim} {mode} seed {seed} "
                             f"degree {degree}")
@@ -68,7 +70,34 @@ def commands() -> list:
                     for name in ("verify", "extend"):
                         out.append((f"{name} {case}", [
                             name, "--in", jet, "--out", f"{jet}.{name}"]))
+    for family, params, _ in CONSTRUCT_GRID:
+        fam, vals = _family(family, params)
+        dim = math.prod(params.values())  # IV(n): n, I(p, q): p q
+        for mode in MODES:
+            for name, direction in directions(dim):
+                out.append((f"kernel {family}({vals}) {mode} {name}", [
+                    "kernel", *fam, "--mode", mode, "--direction",
+                    json.dumps(direction), "--out",
+                    f"{len(out)}.kernel.json"]))
     return out
+
+
+def _family(family: str, params: dict) -> tuple:
+    """(the family options of a command, its parameters joined by commas)."""
+    items = sorted(params.items())
+    fam = ["--family", family]
+    for name, val in items:
+        fam += [f"--{name}", str(val)]
+    return fam, ",".join(str(v) for _, v in items)
+
+
+def directions(dim: int) -> list:
+    """(name, direction) of the two unit directions the curvature is taken
+    along: the first coordinate axis, and 0.6 e_1 + 0.8i e_dim, on which a
+    degree-2 generator of each grid family is nonzero."""
+    axis = [1.0] + [0.0] * (dim - 1)
+    off = [0.6] + [0.0] * (dim - 2) + [[0.0, 0.8]]
+    return [("axis", axis), ("off-axis", off)]
 
 
 def collect(argvs: list) -> list:
@@ -177,14 +206,14 @@ def compare(labelled: list, ours: list, theirs: list, here_dir: Path,
     lines, diffs, exact_docs = [], 0, 0
     largest = {"identical": None, "differs": None}
     changed = {}  # document -> whether its sha256 differs
-    modes = {}  # jet document -> mode of its construct
+    modes = {}  # construct or kernel document -> its --mode
     for (label, argv), a, b in zip(labelled, ours, theirs):
         source = argv[argv.index("--in") + 1] if "--in" in argv else None
         key = "differs" if changed.get(source) else "identical"
         tag = " (input differs)" if key == "differs" else ""
         doc = argv[argv.index("--out") + 1]
         changed[doc] = a[2] != b[2]
-        if argv[0] == "construct":
+        if argv[0] in ("construct", "kernel"):
             modes[doc] = argv[argv.index("--mode") + 1] \
                 if "--mode" in argv else "exact"
         if changed[doc]:

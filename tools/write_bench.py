@@ -17,7 +17,9 @@ Steps, one after another so that no two measurements share the CPU:
   the per-layer metrics as the harness prints them;
 * ``tier1_s``: the wall time of the tier-1 suite (ROADMAP's command), its
   pass / fail counts, and the times of acceptance criteria 6 and 7 from
-  its JUnit report.
+  its JUnit report;
+* ``src_lines``: the line count of ``src/**/*.py``, as ``wc -l`` counts
+  it, the size of the package that ROADMAP tracks.
 
 Run it from a source checkout; it measures the checkout it sits in, so a
 copy placed in another checkout measures that one.  A full run takes
@@ -59,6 +61,12 @@ def git_dirty():
     proc = subprocess.run(["git", "diff", "--quiet", "HEAD", "--"],
                           cwd=ROOT, capture_output=True)
     return {0: False, 1: True}.get(proc.returncode)
+
+
+def src_lines(root: Path = ROOT) -> int:
+    """Newlines in the files ``src/**/*.py`` under root (``wc -l``)."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src").rglob("*.py"))
 
 
 def summary(values) -> dict:
@@ -121,6 +129,7 @@ def main(argv=None) -> int:
                         "trace_seed": TRACE_SEED},
            "e2e": e2e, "layers": layers}
     out.update(tier1())
+    out["src_lines"] = src_lines()
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
