@@ -9,7 +9,7 @@ diagonal targets.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,19 +19,15 @@ from .linalg import (ExactMatrix, coisometry_residual, ex_complete_orthonormal,
                      ex_conj_t, ex_gram, ex_is_identity, ex_matmul, ex_rank,
                      ex_solve_row_system, null_space, phase_normalize_columns,
                      row_complement)
-from .poly import JetMap
+from .poly import JetMap, _monomial_basis
 from .scalars import EXACT_ZERO
 
 __all__ = ["coefficient_matrix", "match_unitary", "complete_to_unitary",
            "sos_signature_bound"]
 
-
-def _monomial_basis(jets: Sequence[JetMap]) -> List[tuple]:
-    exps = set()
-    for jet in jets:
-        for comp in jet.components:
-            exps.update(comp.terms.keys())
-    return sorted(exps, key=lambda e: (sum(e), e))
+# in the float match, a singular value of the source's coefficient matrix
+# below RANK_TOL times max(1, the largest) counts as zero
+RANK_TOL = 1e-8
 
 
 def coefficient_matrix(jet: JetMap, basis: Optional[Sequence[tuple]] = None):
@@ -51,8 +47,8 @@ def coefficient_matrix(jet: JetMap, basis: Optional[Sequence[tuple]] = None):
     return jet.float_coefficients(basis), list(basis)
 
 
-def _float_match(fmat: np.ndarray, gmat: np.ndarray, tol: float,
-                 rank_tol: float = 1e-8) -> np.ndarray:
+def _float_match(fmat: np.ndarray, gmat: np.ndarray,
+                 tol: float) -> np.ndarray:
     n = gmat.shape[0]
     scale = max(1.0, float(np.max(np.abs(fmat))), float(np.max(np.abs(gmat))))
     gram_gap = float(np.max(np.abs(fmat.conj().T @ fmat -
@@ -61,7 +57,7 @@ def _float_match(fmat: np.ndarray, gmat: np.ndarray, tol: float,
         raise UnitaryMatchError(
             f"coefficient Grams differ by {gram_gap:.3e}")
     w, s, vh = np.linalg.svd(gmat)
-    rank = int(np.sum(s > rank_tol * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
     x = w[:, :rank]
     y = fmat @ vh.conj().T[:, :rank] @ np.diag(1.0 / s[:rank])
     u = y @ x.conj().T

@@ -290,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ker.add_argument("--point", default=None,
                        help="JSON list of coordinates, numbers or [re, im]")
     p_ker.add_argument("--direction", default=None,
-                       help="unit direction for curvature, same syntax")
+                       help="unit direction for curvature, same syntax; "
+                            "read as floats, so the curvature is a float "
+                            "computation in either --mode")
     p_ker.add_argument("--format", choices=["json", "text"], default="json")
     p_ker.add_argument("--out", default=None)
     p_ker.set_defaults(func=cmd_kernel)

@@ -19,8 +19,9 @@ pipeline that checks the same jet at several stages pays for one check,
 and unitary recovery and extension slice the plus block out of that
 stack.  A jet rebuilt by `solve_component_jet` is handed the stack its
 solve built, so its check composes nothing.  In floating point the solve
-is one pass over the degrees on coefficient arrays (see
-`poly.solve_graded_float`), and the pullback check is one array identity:
+is the degree pass that float composition runs too, on coefficient
+arrays over one cached graded basis (see `poly.solve_graded_float`), and
+the pullback check is one array identity over that basis:
 the signed Gram product of the stack's coefficient matrix (see
 `kernels.signed_gram`) plus 1 minus the diagonal of (1 - |w|^2)^k, read
 off by bidegree blocks.  Exact jets keep the sparse routes: a solve that
@@ -46,8 +47,8 @@ from .kernels import (SignedSOS, generator_composites, h_pullback,
 from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
                      ex_is_identity, ex_matmul, ex_nullspace, ex_transpose,
                      matrix_rank_tol, to_complex_matrix)
-from .poly import (HoloPoly, JetMap, _graded_runs, _product_index,
-                   compose_truncate, solve_graded_float)
+from .poly import (HoloPoly, JetMap, _graded, compose_truncate,
+                   solve_graded_float)
 from .scalars import EXACT_ZERO, Exact, as_complex, one, zero
 
 __all__ = [
@@ -147,8 +148,7 @@ def _float_residual(iso: IsometryJet, d: int) -> tuple:
     (p, q) of D with p + q <= d.  A block is reported when it holds an
     entry != 0, and a NaN entry makes its maximum NaN."""
     n = iso.jet.source_dim
-    basis, _ = _product_index(n, d)
-    first, _ = _graded_runs(n, d)
+    basis, first, _ = _graded(n, d)
     diff = signed_gram(iso.sos, iso.composites(d), basis)
     diff[0, 0] += 1.0
     top = first[iso.k + 1]  # B vanishes beyond |alpha| = k
@@ -172,7 +172,7 @@ def _exact_residual(iso: IsometryJet, d: int) -> tuple:
     inside the triangle |alpha| + |beta| <= d."""
     diff = dict(h_pullback(iso.sos, iso.jet.truncate(d), d,
                            composites=iso.composites(d)).terms)
-    basis, _ = _product_index(iso.source_dim, iso.k)  # |alpha| <= k
+    basis, _, _ = _graded(iso.source_dim, iso.k)  # |alpha| <= k
     for alpha, b in zip(basis, _ball_kernel_diagonal(basis, iso.k)):
         diff[alpha, alpha] = diff.get((alpha, alpha), EXACT_ZERO) - b
     per: Dict[Tuple[int, int], float] = {}
@@ -494,7 +494,7 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
             f"need at least 2")
     n = nbig - m
     try:
-        full = complete_to_unitary(u_rows, tol=1e-10)
+        full = complete_to_unitary(u_rows)
     except ExactCompletionError:
         if not (isinstance(u_rows, list) and allow_float_fallback):
             raise
@@ -668,7 +668,8 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
         ext = solve_component_jet(rows, iso.sos, d, tol)
     jf = iso.jet.jacobian0()
     jbig = ext.jet.jacobian0()
-    if mode_used == "exact" and iso.mode == "exact" and ext.mode == "exact":
+    # exact rows solved with no float fallback: the input and F are exact
+    if mode_used == "exact":
         rho_mat = ex_matmul(ex_conj_t(jbig), jf)
         gram = ex_matmul(ex_conj_t(rho_mat), rho_mat)
         if not ex_is_identity(gram):

@@ -18,13 +18,14 @@ Three layers:
   call that builds each monomial once; ``HoloPoly.substitute`` calls it.
   The route is chosen by mode.  Exact compositions multiply sparse
   polynomials.  Float ones work on coefficient arrays over one graded
-  basis (the monomials of degree <= d in the inner variables): each outer
-  monomial's row is its lower monomial's row times one row of the inner
-  coefficient matrix, summed through a product index built once per
-  (variables, degree) and cached, and the outer coefficients times those
-  rows is one matmul.  :func:`solve_graded_float` shares that level
-  building to solve z = linear w + back outer(z) in one pass over the
-  degrees, filling only the degree-m columns at step m.
+  basis (the monomials of degree <= d in the inner variables) and its
+  product index split by degree, one cached table per (variables,
+  degree).  One degree pass serves composition and
+  :func:`solve_graded_float`: at step m it fills the degree-m columns of
+  the outer monomials' rows, each its lower monomial's row times one
+  inner row, then those of the outer coefficients times the rows; the
+  solve also sets z's degree-m columns there.  A basis above
+  ``MAX_GRADED_BASIS`` monomials is refused before anything is built.
 
 Coefficients are either all exact (:class:`symdom.scalars.Exact`) or all
 ``complex``; the containers carry an explicit ``mode`` so exactness is never
@@ -43,12 +44,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .domains import ParameterError
 from .scalars import (EXACT_ONE, EXACT_ZERO, Exact, Scalar, as_complex, cabs,
                       coerce, mode_of, one, zero)
 
@@ -380,9 +383,10 @@ class JetMap:
 
     def evaluate_many(self, points) -> np.ndarray:
         """Float values at the rows of an S x source_dim array (S x target_dim):
-        monomials from a table of powers times the stacked coefficients."""
+        the sorted ``_monomial_basis`` (term order does not matter) from a
+        table of powers, times the stacked coefficients."""
         pts = np.asarray(points, dtype=complex)
-        basis = list(dict.fromkeys(e for c in self.components for e in c.terms))
+        basis = _monomial_basis([self])
         exps = np.array(basis, dtype=int).reshape(len(basis), self.source_dim)
         powers = np.ones((int(exps.max(initial=0)) + 1,) + pts.shape,
                          dtype=complex)
@@ -431,23 +435,45 @@ class JetMap:
                 f"{self.degree}, {self.mode})")
 
 
-@functools.cache
-def _product_index(n: int, d: int):
-    """The graded basis of the monomials of degree <= d in n variables, and
-    its product index (i, j, starts, k).
+def _monomial_basis(jets: Sequence[JetMap]) -> List[Exponent]:
+    """The exponents of the jets' terms, sorted by (degree, exponent)."""
+    exps = set()
+    for jet in jets:
+        for comp in jet.components:
+            exps.update(comp.terms.keys())
+    return sorted(exps, key=lambda e: (sum(e), e))
 
-    The pairs (i, j) with deg_i, deg_j >= 1 and deg_i + deg_j <= d are
-    sorted by the index of basis[i] * basis[j]; ``starts`` marks where each
-    run of equal index begins and ``k`` holds the index of each run, the
-    form ``np.add.reduceat`` sums.  The pairs, C(2n+d, d) - 2 C(n+d, d) + 1
-    of them, are built one (deg_i, deg_j) block at a time, so no M x M array
-    is formed (M = len(basis)).
+
+# The float FE check forms an M x M complex Gram over the graded basis of
+# M monomials (16 M^2 bytes); M <= 8192 keeps it within 1 GiB.  The grid's
+# largest basis has 126 monomials, the CLI default (dim 5, degree 6) 462.
+MAX_GRADED_BASIS = 8192
+
+
+@functools.cache
+def _graded(n: int, d: int):
+    """(basis, first, runs): the graded basis of the monomials of degree
+    <= d in n variables and its product index, degree by degree.
+
+    basis[first[s]:first[s + 1]] has degree s.  runs[m], for m = 2..d,
+    holds the pairs (i, j) with deg_i, deg_j >= 1 and deg_i + deg_j = m,
+    sorted (stably) by the index of basis[i] * basis[j], as (i, j, starts):
+    ``starts`` marks where each run of equal product begins, the form
+    ``np.add.reduceat`` sums, and the runs' sums are the columns
+    first[m]:first[m + 1] in order.  The pairs are built one (deg_i, deg_j)
+    block at a time, so no M x M array is formed (M = len(basis)).  A
+    basis above MAX_GRADED_BASIS is refused before anything is built.
     """
+    size = math.comb(n + d, d)
+    if size > MAX_GRADED_BASIS:
+        raise ParameterError(
+            f"degree {d} in {n} variables needs {size} monomials, more than "
+            f"the {MAX_GRADED_BASIS} a float check can hold")
     combos = [c for s in range(d + 1)
               for c in itertools.combinations_with_replacement(range(n), s)]
     basis = [tuple(map(c.count, range(n))) for c in combos]
     index = {e: i for i, e in enumerate(basis)}
-    first = [0] * (d + 2)  # basis[first[s]:first[s + 1]] has degree s
+    first = [0] * (d + 2)
     for c in combos:
         first[len(c) + 1] += 1
     first = list(itertools.accumulate(first))
@@ -456,48 +482,29 @@ def _product_index(n: int, d: int):
     up = np.array([[index[_add_exp(e, unit)] for unit in units]
                    for e in basis[:first[d]]],
                   dtype=np.intp).reshape(first[d], n)
-    blocks = [(np.zeros(0, np.intp),) * 3]  # d < 2 has no pairs
-    for a in range(1, d):
-        left = np.arange(first[a], first[a + 1])
-        for b in range(1, d - a + 1):
-            right = np.arange(first[b], first[b + 1])
-            factors = np.array(combos[first[b]:first[b + 1]],
-                               dtype=np.intp).reshape(len(right), b)
+    runs = {}
+    for m in range(2, d + 1):
+        blocks = []
+        for a in range(1, m):
+            left = np.arange(first[a], first[a + 1])
+            right = np.arange(first[m - a], first[m - a + 1])
+            factors = np.array(combos[first[m - a]:first[m - a + 1]],
+                               dtype=np.intp).reshape(len(right), m - a)
             i = np.repeat(left, len(right))
             k = i
-            for t in range(b):  # multiply basis[i] by z_v, v in basis[j]
+            for t in range(m - a):  # multiply basis[i] by z_v, v in basis[j]
                 k = up[k, np.tile(factors[:, t], len(left))]
             blocks.append((i, np.tile(right, len(left)), k))
-    i, j, k = (np.concatenate(x) for x in zip(*blocks))
-    order = np.argsort(k, kind="stable")
-    i, j, k = i[order], j[order], k[order]
-    starts = np.flatnonzero(np.diff(k, prepend=-1))
-    return basis, (i, j, starts, k[starts])
+        i, j, k = (np.concatenate(x) for x in zip(*blocks))
+        order = np.argsort(k, kind="stable")
+        runs[m] = (i[order], j[order],
+                   np.flatnonzero(np.diff(k[order], prepend=-1)))
+    return basis, first, runs
 
 
 @functools.cache
-def _graded_runs(n: int, d: int):
-    """(first, runs) for the graded basis and product index of
-    ``_product_index(n, d)``: basis[first[s]:first[s + 1]] has degree s,
-    and runs[m], for m = 2..d, is the run (i, j, starts) of the pairs whose
-    product has degree m, with starts counted from its first pair.  The
-    basis is graded and the pairs are sorted by product, so these pairs
-    are contiguous and their sums are the columns first[m]:first[m + 1] in
-    order."""
-    basis, (i, j, starts, k) = _product_index(n, d)
-    first = np.searchsorted([sum(e) for e in basis],
-                            np.arange(d + 2)).tolist()
-    bounds = np.append(starts, len(i))
-    runs = {}
-    for m in range(2, d + 1):
-        r0, r1 = np.searchsorted(k, [first[m], first[m + 1]])
-        p0, p1 = bounds[r0], bounds[r1]
-        runs[m] = (i[p0:p1], j[p0:p1], starts[r0:r1] - p0)
-    return first, runs
-
-
-def _units(m: int) -> List[Exponent]:
-    return [tuple(int(i == j) for i in range(m)) for j in range(m)]
+def _units(m: int) -> Tuple[Exponent, ...]:
+    return tuple(tuple(int(i == j) for i in range(m)) for j in range(m))
 
 
 def _lower(e: Exponent) -> Tuple[Exponent, int]:
@@ -506,38 +513,81 @@ def _lower(e: Exponent) -> Tuple[Exponent, int]:
     return e[:j] + (e[j] - 1,) + e[j + 1:], j
 
 
-def _monomial_levels(polys: Sequence[HoloPoly], d: int):
-    """The monomials that the terms of degree <= d of polys need, level by
-    level: for s = 0..d, (monomials of degree s, for s >= 2 the position of
-    each one's lower monomial in level s - 1, the variable that lower
-    monomial is multiplied by).  A needed monomial's lower monomials are
-    needed too."""
+def _monomial_rows(polys: Sequence[HoloPoly], nvars: int, d: int):
+    """The rows of a monomial table for the terms of degree <= d of polys,
+    as (order, steps): ``order`` lists 1, the nvars variables, then the
+    needed monomials of degree >= 2 level by level (a needed monomial's
+    lower monomials are needed too); ``steps`` holds, for each level from
+    2 on, (its rows, the row of each one's lower monomial, the row of the
+    variable that lower monomial is multiplied by)."""
     levels: List[Dict[Exponent, Tuple[Exponent, int]]] = \
         [{} for _ in range(d + 1)]
     for poly in polys:
         for e in poly.terms:
             s = sum(e)
-            if s == 0:
-                levels[0][e] = (e, 0)
-            while 0 < s <= d and e not in levels[s]:
+            while 1 < s <= d and e not in levels[s]:
                 lower, j = _lower(e)
                 levels[s][e] = (lower, j)
                 e, s = lower, s - 1
-    out = []
-    for s, level in enumerate(levels):
-        prev = {e: p for p, e in enumerate(levels[s - 1])} if s > 1 else {}
-        out.append((list(level),
-                    [prev[e] for e, _ in level.values()] if s > 1 else [],
-                    [j for _, j in level.values()]))
-    return out
+    order = [(0,) * nvars, *_units(nvars)]
+    row = {e: r for r, e in enumerate(order)}
+    steps = []
+    for level in levels[2:]:
+        if level:
+            top = len(order)
+            steps.append((slice(top, top + len(level)),
+                          np.array([row[lower] for lower, _ in level.values()],
+                                   dtype=np.intp),
+                          np.array([1 + j for _, j in level.values()],
+                                   dtype=np.intp)))
+            order += level
+            row.update((e, r) for r, e in enumerate(level, top))
+    return order, steps
 
 
 def _products(low: np.ndarray, right: np.ndarray, run) -> np.ndarray:
     """The columns of the products low[t] * right[t] that a run
-    (i, j, starts) of a product index covers: each one the sum of
+    (i, j, starts) of ``_graded`` covers: each one the sum of
     low[t, i] * right[t, j] over its pairs."""
     i, j, starts = run
     return np.add.reduceat(low[:, i] * right[:, j], starts, axis=1)
+
+
+def _graded_pass(z: np.ndarray, outer: JetMap, n: int, d: int,
+                 back: Optional[np.ndarray] = None) -> np.ndarray:
+    """outer(z) truncated at d: K x M coefficient rows over the graded
+    basis of ``_graded(n, d)``, for z N x M such rows with a zero constant
+    column.
+
+    The rows of the monomials outer needs (``_monomial_rows``) are filled
+    one degree at a time: at step m, the degree-m columns of each row one
+    level lower times one row of z, over runs[m]; outer(z) is the outer
+    coefficients times the rows.  Its degree-m columns involve only the
+    parts of z below degree m, so with ``back`` (N x K) step m also sets
+    z's degree-m columns, in place, to back times them: for outer of
+    degree >= 2, z then solves z = z_1 + back outer(z), z_1 its given
+    degree-1 part.  A value beyond float range reads as inf / nan, as in
+    ``evaluate_many``, unwarned.
+    """
+    basis, first, runs = _graded(n, d)
+    rank = len(z)
+    order, steps = _monomial_rows(outer.components, rank, d)
+    table = np.zeros((len(order), len(basis)), dtype=complex)
+    table[0, 0] = 1.0
+    table[1:rank + 1] = z
+    coeffs = outer.float_coefficients(order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(2, d + 1):
+            cols = slice(first[m], first[m + 1])
+            # steps[t] is level t + 2, and a level above m has no
+            # degree-m part
+            for rows, lower, js in steps[:m - 1]:
+                table[rows, cols] = _products(table[lower], table[js],
+                                              runs[m])
+            if back is not None:
+                z[:, cols] = table[1:rank + 1, cols] = \
+                    back @ (coeffs @ table[:, cols])
+        return coeffs @ table
 
 
 def _rows_jet(rows: np.ndarray, basis: Sequence[Exponent], n: int,
@@ -548,40 +598,12 @@ def _rows_jet(rows: np.ndarray, basis: Sequence[Exponent], n: int,
 
 
 def _compose_float(outer: JetMap, inner: JetMap, d: int) -> JetMap:
-    """compose_truncate's float route: coefficient rows over the graded
-    basis of _product_index.
-
-    The rows of the outer monomials that the outer terms of degree <= d
-    need are built level by level, each the row one degree lower times one
-    row of the inner coefficient matrix; the outer coefficient matrix
-    times those rows is the result.  A value beyond float range reads as
-    inf / nan, as in ``evaluate_many``, with no warning.
-    """
+    """compose_truncate's float route: ``_graded_pass`` on the inner jet's
+    coefficient rows."""
     n = inner.source_dim
-    basis, (pi, pj, starts, pk) = _product_index(n, d)
-    inner_c = inner.float_coefficients(basis)
-    order: List[Exponent] = []
-    table = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, (monomials, lower, js) in enumerate(
-                _monomial_levels(outer.components, d)):
-            if not monomials:
-                continue
-            if s == 0:
-                rows = np.zeros((1, len(basis)), dtype=complex)
-                rows[0, 0] = 1.0
-            elif s == 1:
-                rows = inner_c[js]
-            else:  # the lower monomials are rows of the previous level
-                rows = np.zeros((len(monomials), len(basis)), dtype=complex)
-                rows[:, pk] = _products(table[-1][lower], inner_c[js],
-                                        (pi, pj, starts))
-            order += monomials
-            table.append(rows)
-        out = outer.float_coefficients(order) @ (
-            np.concatenate(table) if table
-            else np.zeros((0, len(basis)), dtype=complex))
-    return _rows_jet(out, basis, n, d)
+    basis, _, _ = _graded(n, d)
+    return _rows_jet(_graded_pass(inner.float_coefficients(basis), outer,
+                                  n, d), basis, n, d)
 
 
 def solve_graded_float(linear: np.ndarray, outer: JetMap, back: np.ndarray,
@@ -590,39 +612,14 @@ def solve_graded_float(linear: np.ndarray, outer: JetMap, back: np.ndarray,
     in floating point, and outer(z) truncated at d.
 
     ``linear`` is N x n, ``outer`` a stack of K polynomials in N variables
-    whose terms have degree >= 2, and ``back`` N x K.  The degree-m part
-    of outer(z) then involves only the parts of z below degree m, so one
-    pass over m = 2..d on the graded basis of ``_product_index(n, d)``
-    makes each degree final: it fills the degree-m columns of the outer
-    monomials' rows (level by level, each the row one level lower times
-    one row of z, over the pairs of the product index whose product has
-    degree m), then those of outer(z) and of z.
+    whose terms have degree >= 2, and ``back`` N x K: one
+    ``_graded_pass`` with ``back``, from z = linear w.
     """
     n = linear.shape[1]
-    basis, _ = _product_index(n, d)
-    first, runs = _graded_runs(n, d)
+    basis, first, _ = _graded(n, d)
     z = np.zeros((linear.shape[0], len(basis)), dtype=complex)
     z[:, first[1]:first[2]] = linear
-    levels = _monomial_levels(outer.components, d)
-    # the rows of the outer monomials of degree >= 2, level after level
-    order = [e for monomials, _, _ in levels[2:] for e in monomials]
-    table = np.zeros((len(order), len(basis)), dtype=complex)
-    steps, top = [], 0  # (view of a level's rows, lower positions, variables)
-    for monomials, lower, js in levels[2:]:
-        if monomials:
-            steps.append((table[top:top + len(monomials)], lower, js))
-            top += len(monomials)
-    coeffs = outer.float_coefficients(order)
-    q = np.zeros((outer.target_dim, len(basis)), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(2, d + 1):
-            cols = slice(first[m], first[m + 1])
-            low = z[levels[1][2]]
-            for rows, lower, js in steps:
-                rows[:, cols] = _products(low[lower], z[js], runs[m])
-                low = rows
-            q[:, cols] = coeffs @ table[:, cols]
-            z[:, cols] = back @ q[:, cols]
+    q = _graded_pass(z, outer, n, d, back)
     return _rows_jet(z, basis, n, d), _rows_jet(q, basis, n, d)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from symdom import BidegPoly, HoloPoly
 from symdom.kernels import signed_gram
-from symdom.poly import _product_index
+from symdom.poly import _graded
 
 
 def ball_kernel_power(n, k, mode, d):
@@ -33,7 +33,7 @@ def gram_pullback(sos, composites, d):
     the monomials of degree <= d with deg a + deg b <= d and a value != 0
     (a NaN among them)."""
     n = composites.source_dim
-    basis, _ = _product_index(n, d)
+    basis, _, _ = _graded(n, d)
     gram = signed_gram(sos, composites, basis)
     deg = np.array([sum(e) for e in basis], dtype=int)
     rows, cols = np.nonzero((deg[:, None] + deg[None, :] <= d) & (gram != 0))

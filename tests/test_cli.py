@@ -457,6 +457,29 @@ def test_construct_degree_below_two_exits_2(tmp_path, capsys, degree, mode):
     assert not (tmp_path / "jet.json").exists()
 
 
+def test_degree_beyond_the_graded_basis_exits_2(tmp_path, capsys):
+    # at degree 60 a float check would need C(63, 3) = 39711 monomials in 3
+    # variables (a Gram of about 25 GB) and a float solve C(65, 5) in 5;
+    # both are refused before any basis or array is built
+    jet_file = tmp_path / "jet.json"
+    assert main(["construct", "--family", "IV", "--n", "5", "--dim", "3",
+                 "--seed", "1", "--mode", "float", "--degree", "4",
+                 "--out", str(jet_file)]) == 0
+    doc = json.loads(jet_file.read_text())
+    doc["jet"]["degree"] = 60
+    jet_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    for argv in (["verify", "--in", str(jet_file)],
+                 ["construct", "--family", "IV", "--n", "6", "--dim", "5",
+                  "--mode", "float", "--degree", "60"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: degree 60 in ") and "monomials" in err
+        assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("degree, code", [(2, 0), (4, 0), (5, 2), (6, 2),
                                           (8, 2)])
 def test_verify_degree_above_jet_exits_2(tmp_path, capsys, iv4_jet_doc,

@@ -44,7 +44,7 @@ from symdom import (
 from symdom import isometry, kernels
 from symdom.calabi import complete_to_unitary
 from symdom.linalg import ex_conj_t, principal_angles, to_complex_matrix
-from symdom.poly import _product_index
+from symdom.poly import _graded
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -140,6 +140,25 @@ def test_polarized_check_matches_scalar_reference(family, params, mode):
         want = _scalar_polarized_residual(iso, 25, seed)
         assert abs(rep.max_residual - want) < 1e-14
         assert rep.passed
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize(
+    "family, params, dims", CONSTRUCT_GRID,
+    ids=[f"{f}({','.join(map(str, p.values()))})" for f, p, _ in CONSTRUCT_GRID])
+def test_polarized_residual_ignores_term_order(family, params, dims, mode):
+    # the same jet with each component's terms held in reverse order
+    spec = make_spec(family, **params)
+    sos = make_sos(spec, mode)
+    for dim in dims:
+        rows = random_coisometry(spec.dim - dim, spec.dim, 42, mode)
+        iso = solve_component_jet(rows, sos, degree=4)
+        flipped = JetMap([HoloPoly.from_field(dim,
+                                              dict(reversed(c.terms.items())),
+                                              c.mode)
+                          for c in iso.jet.components], 4, dim)
+        assert check_polarized_eq(IsometryJet(flipped, 1, sos)).max_residual \
+            == check_polarized_eq(iso).max_residual
 
 
 def test_full_report_structure():
@@ -364,7 +383,7 @@ def test_float_fe_matches_reference_on_perturbed_jets(name, value):
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (2, 2)])
 def test_ball_kernel_diagonal_matches_power(n, k):
     d = 2 * k + 1
-    basis, _ = _product_index(n, d)
+    basis, _, _ = _graded(n, d)
     diagonal = isometry._ball_kernel_diagonal(basis, k)
     assert all(type(b) is int for b in diagonal)
     power = ball_kernel_power(n, k, "exact", d)

@@ -492,20 +492,29 @@ def test_float_composition_equals_exact_on_gaussian_integers(data):
         got = compose_truncate(o, i, d)
         assert (got.mode, got.degree, got.source_dim) == ("float", d, n)
         assert [c.terms for c in got.components] == want
-    # the cached product index holds exactly the pairs of its definition
-    basis, (pi, pj, starts, pk) = poly._product_index(n, d)
-    assert poly._product_index(n, d)[0] is basis
+    # the cached graded table holds exactly the pairs of its definition,
+    # degree by degree
+    basis, first, runs = poly._graded(n, d)
+    assert poly._graded(n, d)[0] is basis
     assert basis == sorted(basis, key=sum)
     assert len(basis) == math.comb(n + d, d)
+    assert [sum(e) for e in basis] == \
+        [s for s in range(d + 1) for _ in range(first[s], first[s + 1])]
     pairs = {(i, j) for (i, a), (j, b) in itertools.product(enumerate(basis),
                                                             repeat=2)
              if sum(a) >= 1 and sum(b) >= 1 and sum(a) + sum(b) <= d}
-    assert len(pi) == len(pairs) == \
+    assert sorted(runs) == list(range(2, d + 1))
+    assert sum(len(runs[m][0]) for m in runs) == len(pairs) == \
         math.comb(2 * n + d, d) - 2 * math.comb(n + d, d) + 1
-    runs = np.diff(np.append(starts, len(pi)))
-    assert set(zip(pi.tolist(), pj.tolist())) == pairs
-    for i, j, k in zip(pi, pj, np.repeat(pk, runs)):
-        assert basis[k] == tuple(x + y for x, y in zip(basis[i], basis[j]))
+    for m, (pi, pj, starts) in runs.items():
+        assert set(zip(pi.tolist(), pj.tolist())) == \
+            {(i, j) for i, j in pairs if sum(basis[i]) + sum(basis[j]) == m}
+        # run r sums the pairs whose product is basis[first[m] + r]
+        assert len(starts) == first[m + 1] - first[m]
+        sizes = np.diff(np.append(starts, len(pi)))
+        for i, j, k in zip(pi, pj, np.repeat(np.arange(first[m],
+                                                       first[m + 1]), sizes)):
+            assert basis[k] == tuple(x + y for x, y in zip(basis[i], basis[j]))
 
 
 @settings(max_examples=40, deadline=None)
