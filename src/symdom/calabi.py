@@ -17,8 +17,8 @@ from .domains import DomainSpec, sos_counts
 from .errors import ExactCompletionError, UnitaryMatchError
 from .linalg import (ExactMatrix, coisometry_residual, ex_complete_orthonormal,
                      ex_conj_t, ex_gram, ex_is_identity, ex_matmul, ex_rank,
-                     ex_solve_row_system, null_space, phase_normalize_columns,
-                     row_complement)
+                     ex_rref, ex_transpose, null_space,
+                     phase_normalize_columns, row_complement)
 from .poly import JetMap, _monomial_basis
 from .scalars import EXACT_ZERO
 
@@ -28,6 +28,7 @@ __all__ = ["coefficient_matrix", "match_unitary", "complete_to_unitary",
 # in the float match, a singular value of the source's coefficient matrix
 # below RANK_TOL times max(1, the largest) counts as zero
 RANK_TOL = 1e-8
+COISOMETRY_TOL = 1e-10  # max |rows conj(rows)^T - I| of float rows to complete
 
 
 def coefficient_matrix(jet: JetMap, basis: Optional[Sequence[tuple]] = None):
@@ -98,10 +99,11 @@ def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
         fmat, _ = coefficient_matrix(target, basis)
         gmat, _ = coefficient_matrix(source, basis)
         if ex_rank(gmat) == n:
-            try:
-                u = ex_solve_row_system(gmat, fmat)
-            except ValueError as exc:
-                raise UnitaryMatchError(str(exc)) from exc
+            # u g = f is g^T u^T = f^T; with g^T of full column rank, the
+            # first n rows of the rref of [g^T | f^T] are [I | u^T]
+            rref, _ = ex_rref([gc + fc for gc, fc in
+                               zip(ex_transpose(gmat), ex_transpose(fmat))])
+            u = ex_transpose([row[n:] for row in rref[:n]])
             if ex_matmul(u, gmat) != fmat:
                 raise UnitaryMatchError(
                     "exact solve left a nonzero matching residual")
@@ -122,8 +124,7 @@ def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
     return u, "float"
 
 
-def complete_to_unitary(rows: Union[ExactMatrix, np.ndarray],
-                        tol: float = 1e-10):
+def complete_to_unitary(rows: Union[ExactMatrix, np.ndarray]):
     """Extend orthonormal rows to a full unitary, new rows stacked on top.
 
     Exact input stays exact when every Gram-Schmidt normalization has a
@@ -132,7 +133,7 @@ def complete_to_unitary(rows: Union[ExactMatrix, np.ndarray],
     """
     if isinstance(rows, np.ndarray):
         res = coisometry_residual(rows)
-        if res > tol:
+        if res > COISOMETRY_TOL:
             raise ValueError(f"rows are not orthonormal (residual {res:.3e})")
         m, n = rows.shape
         if m == n:

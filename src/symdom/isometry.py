@@ -18,16 +18,14 @@ one result per degree; both are kept on the (frozen) IsometryJet, so a
 pipeline that checks the same jet at several stages pays for one check,
 and unitary recovery and extension slice the plus block out of that
 stack.  A jet rebuilt by `solve_component_jet` is handed the stack its
-solve built, so its check composes nothing.  In floating point the solve
-is the degree pass that float composition runs too, on coefficient
-arrays over one cached graded basis (see `poly.solve_graded_float`), and
-the pullback check is one array identity over that basis:
-the signed Gram product of the stack's coefficient matrix (see
+solve built, so its check composes nothing.  The solve, in either mode,
+is the degree pass that composition runs too (`poly.solve_graded`).  In
+floating point the pullback check is one array identity over the graded
+basis: the signed Gram product of the stack's coefficient matrix (see
 `kernels.signed_gram`) plus 1 minus the diagonal of (1 - |w|^2)^k, read
-off by bidegree blocks.  Exact jets keep the sparse routes: a solve that
-composes once per degree, and a pullback summed as a bidegree polynomial
-(`kernels.h_pullback`) from whose terms the same diagonal, as integers,
-is subtracted in place.
+off by bidegree blocks.  Exact jets keep a pullback summed as a bidegree
+polynomial (`kernels.h_pullback`) from whose terms the same diagonal, as
+integers, is subtracted in place.
 """
 
 from __future__ import annotations
@@ -47,8 +45,7 @@ from .kernels import (SignedSOS, generator_composites, h_pullback,
 from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
                      ex_is_identity, ex_matmul, ex_nullspace, ex_transpose,
                      matrix_rank_tol, to_complex_matrix)
-from .poly import (HoloPoly, JetMap, _graded, compose_truncate,
-                   solve_graded_float)
+from .poly import HoloPoly, JetMap, _graded, compose_truncate, solve_graded
 from .scalars import EXACT_ZERO, Exact, as_complex, one, zero
 
 __all__ = [
@@ -466,20 +463,16 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
        z = conj(full)^T (w, z^#(z), 0),
     where z^# is the stack of plus generators.  The plus generators have
     degree >= 2, so the degree-m part of the right side only involves
-    parts of z below degree m, and m = 1..degree finishes in one pass.
-    Float solves (float rows or a float kernel) run that pass on
-    coefficient arrays over the graded monomial basis, building only the
-    degree-m columns at step m (``solve_graded_float``).  Exact solves
-    compute the linear part conj(full)^T (w, 0, 0) once, and at each
-    degree compose z^# with the jet known through degree m - 1, truncated
-    at m, then the plus block of conj(full)^T with (z^#, 0), whose terms
-    have degree >= 2, and join the two.  Either way z^# is already the
-    plus composites of the finished jet, and the minus composites are its
-    components, so the returned jet holds that stack for its check.  A
-    degree below 2 is refused before the completion, as the check refuses
-    it.  Exact rows stay exact when the completion stays in the field;
-    otherwise, with allow_float_fallback, the computation restarts in
-    floating point.
+    parts of z below degree m, and m = 1..degree finishes in one pass:
+    one ``solve_graded`` call on the linear and plus blocks of
+    conj(full)^T, exact when the rows, their completion and the kernel
+    are (float rows or a float kernel give a float solve).  z^# is then
+    already the plus composites of the finished jet, and the minus
+    composites are its components, so the returned jet holds that stack
+    for its check.  A degree below 2 is refused before the completion, as
+    the check refuses it.  Exact rows stay exact when the completion stays
+    in the field; otherwise, with allow_float_fallback, the computation
+    restarts in floating point.
     """
     _require_coordinate_minus_block(sos)
     nbig = sos.nvars
@@ -501,28 +494,15 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
         return solve_component_jet(to_complex_matrix(u_rows), sos,
                                    degree, tol)
     even = JetMap(sos.even, degree, nbig)
-    if not (isinstance(full, list) and even.mode == "exact"):
+    if isinstance(full, list) and even.mode == "exact":
+        adjoint = ex_conj_t(full)
+        linear = [row[:n] for row in adjoint]
+        back = [row[n:n + m2] for row in adjoint]
+    else:
         # exact rows with a float kernel give a float jet from degree 1 on
         adjoint = to_complex_matrix(full).conj().T
-        jet, plus = solve_graded_float(adjoint[:, :n], even,
-                                       adjoint[:, n:n + m2], degree)
-    else:
-        adjoint = ex_conj_t(full)
-        linear_block = JetMap.from_linear([row[:n] for row in adjoint], 1)
-        plus_block = JetMap.from_linear([row[n:] for row in adjoint], degree)
-        linear = compose_truncate(
-            linear_block,
-            JetMap([HoloPoly.var(n, a, "exact") for a in range(n)], 1),
-            1).components
-        pad = (HoloPoly.zero(n, "exact"),) * (m - m2)
-        jet = JetMap([HoloPoly.zero(n, "exact")] * nbig, 0, n)
-        for deg in range(1, degree + 1):
-            plus = compose_truncate(even, jet, deg)
-            rest = compose_truncate(
-                plus_block, JetMap(plus.components + pad, deg, n), deg)
-            jet = JetMap([HoloPoly.from_field(n, {**a.terms, **b.terms},
-                                              "exact")
-                          for a, b in zip(linear, rest.components)], deg, n)
+        linear, back = adjoint[:, :n], adjoint[:, n:n + m2]
+    jet, plus = solve_graded(linear, even, back, degree)
     iso = IsometryJet(jet, 1, sos)
     iso._stack[degree] = JetMap(jet.components + plus.components, degree, n)
     fe = check_functional_eq(iso, tol=tol)

@@ -19,7 +19,7 @@ ExactMatrix = List[List[Exact]]
 __all__ = [
     "ExactMatrix", "ex_transpose", "ex_conj", "ex_conj_t",
     "ex_matmul", "ex_gram", "ex_rref", "ex_rank", "ex_nullspace",
-    "ex_solve", "ex_solve_row_system", "ex_gs_orthonormal",
+    "ex_gs_orthonormal",
     "ex_complete_orthonormal", "ex_is_identity", "to_complex_matrix",
     "phase_normalize_columns", "null_space", "row_complement",
     "principal_angles", "coisometry_residual", "matrix_rank_tol",
@@ -122,32 +122,6 @@ def ex_nullspace(a: ExactMatrix) -> ExactMatrix:
             vec[pc] = -rref[r][fc]
         basis.append(vec)
     return basis
-
-
-def ex_solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Solve a @ x = b for square invertible a; b has matching row count."""
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise ValueError("shape mismatch")
-    width = len(b[0])
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    rref, pivots = ex_rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:n + width] for row in rref[:n]]
-
-
-def ex_solve_row_system(g: ExactMatrix, f: ExactMatrix) -> ExactMatrix:
-    """Solve u @ g = f when g has full row rank equal to its row count.
-
-    Uses the normal equations: u = f g^H (g g^H)^{-1}.
-    """
-    gh = ex_conj_t(g)
-    gram = ex_matmul(g, gh)
-    rhs = ex_matmul(f, gh)
-    # u @ gram = rhs  <=>  gram^T u^T = rhs^T
-    ut = ex_solve(ex_transpose(gram), ex_transpose(rhs))
-    return ex_transpose(ut)
 
 
 def ex_gs_orthonormal(rows: ExactMatrix) -> ExactMatrix:

@@ -16,16 +16,16 @@ Three layers:
   composition routine: a stack of polynomials (kernel generators, variety
   equations, the components of a jet) is composed with an inner jet in one
   call that builds each monomial once; ``HoloPoly.substitute`` calls it.
-  The route is chosen by mode.  Exact compositions multiply sparse
-  polynomials.  Float ones work on coefficient arrays over one graded
-  basis (the monomials of degree <= d in the inner variables) and its
+  One degree pass over one monomial plan (``_monomial_rows``) serves
+  composition and :func:`solve_graded`: at step m it fills the degree-m
+  part of each outer monomial's row (its lower monomial's row times one
+  inner row), then of outer; the solve also sets z's degree-m part there.
+  Exact rows are homogeneous parts, one sparse term dict per degree
+  (``_sparse_pass``); float rows are coefficient arrays over one graded
+  basis (the monomials of degree <= d in the inner variables) with its
   product index split by degree, one cached table per (variables,
-  degree).  One degree pass serves composition and
-  :func:`solve_graded_float`: at step m it fills the degree-m columns of
-  the outer monomials' rows, each its lower monomial's row times one
-  inner row, then those of the outer coefficients times the rows; the
-  solve also sets z's degree-m columns there.  A basis above
-  ``MAX_GRADED_BASIS`` monomials is refused before anything is built.
+  degree) (``_graded_pass``).  A basis above ``MAX_GRADED_BASIS``
+  monomials is refused before anything is built.
 
 Coefficients are either all exact (:class:`symdom.scalars.Exact`) or all
 ``complex``; the containers carry an explicit ``mode`` so exactness is never
@@ -52,10 +52,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import ParameterError
-from .scalars import (EXACT_ONE, EXACT_ZERO, Exact, Scalar, as_complex, cabs,
+from .scalars import (EXACT_ONE, Exact, Scalar, as_complex, cabs,
                       coerce, mode_of, one, zero)
 
 Exponent = Tuple[int, ...]
+Parts = List[Dict[Exponent, Exact]]  # homogeneous parts, part s of degree s
 
 
 def _is_zero(c) -> bool:
@@ -597,6 +598,63 @@ def _rows_jet(rows: np.ndarray, basis: Sequence[Exponent], n: int,
                    for row in rows.tolist()], d, n)
 
 
+def _collect(items) -> Dict[Exponent, Exact]:
+    """The sums of the values of equal exponents in (exponent, value)
+    items, exact zeros dropped."""
+    acc: Dict[Exponent, Exact] = {}
+    for e, v in items:
+        acc[e] = acc[e] + v if e in acc else v
+    return {e: v for e, v in acc.items() if not v.is_zero}
+
+
+def _sparse_pass(z: List[Parts], outer: JetMap, n: int, d: int,
+                 back: Optional[List[List[Exact]]] = None) -> List[Parts]:
+    """The exact twin of ``_graded_pass``, on rows of homogeneous parts
+    (part s holds the terms of degree s, s = 0..d, exact zeros dropped)
+    instead of dense columns: outer(z) truncated at d as K such rows, for
+    z N rows in n variables with empty degree-0 parts.  At step m each
+    monomial row's degree-m part is the sum over s of its lower
+    monomial's degree-s part times one row of z's degree-(m - s) part;
+    with ``back`` (N x K), z's degree-m parts are then set, in place, to
+    back times outer's.
+    """
+    rank = len(z)
+    order, steps = _monomial_rows(outer.components, rank, d)
+    index = {e: r for r, e in enumerate(order)}
+    coeffs = [[(index[e], c) for e, c in comp.terms.items() if e in index]
+              for comp in outer.components]
+    table = [[{(0,) * n: EXACT_ONE}] + [{}] * d, *z]
+    table += [[{}] * (d + 1) for _ in order[rank + 1:]]
+    by_degree = []
+    for m in range(d + 1):
+        # steps[t] is level t + 2, and a level above m has no degree-m part
+        for rows, lower, js in steps[:max(m - 1, 0)]:
+            for r, lo, j in zip(range(rows.start, rows.stop), lower.tolist(),
+                                js.tolist()):
+                table[r][m] = _collect(
+                    (_add_exp(ea, eb), ca * cb) for s in range(1, m)
+                    for ea, ca in table[lo][s].items()
+                    for eb, cb in table[j][m - s].items())
+        parts = [_collect((e, c * v) for r, c in comp
+                          for e, v in table[r][m].items())
+                 for comp in coeffs]
+        by_degree.append(parts)
+        if back is not None and m >= 2:
+            for row, b in zip(z, back):
+                row[m] = _collect((e, c * v) for c, part in zip(b, parts)
+                                  if not c.is_zero for e, v in part.items())
+    return [list(row) for row in zip(*by_degree)]
+
+
+def _parts_jet(rows: List[Parts], n: int, d: int) -> JetMap:
+    # the parts hold no zero, so they are joined as they are
+    comps = [HoloPoly.from_field(n, {}, "exact") for _ in rows]
+    for comp, parts in zip(comps, rows):
+        for part in parts:
+            comp.terms.update(part)
+    return JetMap(comps, d, n)
+
+
 def _compose_float(outer: JetMap, inner: JetMap, d: int) -> JetMap:
     """compose_truncate's float route: ``_graded_pass`` on the inner jet's
     coefficient rows."""
@@ -606,21 +664,27 @@ def _compose_float(outer: JetMap, inner: JetMap, d: int) -> JetMap:
                                   n, d), basis, n, d)
 
 
-def solve_graded_float(linear: np.ndarray, outer: JetMap, back: np.ndarray,
-                       d: int) -> Tuple[JetMap, JetMap]:
-    """The degree-d jet z of the solution of z = linear w + back outer(z)
-    in floating point, and outer(z) truncated at d.
+def solve_graded(linear, outer: JetMap, back, d: int) -> Tuple[JetMap, JetMap]:
+    """The degree-d jet z of the solution of z = linear w + back outer(z),
+    and outer(z) truncated at d.
 
     ``linear`` is N x n, ``outer`` a stack of K polynomials in N variables
-    whose terms have degree >= 2, and ``back`` N x K: one
-    ``_graded_pass`` with ``back``, from z = linear w.
+    whose terms have degree >= 2, and ``back`` N x K: one degree pass with
+    ``back``, from z = linear w.  Numpy arrays take ``_graded_pass`` in
+    floating point, lists of ``Exact`` rows ``_sparse_pass``.
     """
-    n = linear.shape[1]
-    basis, first, _ = _graded(n, d)
-    z = np.zeros((linear.shape[0], len(basis)), dtype=complex)
-    z[:, first[1]:first[2]] = linear
-    q = _graded_pass(z, outer, n, d, back)
-    return _rows_jet(z, basis, n, d), _rows_jet(q, basis, n, d)
+    n = len(linear[0])
+    if isinstance(linear, np.ndarray):
+        basis, first, _ = _graded(n, d)
+        z = np.zeros((linear.shape[0], len(basis)), dtype=complex)
+        z[:, first[1]:first[2]] = linear
+        q = _graded_pass(z, outer, n, d, back)
+        return _rows_jet(z, basis, n, d), _rows_jet(q, basis, n, d)
+    units = _units(n)
+    rows = [[{}, {e: c for e, c in zip(units, row) if not c.is_zero}]
+            + [{}] * (d - 1) for row in linear]
+    q = _sparse_pass(rows, outer, n, d, back)
+    return _parts_jet(rows, n, d), _parts_jet(q, n, d)
 
 
 def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
@@ -629,8 +693,9 @@ def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
     Each monomial of the outer variables is built once and shared by all
     outer components: the monomial one degree lower times one inner
     component, truncated at d (a degree-1 monomial is the component itself).
-    Exact compositions do this on sparse polynomials; float ones on dense
-    coefficient rows (see ``_compose_float``).
+    Exact compositions do this on rows of homogeneous parts
+    (``_sparse_pass``); float ones on dense coefficient rows (see
+    ``_compose_float``).
     """
     if outer.source_dim != inner.target_dim:
         raise ValueError(
@@ -640,22 +705,7 @@ def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
         raise ValueError("inner jet must vanish at the origin")
     if not outer.mode == inner.mode == "exact":
         return _compose_float(outer, inner, d)
-    n, m = inner.source_dim, inner.target_dim
-    table: Dict[Exponent, HoloPoly] = dict(zip(_units(m), inner.components))
-    table[(0,) * m] = HoloPoly.const(n, EXACT_ONE, "exact")
-
-    def monomial(e: Exponent) -> HoloPoly:
-        if e not in table:
-            lower, j = _lower(e)
-            table[e] = monomial(lower).mul_trunc(inner.components[j], d)
-        return table[e]
-
-    comps = []
-    for comp in outer.components:
-        acc: Dict[Exponent, Scalar] = {}
-        for e, c in comp.terms.items():
-            if sum(e) <= d:
-                for key, v in monomial(e).terms.items():
-                    acc[key] = acc.get(key, EXACT_ZERO) + c * v
-        comps.append(HoloPoly.from_field(n, acc, "exact"))
-    return JetMap(comps, d, n)
+    n = inner.source_dim
+    buckets = [c._buckets() for c in inner.components]
+    rows = [[dict(b.get(s, ())) for s in range(d + 1)] for b in buckets]
+    return _parts_jet(_sparse_pass(rows, outer, n, d), n, d)

@@ -1,17 +1,25 @@
-"""Bidegree-polynomial references for the functional-equation checks.
+"""Polynomial references for the composition, the solve and the
+functional-equation checks.
 
 * ``ball_kernel_power`` -- (1 - |w|^2)^k as a ``BidegPoly``, built from
   ``sandwich`` and ``mul_trunc``;
 * ``gram_pullback`` -- the float pullback 1 + C^T diag(s) conj(C) from
   ``kernels.signed_gram``, on the triangle |alpha| + |beta| <= d, as a
-  ``BidegPoly``.
+  ``BidegPoly``;
+* ``recursive_compose`` -- exact composition truncated at d, each outer
+  monomial built once by a recursive memo over ``mul_trunc``;
+* ``degree_loop_solve`` -- the exact k = 1 solve
+  z = conj(full)^T (w, z^#(z), 0) that recomposes z^# with the whole jet
+  at each degree, using ``recursive_compose``.
 """
 
 import numpy as np
 
-from symdom import BidegPoly, HoloPoly
+from symdom import BidegPoly, HoloPoly, JetMap
 from symdom.kernels import signed_gram
-from symdom.poly import _graded
+from symdom.linalg import ex_conj_t
+from symdom.poly import _graded, _lower, _units
+from symdom.scalars import EXACT_ONE, EXACT_ZERO
 
 
 def ball_kernel_power(n, k, mode, d):
@@ -43,3 +51,49 @@ def gram_pullback(sos, composites, d):
     e0 = (0,) * n
     acc[(e0, e0)] = acc.get((e0, e0), 0j) + 1.0
     return BidegPoly.from_field(n, acc, "float")
+
+
+def recursive_compose(outer, inner, d):
+    """Exact outer o inner truncated at d (inner constant-free)."""
+    n, m = inner.source_dim, inner.target_dim
+    table = dict(zip(_units(m), inner.components))
+    table[(0,) * m] = HoloPoly.const(n, EXACT_ONE, "exact")
+
+    def monomial(e):
+        if e not in table:
+            lower, j = _lower(e)
+            table[e] = monomial(lower).mul_trunc(inner.components[j], d)
+        return table[e]
+
+    comps = []
+    for comp in outer.components:
+        acc = {}
+        for e, c in comp.terms.items():
+            if sum(e) <= d:
+                for key, v in monomial(e).terms.items():
+                    acc[key] = acc.get(key, EXACT_ZERO) + c * v
+        comps.append(HoloPoly.from_field(n, acc, "exact"))
+    return JetMap(comps, d, n)
+
+
+def degree_loop_solve(full, even, n, degree):
+    """{d: (jet, plus)} for d = 1..degree: the exact jet z through degree d
+    of z = conj(full)^T (w, z^#(z), 0), even the plus generators z^#, and
+    z^#(z) truncated at d, as one degree-d solve returns them."""
+    m2, m = len(even.components), len(full) - n
+    adjoint = ex_conj_t(full)
+    linear_block = JetMap.from_linear([row[:n] for row in adjoint], 1)
+    plus_block = JetMap.from_linear([row[n:] for row in adjoint], degree)
+    linear = recursive_compose(linear_block, JetMap.identity(n, 1),
+                               1).components
+    pad = (HoloPoly.zero(n, "exact"),) * (m - m2)
+    jet = JetMap([HoloPoly.zero(n, "exact")] * len(full), 0, n)
+    out = {}
+    for deg in range(1, degree + 1):
+        plus = recursive_compose(even, jet, deg)
+        rest = recursive_compose(
+            plus_block, JetMap(plus.components + pad, deg, n), deg)
+        jet = JetMap([HoloPoly.from_field(n, {**a.terms, **b.terms}, "exact")
+                      for a, b in zip(linear, rest.components)], deg, n)
+        out[deg] = (jet, plus)
+    return out

@@ -117,6 +117,17 @@ def test_match_unitary_rejects_gram_mismatch():
         match_unitary(doubled, g)
 
 
+def test_match_unitary_rejects_inconsistent_exact_target():
+    # the source (w1, w2) has full row rank, but no u has u (w1, w2) =
+    # (w1, w1^2): the target's w1^2 column lies outside the source's
+    w1, w2 = HoloPoly.var(2, 0), HoloPoly.var(2, 1)
+    g = JetMap([w1, w2], 2)
+    f = JetMap([w1, w1.mul_trunc(w1)], 2)
+    with pytest.raises(UnitaryMatchError,
+                       match="exact solve left a nonzero matching residual"):
+        match_unitary(f, g)
+
+
 def test_random_coisometry_modes():
     rows_f = random_coisometry(2, 4, 3, "float")
     assert coisometry_residual(np.asarray(rows_f)) < 1e-12

@@ -49,7 +49,8 @@ from symdom.poly import _graded
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from workloads import CONSTRUCT_GRID  # noqa: E402
-from bideg_reference import ball_kernel_power, gram_pullback  # noqa: E402
+from bideg_reference import (  # noqa: E402
+    ball_kernel_power, degree_loop_solve, gram_pullback)
 
 DEG = 6
 
@@ -247,7 +248,7 @@ def test_graded_solve_is_fixed_point(family, params, mode):
     rows = random_coisometry(spec.dim - n, spec.dim, 42, mode)
     iso = solve_component_jet(rows, sos, degree=DEG)
     assert iso.mode == mode
-    full = complete_to_unitary(rows, tol=1e-10)
+    full = complete_to_unitary(rows)
     lin = ex_conj_t(full[:n])
     uh = ex_conj_t(full[n:])
     plus = [g.substitute(list(iso.jet.components), DEG) for g in sos.even]
@@ -637,6 +638,27 @@ def test_extend_rejects_maximal_source():
 def test_extend_rejects_k2():
     with pytest.raises(ParameterError):
         extend_isometry(quadric_sqrt2_disk())
+
+
+@pytest.mark.parametrize(
+    "family, params, dims", CONSTRUCT_GRID,
+    ids=[f"{f}({','.join(map(str, p.values()))})" for f, p, _ in CONSTRUCT_GRID])
+def test_exact_solve_equals_degree_loop_reference(family, params, dims):
+    # the one-pass exact solve gives, term for term, the jet and the
+    # handed stack of the loop that recomposes z^# at every degree
+    spec = make_spec(family, **params)
+    sos = make_sos(spec, "exact")
+    for dim in dims:
+        rows = random_coisometry(spec.dim - dim, spec.dim, 1, "exact")
+        ref = degree_loop_solve(complete_to_unitary(rows),
+                                JetMap(sos.even, DEG, spec.dim), dim, DEG)
+        for d in range(2, DEG + 1):
+            iso = solve_component_jet(rows, sos, degree=d)
+            jet, plus = ref[d]
+            assert iso.mode == "exact"
+            assert iso.jet == jet
+            assert iso._stack[d] == JetMap(jet.components + plus.components,
+                                           d, dim)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

@@ -4,16 +4,21 @@ import cmath
 import itertools
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symdom import Exact, HoloPoly, BidegPoly, JetMap
-from symdom import compose_truncate
+from symdom import compose_truncate, random_exact_jet
 from symdom import poly
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bideg_reference import recursive_compose  # noqa: E402
 
 
 def rand_coeff(r, mode):
@@ -536,3 +541,34 @@ def test_float_composition_matches_loop_on_random_floats(data):
         for e in comp.terms.keys() | ref.keys():
             assert sum(e) <= d
             assert abs(comp.coeff(e) - ref.get(e, 0j)) <= 1e-12 * scale
+
+
+# -- the exact composition route against the recursive memo -------------------
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), d=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 16))
+def test_exact_composition_equals_recursive_reference(n, m, d, seed):
+    # random jets with terms up to degree d + 2, an outer constant term
+    # and outer linear terms; inner adds p = w + w^2 and q = w - w^2, whose
+    # product has a zero degree-3 part, and outer adds
+    # x_p^2 + x_q^2 - 2 x_p x_q = (p - q)^2 = 4 w^4, whose parts of degree
+    # 2 and 3 cancel to zero
+    r = random.Random(seed)
+    w = HoloPoly.var(n, 0)
+    ww = w.mul_trunc(w)
+    inner = random_exact_jet(n, m, d + 2, rng=r).components
+    inner += (w + ww, w - ww)
+    top = HoloPoly.monomial(n, (d + 1,) + (0,) * (n - 1), Exact(1, -1))
+    inner = JetMap([inner[0] + top] + list(inner[1:]), d + 2)
+    xp, xq = HoloPoly.var(m + 2, m), HoloPoly.var(m + 2, m + 1)
+    outer = list(random_exact_jet(m + 2, 2, d + 2, rng=r).components)
+    outer[0] = (outer[0] + HoloPoly.const(m + 2, Exact(2, 1))
+                + HoloPoly.monomial(m + 2, (0,) * (m + 1) + (d + 1,),
+                                    Exact(0, 3)))
+    outer.append(xp.mul_trunc(xp) + xq.mul_trunc(xq)
+                 - xp.mul_trunc(xq).scale(Exact(2)))
+    outer = JetMap(outer, d + 2)
+    got = compose_truncate(outer, inner, d)
+    assert got == recursive_compose(outer, inner, d)
+    assert got.components[-1] == ww.mul_trunc(ww, d).scale(Exact(4))
