@@ -8,7 +8,8 @@ Subcommands:
   construct        build a jet from a seeded random co-isometry
   extend           factor a serialized jet through a maximal-source one
 
-Exit codes: 0 success, 1 a verification failed, 2 bad parameters or input.
+Exit codes: 0 success, 1 a verification failed, 2 bad parameters or input
+(or a run out of memory).
 """
 
 from __future__ import annotations
@@ -348,6 +349,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParameterError, TruncationError, ValueError, KeyError,
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'no detail'})",
+              file=sys.stderr)
         return 2
 
 

@@ -43,8 +43,8 @@ from .errors import (ExactCompletionError, ParameterError, TruncationError,
 from .kernels import (SignedSOS, generator_composites, h_pullback,
                       kernel_polarized_many, signed_gram)
 from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
-                     ex_is_identity, ex_matmul, ex_nullspace, ex_transpose,
-                     matrix_rank_tol, to_complex_matrix)
+                     ex_matmul, ex_nullspace, ex_transpose, matrix_rank_tol,
+                     to_complex_matrix)
 from .poly import HoloPoly, JetMap, _graded, compose_truncate, solve_graded
 from .scalars import EXACT_ZERO, Exact, as_complex, one, zero
 
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+SAMPLE_RADIUS = 0.03
 SAMPLE_TOL = 1e-10
 
 
@@ -167,8 +168,8 @@ def _exact_residual(iso: IsometryJet, d: int) -> tuple:
     of ``_ball_kernel_diagonal`` subtracted in place, read off term by
     term; every diagonal entry of B has |alpha| <= k <= d / 2, so B lies
     inside the triangle |alpha| + |beta| <= d."""
-    diff = dict(h_pullback(iso.sos, iso.jet.truncate(d), d,
-                           composites=iso.composites(d)).terms)
+    diff = h_pullback(iso.sos, iso.jet, d,
+                      composites=iso.composites(d)).terms
     basis, _, _ = _graded(iso.source_dim, iso.k)  # |alpha| <= k
     for alpha, b in zip(basis, _ball_kernel_diagonal(basis, iso.k)):
         diff[alpha, alpha] = diff.get((alpha, alpha), EXACT_ZERO) - b
@@ -244,17 +245,16 @@ class PolarizedReport:
     tol: float
 
 
-def check_polarized_eq(iso: IsometryJet, samples: int = 25, seed: int = 0,
-                       radius: float = 0.03,
-                       tol: float = SAMPLE_TOL) -> PolarizedReport:
+def check_polarized_eq(iso: IsometryJet, samples: int = 25,
+                       seed: int = 0) -> PolarizedReport:
     """Evaluate h(f(w), conj f(v)) - (1 - <w, v>)^k at sampled point pairs.
 
-    The sampling radius keeps the degree-(d+1) tail of a truncated true
-    isometry below the tolerance.  The pairs are drawn one after another
-    from ``default_rng(seed)``, each as one normal draw of the rows
-    (re w, im w, re v, im v) and one uniform draw of the two radii; the
-    jet and the kernel generators are then evaluated in floating point at
-    all of them at once (one numpy batch).
+    The sampling radius ``SAMPLE_RADIUS`` keeps the degree-(d+1) tail of
+    a truncated true isometry below the tolerance ``SAMPLE_TOL``.  The
+    pairs are drawn one after another from ``default_rng(seed)``, each as
+    one normal draw of the rows (re w, im w, re v, im v) and one uniform
+    draw of the two radii; the jet and the kernel generators are then
+    evaluated in floating point at all of them at once (one numpy batch).
     """
     if samples < 1:
         raise ValueError(f"need at least 1 polarized sample, got {samples}")
@@ -267,13 +267,14 @@ def check_polarized_eq(iso: IsometryJet, samples: int = 25, seed: int = 0,
         pts[:, s] = x[0::2] + 1j * x[1::2]
         scale[:, s] = g.uniform(0.3, 1.0, size=2)
     nrm = np.linalg.norm(pts, axis=2)
-    pts *= (radius * scale / nrm)[:, :, None]
+    pts *= (SAMPLE_RADIUS * scale / nrm)[:, :, None]
     f = iso.jet.evaluate_many(pts.reshape(2 * samples, n))
     lhs = kernel_polarized_many(iso.sos, f[:samples], f[samples:])
     rhs = (1.0 - np.sum(pts[1].conj() * pts[0], axis=1)) ** iso.k
     worst = float(np.max(np.abs(lhs - rhs)))  # NaN propagates
     return PolarizedReport(max_residual=worst, samples=samples,
-                           radius=radius, passed=worst <= tol, tol=tol)
+                           radius=SAMPLE_RADIUS, passed=worst <= SAMPLE_TOL,
+                           tol=SAMPLE_TOL)
 
 
 def full_verification_report(iso: IsometryJet, d: Optional[int] = None,
@@ -646,36 +647,25 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
         rec = recover_matching_unitary(iso, tol)
         rows = to_complex_matrix(rec.matrix)[n:n + m2]
         ext = solve_component_jet(rows, iso.sos, d, tol)
-    jf = iso.jet.jacobian0()
-    jbig = ext.jet.jacobian0()
+    jf, jbig = iso.jet.jacobian0(), ext.jet.jacobian0()
     # exact rows solved with no float fallback: the input and F are exact
     if mode_used == "exact":
         rho_mat = ex_matmul(ex_conj_t(jbig), jf)
         gram = ex_matmul(ex_conj_t(rho_mat), rho_mat)
-        if not ex_is_identity(gram):
-            raise VerificationError("slice map is not exactly isometric")
-        rho = JetMap.from_linear(rho_mat, d)
-        recomposed = compose_truncate(ext.jet, rho, d)
-        comp_res = recomposed.max_coeff_distance(iso.jet)
-        if comp_res != 0.0:
-            raise VerificationError(
-                f"exact factorization failed (residual {comp_res:.3e})")
     else:
-        jf_f = to_complex_matrix(jf)
-        jbig_f = to_complex_matrix(jbig)
-        rho_mat_f = jbig_f.conj().T @ jf_f
-        gram_gap = float(np.max(np.abs(
-            rho_mat_f.conj().T @ rho_mat_f - np.eye(n))))
-        if gram_gap > max(tol, 1e-8):
-            raise VerificationError(
-                f"slice map is not isometric (residual {gram_gap:.3e})")
-        rho = JetMap.from_linear([[complex(x) for x in row]
-                                  for row in rho_mat_f], d)
-        recomposed = compose_truncate(ext.jet.to_float(), rho, d)
-        comp_res = recomposed.max_coeff_distance(iso.jet.to_float())
-        if comp_res > max(tol, 1e-8):
-            raise VerificationError(
-                f"factorization failed (residual {comp_res:.3e})")
+        rho_mat = to_complex_matrix(jbig).conj().T @ to_complex_matrix(jf)
+        gram = rho_mat.conj().T @ rho_mat
+    limit = 0.0 if mode_used == "exact" else max(tol, 1e-8)
+    gram_gap = float(np.max(np.abs(to_complex_matrix(
+        [[gram[a][b] - int(a == b) for b in range(n)] for a in range(n)]))))
+    if gram_gap > limit:
+        raise VerificationError(
+            f"slice map is not isometric (residual {gram_gap:.3e})")
+    rho = JetMap.from_linear(rho_mat, d)
+    comp_res = compose_truncate(ext.jet, rho, d).max_coeff_distance(iso.jet)
+    if comp_res > limit:
+        raise VerificationError(
+            f"factorization failed (residual {comp_res:.3e})")
     return ExtensionResult(
         extended=ext, slice_map=rho, mode=mode_used,
         composition_residual=float(comp_res),

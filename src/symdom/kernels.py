@@ -202,8 +202,11 @@ def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None, *,
     stack ``generator_composites(sos, f, d)`` when the caller holds it
     (an IsometryJet keeps one per degree); otherwise it is composed here.
 
-    The sum, 1 plus the signed ``BidegPoly.sandwich(c, c, d)`` of each
-    composite c, runs over nonzero coefficients only, in either mode; the
+    The sum runs over nonzero coefficients only, in either mode, into one
+    dict: for each composite c with sign s, each unordered pair of terms
+    c_alpha, c_beta with |alpha| + |beta| <= d adds s c_alpha conj(c_beta)
+    at (alpha, beta) and its conjugate at (beta, alpha).  Given
+    ``composites`` and d, only f's dimensions and mode are read.  The
     float check uses ``signed_gram`` instead.
     """
     if f.target_dim != sos.nvars:
@@ -216,11 +219,22 @@ def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None, *,
     mode = "exact" if sos.mode == f.mode == "exact" else "float"
     n = f.source_dim
     e0 = (0,) * n
-    zero_c = zero(mode)
     acc = {(e0, e0): one(mode)}
     for sign, comp in zip(signs, composites.components):
-        for key, c in BidegPoly.sandwich(comp, comp, d).terms.items():
-            acc[key] = acc.get(key, zero_c) + (c if sign > 0 else -c)
+        items = [(e, c, sum(e)) for e, c in comp.terms.items()]
+        for i, (ea, ca, da) in enumerate(items):
+            if sign < 0:
+                ca = -ca
+            for eb, cb, db in items[i:]:
+                if da + db > d:
+                    continue
+                val = ca * cb.conjugate()
+                key = (ea, eb)
+                acc[key] = acc[key] + val if key in acc else val
+                if ea != eb:
+                    key = (eb, ea)
+                    val = val.conjugate()
+                    acc[key] = acc[key] + val if key in acc else val
     return BidegPoly.from_field(n, acc, mode)
 
 

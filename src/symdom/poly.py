@@ -9,8 +9,9 @@ Three layers:
 * :class:`BidegPoly`  -- polynomial in z and conj(z), a :class:`HoloPoly`
   whose keys are exponent pairs (alpha, beta) with degree |alpha| + |beta|,
   so ``truncate(d)`` and ``mul_trunc(other, d)`` cut at total degree d.
-  ``sandwich(f, g, d)`` builds f(z) conj(g(z)); it exists for the exact
-  pullback ``kernels.h_pullback``, the one caller left.
+  ``sandwich(f, g, d)`` builds f(z) conj(g(z)), one term per pair of
+  terms; no library code calls it (the exact pullback
+  ``kernels.h_pullback`` sums its products in place).
 * :class:`JetMap`     -- a tuple of HoloPoly components, the degree-d Taylor
   polynomial of a holomorphic map.  :func:`compose_truncate` is the one
   composition routine: a stack of polynomials (kernel generators, variety
@@ -298,29 +299,12 @@ class BidegPoly(HoloPoly):
             raise ValueError("variable count mismatch")
         mode = "exact" if f.mode == g.mode == "exact" else "float"
         acc: Dict[Tuple[Exponent, Exponent], Scalar] = {}
-        zero_c = zero(mode)
-        hermitian = f is g or f.terms == g.terms
-        if hermitian:
-            items = [(e, c, sum(e)) for e, c in f.terms.items()]
-            for i, (ea, ca, da) in enumerate(items):
-                for eb, cb, db in items[i:]:
-                    if d is not None and da + db > d:
-                        continue
-                    val = ca * cb.conjugate()
-                    key = (ea, eb)
-                    acc[key] = acc.get(key, zero_c) + val
-                    if ea != eb:
-                        mirror = (eb, ea)
-                        acc[mirror] = acc.get(mirror, zero_c) + val.conjugate()
-        else:
-            items_g = [(e, c, sum(e)) for e, c in g.terms.items()]
-            for ea, ca in f.terms.items():
-                da = sum(ea)
-                for eb, cb, db in items_g:
-                    if d is not None and da + db > d:
-                        continue
-                    key = (ea, eb)
-                    acc[key] = acc.get(key, zero_c) + ca * cb.conjugate()
+        items_g = [(e, c.conjugate(), sum(e)) for e, c in g.terms.items()]
+        for ea, ca in f.terms.items():
+            da = sum(ea)
+            for eb, cb, db in items_g:
+                if d is None or da + db <= d:
+                    acc[ea, eb] = ca * cb
         return BidegPoly.from_field(f.nvars, acc, mode)
 
     def __repr__(self):

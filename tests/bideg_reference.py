@@ -3,6 +3,10 @@ functional-equation checks.
 
 * ``ball_kernel_power`` -- (1 - |w|^2)^k as a ``BidegPoly``, built from
   ``sandwich`` and ``mul_trunc``;
+* ``sandwich_pullback`` -- the pullback 1 + the signed sum of
+  ``sandwich(c, c, d)`` over a generator composite stack, one
+  ``BidegPoly`` per composite: a route independent of the loop in
+  ``kernels.h_pullback``;
 * ``gram_pullback`` -- the float pullback 1 + C^T diag(s) conj(C) from
   ``kernels.signed_gram``, on the triangle |alpha| + |beta| <= d, as a
   ``BidegPoly``;
@@ -34,6 +38,19 @@ def ball_kernel_power(n, k, mode, d):
     for _ in range(k):
         out = out.mul_trunc(base, d)
     return out
+
+
+def sandwich_pullback(sos, composites, d):
+    """1 plus the signed sum of ``BidegPoly.sandwich(c, c, d)`` over the
+    composites c (odd generators, then even)."""
+    n = composites.source_dim
+    e0 = (0,) * n
+    acc = BidegPoly(n, {(e0, e0): 1}, composites.mode)
+    signs = [-1] * len(sos.odd) + [1] * len(sos.even)
+    for sign, comp in zip(signs, composites.components):
+        term = BidegPoly.sandwich(comp, comp, d)
+        acc = acc + (term if sign > 0 else -term)
+    return acc
 
 
 def gram_pullback(sos, composites, d):

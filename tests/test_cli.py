@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdom import isometry, kernels, serialize
+from symdom import BidegPoly, HoloPoly, cli, isometry, kernels, serialize
 from symdom.cli import main
 
 
@@ -247,6 +247,47 @@ def test_extend_composes_generators_with_its_input_once(tmp_path,
 
     assert generator_calls(given) == 1
     assert generator_calls(built) == 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_commands_need_no_tracer_only_names(tmp_path, monkeypatch, mode):
+    # the pipeline runs without the product, substitution and sandwich
+    # methods, which only bench/tracer.py and the tests still name
+    def unused(*args, **kwargs):
+        raise AssertionError("called a method the library no longer uses")
+
+    monkeypatch.setattr(HoloPoly, "mul_trunc", unused)
+    monkeypatch.setattr(HoloPoly, "substitute", unused)
+    monkeypatch.setattr(BidegPoly, "sandwich", unused)
+    jet_file = tmp_path / "jet.json"
+    assert main(["construct", "--family", "IV", "--n", "4", "--dim", "1",
+                 "--seed", "42", "--mode", mode, "--degree", "4",
+                 "--variety", "--out", str(jet_file)]) == 0
+    assert main(["verify", "--in", str(jet_file),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert main(["extend", "--in", str(jet_file),
+                 "--out", str(tmp_path / "ext.json")]) == 0
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError(
+    "Unable to allocate 2.98 TiB for an array with shape (100000000000, 2, 2)"
+    " and data type complex128")], ids=["bare", "numpy"])
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, iv4_jet_doc,
+                               exc):
+    # an allocation that fails is a bad parameter, not a failed check; the
+    # allocation itself is not attempted, since it may succeed lazily
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "full_verification_report", exhausted)
+    jet_file = tmp_path / "jet.json"
+    jet_file.write_text(json.dumps(iv4_jet_doc))
+    assert main(["verify", "--in", str(jet_file),
+                 "--samples", "100000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -50,7 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from workloads import CONSTRUCT_GRID  # noqa: E402
 from bideg_reference import (  # noqa: E402
-    ball_kernel_power, degree_loop_solve, gram_pullback)
+    ball_kernel_power, degree_loop_solve, gram_pullback, sandwich_pullback)
 
 DEG = 6
 
@@ -292,16 +292,18 @@ def _nan_max(a, b):
     return b if b > a or b != b else a
 
 
-def _reference_fe(iso, d):
-    # the pullback minus (1 - |w|^2)^k as bidegree polynomials, read off
-    # one term at a time, on the composite stack the check squares: the
-    # sparse sum of h_pullback for exact jets, the masked Gram product for
-    # float ones
+def _reference_pullback(iso, d):
+    # the pullback on the composite stack the check squares: one sandwich
+    # per composite for exact jets, the masked Gram product for float ones
     stack = iso.composites(d)
-    lhs = (kernels.h_pullback(iso.sos, iso.jet.truncate(d), d,
-                              composites=stack) if iso.mode == "exact"
-           else gram_pullback(iso.sos, stack, d))
-    diff = lhs - ball_kernel_power(iso.source_dim, iso.k, iso.mode, d)
+    return (sandwich_pullback(iso.sos, stack, d) if iso.mode == "exact"
+            else gram_pullback(iso.sos, stack, d))
+
+
+def _reference_fe(iso, d, pullback):
+    # the pullback minus (1 - |w|^2)^k as bidegree polynomials, read off
+    # one term at a time
+    diff = pullback - ball_kernel_power(iso.source_dim, iso.k, iso.mode, d)
     per, worst = {}, 0.0
     for (alpha, beta), c in diff.terms.items():
         key = (sum(alpha), sum(beta))
@@ -318,7 +320,7 @@ def _assert_fe_matches_reference(iso, d):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = check_functional_eq(iso, d)
-    worst, per = _reference_fe(iso, d)
+    worst, per = _reference_fe(iso, d, _reference_pullback(iso, d))
     assert rep.mode == "float"
     assert rep.per_bidegree.keys() == per.keys()
     assert all(_same_value(rep.per_bidegree[key], v) for key, v in per.items())
@@ -424,7 +426,8 @@ EXACT_FE_JETS = {
 def test_exact_fe_matches_bidegree_reference(name):
     # the exact grid jets at seed 1 and the exact disks (k = 1 and k = 2):
     # every truncation degree d from 2k to 6, as built and with 1/10 added
-    # at each degree 1..d of each component
+    # at each degree 1..d of each component; the pullback itself equals
+    # the per-composite sandwich sum
     iso = EXACT_FE_JETS[name]()
     assert iso.mode == "exact"
     failed = 0
@@ -435,8 +438,11 @@ def test_exact_fe_matches_bidegree_reference(name):
         for j, jet in enumerate(jets):
             rep = check_functional_eq(jet, d)
             assert rep.mode == "exact"
+            ref = _reference_pullback(jet, d)
+            assert kernels.h_pullback(jet.sos, jet.jet, d,
+                                      composites=jet.composites(d)) == ref
             assert (rep.max_residual, rep.per_bidegree) == \
-                _reference_fe(jet, d)
+                _reference_fe(jet, d, ref)
             if j == 0:
                 assert rep.max_residual == 0.0 and rep.per_bidegree == {}
             failed += not rep.passed
