@@ -15,19 +15,16 @@ import numpy as np
 
 from .domains import DomainSpec, sos_counts
 from .errors import ExactCompletionError, UnitaryMatchError
-from .linalg import (ExactMatrix, coisometry_residual, ex_complete_orthonormal,
-                     ex_conj_t, ex_gram, ex_is_identity, ex_matmul, ex_rank,
-                     ex_rref, ex_transpose, null_space,
-                     phase_normalize_columns, row_complement)
+from .linalg import (RANK_TOL, ExactMatrix, coisometry_residual,
+                     ex_complete_orthonormal, ex_matmul, ex_rank, ex_rref,
+                     ex_transpose, null_space, phase_normalize_columns,
+                     row_complement)
 from .poly import JetMap, _monomial_basis
 from .scalars import EXACT_ZERO
 
 __all__ = ["coefficient_matrix", "match_unitary", "complete_to_unitary",
            "sos_signature_bound"]
 
-# in the float match, a singular value of the source's coefficient matrix
-# below RANK_TOL times max(1, the largest) counts as zero
-RANK_TOL = 1e-8
 COISOMETRY_TOL = 1e-10  # max |rows conj(rows)^T - I| of float rows to complete
 
 
@@ -95,6 +92,7 @@ def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
         raise ValueError("jets must have the same number of variables")
     basis = _monomial_basis([target, source])
     n = target.target_dim
+    u = None
     if target.mode == "exact" and source.mode == "exact":
         fmat, _ = coefficient_matrix(target, basis)
         gmat, _ = coefficient_matrix(source, basis)
@@ -107,46 +105,39 @@ def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
             if ex_matmul(u, gmat) != fmat:
                 raise UnitaryMatchError(
                     "exact solve left a nonzero matching residual")
-            if not ex_is_identity(ex_matmul(u, ex_conj_t(u))):
-                raise UnitaryMatchError(
-                    "recovered exact matrix is not unitary")
-            return u, "exact"
-    fmat, _ = coefficient_matrix(target.to_float(), basis)
-    gmat, _ = coefficient_matrix(source.to_float(), basis)
-    u = _float_match(fmat, gmat, tol)
-    scale = max(1.0, float(np.max(np.abs(fmat))))
-    res = float(np.max(np.abs(u @ gmat - fmat)))
-    if res > tol * scale:
-        raise UnitaryMatchError(f"matching residual {res:.3e} exceeds tol")
-    uni = float(np.max(np.abs(u @ u.conj().T - np.eye(n))))
-    if uni > tol:
+    mode = "float" if u is None else "exact"
+    if u is None:
+        fmat, _ = coefficient_matrix(target.to_float(), basis)
+        gmat, _ = coefficient_matrix(source.to_float(), basis)
+        u = _float_match(fmat, gmat, tol)
+        scale = max(1.0, float(np.max(np.abs(fmat))))
+        res = float(np.max(np.abs(u @ gmat - fmat)))
+        if res > tol * scale:
+            raise UnitaryMatchError(f"matching residual {res:.3e} exceeds tol")
+    uni = coisometry_residual(u)
+    if not uni <= (0.0 if mode == "exact" else tol):
         raise UnitaryMatchError(f"unitarity residual {uni:.3e} exceeds tol")
-    return u, "float"
+    return u, mode
 
 
 def complete_to_unitary(rows: Union[ExactMatrix, np.ndarray]):
     """Extend orthonormal rows to a full unitary, new rows stacked on top.
 
+    The rows must pass ``coisometry_residual``: exactly for exact rows,
+    within ``COISOMETRY_TOL`` for a numpy array (NaN never passes);
+    otherwise ValueError is raised.  Square rows get an empty completion.
     Exact input stays exact when every Gram-Schmidt normalization has a
     square root in Q(i, sqrt2); otherwise ExactCompletionError is raised
     and the caller may retry in floating point.
     """
-    if isinstance(rows, np.ndarray):
-        res = coisometry_residual(rows)
-        if res > COISOMETRY_TOL:
-            raise ValueError(f"rows are not orthonormal (residual {res:.3e})")
-        m, n = rows.shape
-        if m == n:
-            return rows.copy()
-        comp = row_complement(rows)
-        return np.vstack([comp, rows])
-    if not ex_is_identity(ex_gram(rows)):
-        raise ValueError("rows are not exactly orthonormal")
-    n = len(rows[0])
-    if len(rows) == n:
-        return [list(r) for r in rows]
+    exact = isinstance(rows, list)
+    res = coisometry_residual(rows)
+    if not res <= (0.0 if exact else COISOMETRY_TOL):
+        raise ValueError(f"rows are not orthonormal (residual {res:.3e})")
+    if not exact:
+        return np.vstack([row_complement(rows), rows])
     comp = ex_complete_orthonormal(rows)
-    if len(comp) + len(rows) != n:
+    if len(comp) + len(rows) != len(rows[0]):
         raise ExactCompletionError("complement basis has wrong size")
     return comp + [list(r) for r in rows]
 

@@ -23,7 +23,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .domains import (ParameterError, closed_form_null_threshold,
+from .domains import (FAMILIES, ParameterError, closed_form_null_threshold,
                       char_bundle_dims, dim_upper_bound, make_spec,
                       null_threshold, rank2_codim_inequality,
                       vmrt_certificate)
@@ -35,9 +35,6 @@ from .kernels import (contains, curvature_at_origin, kernel_value, make_sos,
 from .randmat import random_coisometry
 from .scalars import as_complex
 from . import serialize
-
-FAMILIES = ["I", "II", "III", "IV", "V", "VI", "polydisk"]
-
 
 def _write_out(text: str, path: Optional[str]) -> None:
     if path is None or path == "-":
@@ -71,7 +68,7 @@ def _spec_from_args(args):
 
 
 def _add_family_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", required=True, choices=FAMILIES)
+    parser.add_argument("--family", required=True, choices=list(FAMILIES))
     parser.add_argument("--p", type=int, help="rows (I) or factors (polydisk)")
     parser.add_argument("--q", type=int, help="columns (type I)")
     parser.add_argument("--m", type=int, help="matrix size (types II, III)")

@@ -149,6 +149,18 @@ def _spec_polydisk(p: int) -> DomainSpec:
     )
 
 
+# family -> (builder, the names of its parameters in the builder's order)
+FAMILIES = {
+    "I": (_spec_type_i, ("p", "q")),
+    "II": (_spec_type_ii, ("m",)),
+    "III": (_spec_type_iii, ("m",)),
+    "IV": (_spec_type_iv, ("n",)),
+    "V": (_spec_type_v, ()),
+    "VI": (_spec_type_vi, ()),
+    "polydisk": (_spec_polydisk, ("p",)),
+}
+
+
 def make_spec(family: str, **params) -> DomainSpec:
     """Build the invariant record for one domain.
 
@@ -157,26 +169,13 @@ def make_spec(family: str, **params) -> DomainSpec:
     """
     fam = family.strip()
     fam_key = fam.upper() if fam.lower() != "polydisk" else "polydisk"
-    spec = None
+    if fam_key not in FAMILIES:
+        raise ParameterError(f"unknown family {family!r}")
+    builder, names = FAMILIES[fam_key]
     try:
-        if fam_key == "I":
-            spec = _spec_type_i(int(params.pop("p")), int(params.pop("q")))
-        elif fam_key == "II":
-            spec = _spec_type_ii(int(params.pop("m")))
-        elif fam_key == "III":
-            spec = _spec_type_iii(int(params.pop("m")))
-        elif fam_key == "IV":
-            spec = _spec_type_iv(int(params.pop("n")))
-        elif fam_key == "V":
-            spec = _spec_type_v()
-        elif fam_key == "VI":
-            spec = _spec_type_vi()
-        elif fam_key == "polydisk":
-            spec = _spec_polydisk(int(params.pop("p")))
+        spec = builder(*[int(params.pop(name)) for name in names])
     except KeyError as exc:
         raise ParameterError(f"family {fam!r} missing parameter {exc}") from None
-    if spec is None:
-        raise ParameterError(f"unknown family {family!r}")
     if params:
         raise ParameterError(
             f"family {fam!r} got unexpected parameters {sorted(params)}")

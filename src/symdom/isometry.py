@@ -46,7 +46,7 @@ from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
                      ex_matmul, ex_nullspace, ex_transpose, matrix_rank_tol,
                      to_complex_matrix)
 from .poly import HoloPoly, JetMap, _graded, compose_truncate, solve_graded
-from .scalars import EXACT_ZERO, Exact, as_complex, one, zero
+from .scalars import EXACT_ZERO, as_complex, one, zero
 
 __all__ = [
     "IsometryJet", "FEReport", "PolarizedReport", "RecoveredUnitary",
@@ -219,19 +219,12 @@ def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
 
 
 def jacobian_normalization_residual(iso: IsometryJet) -> float:
-    """max |conj(J)^T J - k I| for the jacobian J at the origin."""
+    """max |conj(J)^T J - k I| for the jacobian J at the origin: the
+    ``coisometry_residual`` of conj(J)^T, in the jet's mode."""
     jac = iso.jet.jacobian0()
-    n = iso.jet.source_dim
-    if iso.mode == "exact":
-        prod = ex_matmul(ex_conj_t(jac), jac)
-        worst = 0.0
-        for a in range(n):
-            for b in range(n):
-                gap = prod[a][b] - (Exact(iso.k) if a == b else EXACT_ZERO)
-                worst = max(worst, abs(complex(gap)))
-        return worst
-    j = to_complex_matrix(jac)
-    return float(np.max(np.abs(j.conj().T @ j - iso.k * np.eye(n))))
+    adjoint = (ex_conj_t(jac) if iso.mode == "exact"
+               else to_complex_matrix(jac).conj().T)
+    return coisometry_residual(adjoint, iso.k)
 
 
 @dataclass(frozen=True)
@@ -428,7 +421,7 @@ def build_k1_variety(u_rows, sos: SignedSOS) -> VarietySystem:
     if m >= nbig:
         raise ParameterError("row count must leave a positive source dimension")
     res = coisometry_residual(rows)
-    if res > 1e-8:
+    if not res <= (0.0 if exact else 1e-8):
         raise ValueError(f"rows are not orthonormal (residual {res:.3e})")
     mode = "exact" if exact else "float"
     z0, minus = zero(mode), zero(mode) - one(mode)
@@ -455,8 +448,7 @@ def membership_residual(system: VarietySystem, jet: JetMap,
 
 
 def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
-                        tol: float = DEFAULT_TOL,
-                        allow_float_fallback: bool = True) -> IsometryJet:
+                        tol: float = DEFAULT_TOL) -> IsometryJet:
     """Rebuild the k = 1 jet determined by a co-isometric row system.
 
     Completes the rows U to a unitary full = [A; U] and solves, degree by
@@ -471,9 +463,10 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
     already the plus composites of the finished jet, and the minus
     composites are its components, so the returned jet holds that stack
     for its check.  A degree below 2 is refused before the completion, as
-    the check refuses it.  Exact rows stay exact when the completion stays
-    in the field; otherwise, with allow_float_fallback, the computation
-    restarts in floating point.
+    the check refuses it.  Rows that are not orthonormal are refused by
+    ``complete_to_unitary`` (exactly for exact rows).  Exact rows stay
+    exact when the completion stays in the field; otherwise the
+    computation restarts in floating point from the same rows.
     """
     _require_coordinate_minus_block(sos)
     nbig = sos.nvars
@@ -489,9 +482,7 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
     n = nbig - m
     try:
         full = complete_to_unitary(u_rows)
-    except ExactCompletionError:
-        if not (isinstance(u_rows, list) and allow_float_fallback):
-            raise
+    except ExactCompletionError:  # raised for exact rows only
         return solve_component_jet(to_complex_matrix(u_rows), sos,
                                    degree, tol)
     even = JetMap(sos.even, degree, nbig)
@@ -607,7 +598,7 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
     rebuilds the maximal jet F from those rows alone, and verifies
     f = F o rho for the linear isometric slice rho = conj(JF)^T Jf.
     Exact input is extended exactly when the plus-composites vanish and
-    the relation rows orthonormalize inside the field.
+    the relation rows orthonormalize and complete inside the field.
     """
     spec = iso.spec
     if iso.k != 1:
@@ -635,12 +626,12 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
             relations = ex_nullspace(ex_transpose(fmat))
             try:
                 ortho = ex_gs_orthonormal(relations)
-                if len(ortho) >= m2:
-                    ext = solve_component_jet(ortho[:m2], iso.sos, d, tol,
-                                              allow_float_fallback=False)
-                    mode_used = "exact"
             except ExactCompletionError:
-                ext = None
+                ortho = []
+            if len(ortho) >= m2:
+                # a completion that leaves the field gives a float F
+                ext = solve_component_jet(ortho[:m2], iso.sos, d, tol)
+                mode_used = ext.mode
     if ext is None:
         # n < n0 leaves zero rows in the recovery target, so the jet's
         # coefficient matrix is rank-deficient and the match is a float one
@@ -648,17 +639,16 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
         rows = to_complex_matrix(rec.matrix)[n:n + m2]
         ext = solve_component_jet(rows, iso.sos, d, tol)
     jf, jbig = iso.jet.jacobian0(), ext.jet.jacobian0()
-    # exact rows solved with no float fallback: the input and F are exact
+    # an exact F comes from an exact input, so both jacobians are exact
     if mode_used == "exact":
         rho_mat = ex_matmul(ex_conj_t(jbig), jf)
-        gram = ex_matmul(ex_conj_t(rho_mat), rho_mat)
+        rho_adj = ex_conj_t(rho_mat)
     else:
         rho_mat = to_complex_matrix(jbig).conj().T @ to_complex_matrix(jf)
-        gram = rho_mat.conj().T @ rho_mat
+        rho_adj = rho_mat.conj().T
     limit = 0.0 if mode_used == "exact" else max(tol, 1e-8)
-    gram_gap = float(np.max(np.abs(to_complex_matrix(
-        [[gram[a][b] - int(a == b) for b in range(n)] for a in range(n)]))))
-    if gram_gap > limit:
+    gram_gap = coisometry_residual(rho_adj)  # max |conj(rho)^T rho - I|
+    if not gram_gap <= limit:
         raise VerificationError(
             f"slice map is not isometric (residual {gram_gap:.3e})")
     rho = JetMap.from_linear(rho_mat, d)

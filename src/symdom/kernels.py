@@ -276,7 +276,7 @@ def curvature_at_origin(sos: SignedSOS, alpha: Sequence) -> float:
 
 # -- interior membership and sampling ---------------------------------------
 
-def contains(sos: SignedSOS, z: Sequence, margin: float = 0.0) -> bool:
+def contains(sos: SignedSOS, z: Sequence) -> bool:
     """Interior membership of a point in the bounded realization.
 
     Polydisk and type IV use their defining inequalities; type I checks the
@@ -285,16 +285,16 @@ def contains(sos: SignedSOS, z: Sequence, margin: float = 0.0) -> bool:
     pt = [as_complex(p) for p in z]
     fam = sos.spec.family
     if fam == "polydisk":
-        return all(abs(c) < 1.0 - margin for c in pt)
+        return all(abs(c) < 1.0 for c in pt)
     if fam == "IV":
         # products, not ** 2: a huge coordinate overflows to inf (outside)
         # where a float power would raise OverflowError
         n2 = sum(abs(c) * abs(c) for c in pt)
         s = abs(sum(c * c for c in pt) / 2.0)
-        return n2 < 2.0 - margin and n2 < 1.0 + s * s - margin
+        return n2 < 2.0 and n2 < 1.0 + s * s
     if fam == "I":
         p, q = sos.spec.params
         mat = np.array(pt, dtype=complex).reshape(p, q)
         smax = np.linalg.svd(mat, compute_uv=False)[0]
-        return bool(smax < 1.0 - margin)
+        return bool(smax < 1.0)
     raise ParameterError(f"no membership test for {sos.spec.label}")

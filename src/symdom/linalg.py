@@ -2,11 +2,17 @@
 
 Exact matrices are lists of rows of Exact scalars; floating matrices are
 numpy arrays.  The Hermitian inner product of rows u, v is
-sum_k u[k] * conj(v[k]).
+sum_k u[k] * conj(v[k]).  ``coisometry_residual`` is the one orthonormality
+test for both kinds, computed in the matrix's own field.  The floating
+helpers decide numerical rank with fixed relative thresholds: a singular
+value below ``NULL_TOL`` (null spaces, complements) or ``RANK_TOL``
+(``matrix_rank_tol`` and the float match of ``calabi``) times max(1, the
+largest) counts as zero.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
@@ -18,12 +24,15 @@ ExactMatrix = List[List[Exact]]
 
 __all__ = [
     "ExactMatrix", "ex_transpose", "ex_conj", "ex_conj_t",
-    "ex_matmul", "ex_gram", "ex_rref", "ex_rank", "ex_nullspace",
+    "ex_matmul", "ex_rref", "ex_rank", "ex_nullspace",
     "ex_gs_orthonormal",
-    "ex_complete_orthonormal", "ex_is_identity", "to_complex_matrix",
+    "ex_complete_orthonormal", "to_complex_matrix",
     "phase_normalize_columns", "null_space", "row_complement",
     "principal_angles", "coisometry_residual", "matrix_rank_tol",
 ]
+
+NULL_TOL = 1e-10
+RANK_TOL = 1e-8
 
 
 def ex_transpose(a: ExactMatrix) -> ExactMatrix:
@@ -53,22 +62,6 @@ def ex_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
             out_row.append(acc)
         out.append(out_row)
     return out
-
-
-def ex_gram(rows: ExactMatrix) -> ExactMatrix:
-    """Hermitian Gram matrix G[i][j] = <row_i, row_j>."""
-    m = len(rows)
-    g = [[EXACT_ZERO] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            acc = EXACT_ZERO
-            for x, y in zip(rows[i], rows[j]):
-                if not (x.is_zero or y.is_zero):
-                    acc = acc + x * y.conjugate()
-            g[i][j] = acc
-            if i != j:
-                g[j][i] = acc.conjugate()
-    return g
 
 
 def ex_rref(a: ExactMatrix):
@@ -166,18 +159,6 @@ def ex_complete_orthonormal(rows: ExactMatrix) -> ExactMatrix:
     return ex_gs_orthonormal(comp)
 
 
-def ex_is_identity(a: ExactMatrix) -> bool:
-    n = len(a)
-    for i in range(n):
-        if len(a[i]) != n:
-            return False
-        for j in range(n):
-            want = EXACT_ONE if i == j else EXACT_ZERO
-            if a[i][j] != want:
-                return False
-    return True
-
-
 def to_complex_matrix(a) -> np.ndarray:
     if isinstance(a, np.ndarray):
         return a.astype(complex)
@@ -196,27 +177,27 @@ def phase_normalize_columns(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def null_space(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def null_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning {x : a @ x = 0}, deterministic phases."""
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > NULL_TOL * max(1.0, s[0] if s.size else 1.0)))
     basis = vh.conj().T[:, rank:]
     return phase_normalize_columns(basis)
 
 
-def row_complement(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def row_complement(a: np.ndarray) -> np.ndarray:
     """Rows orthonormal (Hermitian) to the rows of a, deterministic."""
-    basis = null_space(np.asarray(a, dtype=complex).conj(), tol)
+    basis = null_space(np.asarray(a, dtype=complex).conj())
     return basis.T
 
 
-def matrix_rank_tol(a: np.ndarray, tol: float = 1e-8) -> int:
+def matrix_rank_tol(a: np.ndarray) -> int:
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0:
         return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return int(np.sum(s > RANK_TOL * max(1.0, s[0])))
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,8 +221,24 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return angles
 
 
-def coisometry_residual(a) -> float:
-    """max |a conj(a)^T - I| as a float, for exact or floating input."""
-    m = to_complex_matrix(a)
-    g = m @ m.conj().T
-    return float(np.max(np.abs(g - np.eye(m.shape[0]))))
+def coisometry_residual(a, k: int = 1) -> float:
+    """max |a conj(a)^T - k I| in the field of a: in floating point for a
+    numpy array (NaN propagates), and in Q(i, sqrt2) over the Hermitian
+    half for exact rows, where it is 0.0 exactly when a conj(a)^T = k I
+    and otherwise at least the smallest positive float."""
+    if isinstance(a, np.ndarray):
+        m = a.astype(complex)
+        g = m @ m.conj().T
+        return float(np.max(np.abs(g - k * np.eye(m.shape[0]))))
+    worst = 0.0
+    for i, u in enumerate(a):
+        for j in range(i, len(a)):
+            acc = EXACT_ZERO
+            for x, y in zip(u, a[j]):
+                if not (x.is_zero or y.is_zero):
+                    acc = acc + x * y.conjugate()
+            if i == j:
+                acc = acc - k
+            if not acc.is_zero:
+                worst = max(worst, abs(complex(acc)), math.ulp(0.0))
+    return worst

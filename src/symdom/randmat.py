@@ -23,6 +23,8 @@ __all__ = ["as_rng", "random_unit_phase", "random_rotation_pair",
 
 Rng = Union[int, random.Random]
 
+JET_TERMS = 4  # random monomials added to each component of a random jet
+
 _PYTHAGOREAN = [(3, 4, 5), (5, 12, 13), (8, 15, 17),
                 (7, 24, 25), (20, 21, 29), (9, 40, 41)]
 
@@ -66,9 +68,8 @@ def _apply_rotation(m: ExactMatrix, i: int, j: int,
     m[j] = [-(b.conjugate()) * x + a.conjugate() * y for x, y in zip(ri, rj)]
 
 
-def random_exact_unitary(n: int, rng: Rng = 0,
-                         layers: Optional[int] = None) -> ExactMatrix:
-    """Dense unitary over Q(i, sqrt2) built from seeded rotations."""
+def random_exact_unitary(n: int, rng: Rng = 0) -> ExactMatrix:
+    """Dense unitary over Q(i, sqrt2) built from 2n seeded rotations."""
     r = as_rng(rng)
     if n < 1:
         raise ValueError("need n >= 1")
@@ -76,7 +77,7 @@ def random_exact_unitary(n: int, rng: Rng = 0,
                        for j in range(n)] for i in range(n)]
     if n == 1:
         return [[random_unit_phase(r)]]
-    for _ in range(2 * n if layers is None else layers):
+    for _ in range(2 * n):
         i, j = r.sample(range(n), 2)
         a, b = random_rotation_pair(r)
         _apply_rotation(m, min(i, j), max(i, j), a, b)
@@ -168,15 +169,17 @@ def _random_exact_scalar(r: random.Random) -> Exact:
     return val
 
 
-def random_exact_jet(nvars: int, ncomps: int, degree: int, rng: Rng = 0,
-                     terms: int = 4) -> JetMap:
-    """Constant-free exact polynomial jet with small random coefficients."""
+def random_exact_jet(nvars: int, ncomps: int, degree: int,
+                     rng: Rng = 0) -> JetMap:
+    """Constant-free exact polynomial jet with small random coefficients:
+    each component is a scaled coordinate plus ``JET_TERMS`` random
+    monomials of degree 1..degree."""
     r = as_rng(rng)
     comps = []
     for i in range(ncomps):
         poly = HoloPoly.var(nvars, i % nvars, mode="exact").scale(
             _random_exact_scalar(r) + Exact.of(2))
-        for _ in range(terms):
+        for _ in range(JET_TERMS):
             deg = r.randint(1, degree)
             exp = [0] * nvars
             for _ in range(deg):

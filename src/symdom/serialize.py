@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import DomainSpec, make_spec
+from .domains import FAMILIES, DomainSpec, make_spec
 from .isometry import IsometryJet, VarietySystem
 from .kernels import make_sos
 from .poly import HoloPoly, JetMap
@@ -141,12 +141,8 @@ def matrix_from_json(obj: dict):
     return entries
 
 
-_PARAM_NAMES = {"I": ("p", "q"), "II": ("m",), "III": ("m",),
-                "IV": ("n",), "V": (), "VI": (), "polydisk": ("p",)}
-
-
 def spec_to_json(spec: DomainSpec) -> dict:
-    names = _PARAM_NAMES[spec.family]
+    _, names = FAMILIES[spec.family]
     return {"family": spec.family,
             "params": {k: v for k, v in zip(names, spec.params)}}
 

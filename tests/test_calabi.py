@@ -21,10 +21,9 @@ from symdom import (
 )
 from symdom.linalg import (
     coisometry_residual,
-    ex_gram,
-    ex_is_identity,
     ex_matmul,
 )
+from symdom.scalars import SQRT2
 from symdom.poly import HoloPoly, JetMap
 
 
@@ -57,12 +56,49 @@ def test_complete_to_unitary_rejects_bad_rows():
         complete_to_unitary(np.array([[0.5, 0.5]], dtype=complex))
 
 
+def test_complete_to_unitary_rejects_nan_rows():
+    # a NaN residual fails the check instead of reaching the SVD
+    rows = np.array([[math.nan, 0.0, 0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        complete_to_unitary(rows)
+
+
+def test_complete_to_unitary_square_rows_complete_to_themselves():
+    rows_f = random_coisometry(3, 3, 5, "float")
+    full = complete_to_unitary(rows_f)
+    assert full.shape == (3, 3) and np.array_equal(full, rows_f)
+    rows_e = random_coisometry(3, 3, 5, "exact")
+    assert complete_to_unitary(rows_e) == rows_e
+
+
+def test_coisometry_residual_exact_rows():
+    for seed in range(4):
+        rows = random_coisometry(2, 5, seed, "exact")
+        assert coisometry_residual(rows) == 0.0
+        scaled = [[SQRT2 * x for x in row] for row in rows]
+        assert coisometry_residual(scaled, k=2) == 0.0
+        assert coisometry_residual(scaled) > 0
+        for change in (Fraction(1, 10), Fraction(1, 10 ** 400)):
+            bent = [list(row) for row in rows]
+            bent[1][seed] = bent[1][seed] + Exact.of(change)
+            # the second change's modulus underflows to 0.0 in floats
+            assert coisometry_residual(bent) > 0
+
+
+def test_coisometry_residual_float_rows():
+    rows = random_coisometry(3, 5, 2, "float")
+    old = float(np.max(np.abs(rows @ rows.conj().T - np.eye(3))))
+    assert coisometry_residual(rows) == old
+    rows[0, 1] = math.nan
+    assert math.isnan(coisometry_residual(rows))
+
+
 def test_complete_to_unitary_exact_random_rows():
     for seed in range(6):
         rows = random_coisometry(2, 5, seed, "exact")
         full = complete_to_unitary(rows)
         assert len(full) == 5
-        assert ex_is_identity(ex_gram(full))
+        assert coisometry_residual(full) == 0.0
         assert full[-2:] == [list(r) for r in rows]
 
 
@@ -117,6 +153,14 @@ def test_match_unitary_rejects_gram_mismatch():
         match_unitary(doubled, g)
 
 
+def test_match_unitary_rejects_nan_target():
+    # the float route's u is NaN in one row; its unitarity residual is NaN
+    w1, w2 = HoloPoly.var(2, 0, "float"), HoloPoly.var(2, 1, "float")
+    bad = HoloPoly.monomial(2, (1, 0), complex(math.nan), "float")
+    with pytest.raises(UnitaryMatchError, match="unitarity residual nan"):
+        match_unitary(JetMap([bad, w2], 2), JetMap([w1, w2], 2))
+
+
 def test_match_unitary_rejects_inconsistent_exact_target():
     # the source (w1, w2) has full row rank, but no u has u (w1, w2) =
     # (w1, w1^2): the target's w1^2 column lies outside the source's
@@ -132,7 +176,7 @@ def test_random_coisometry_modes():
     rows_f = random_coisometry(2, 4, 3, "float")
     assert coisometry_residual(np.asarray(rows_f)) < 1e-12
     rows_e = random_coisometry(3, 6, 3, "exact")
-    assert ex_is_identity(ex_gram(rows_e))
+    assert coisometry_residual(rows_e) == 0.0
 
 
 def test_signature_bound():

@@ -515,6 +515,13 @@ def test_k1_variety_row_count_gate():
         build_k1_variety([], sos)
 
 
+def test_k1_variety_rejects_nan_rows():
+    sos = make_sos(make_spec("IV", n=4), "float")
+    rows = np.array([[math.nan, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        build_k1_variety(rows, sos)
+
+
 @pytest.mark.parametrize("builder", [bidisk_diagonal, quadric_sqrt2_disk,
                                      matrix_diagonal_disk])
 def test_k2_variety_canonical(builder):
