@@ -19,11 +19,11 @@ from .errors import (VerificationError, UnitaryMatchError,
                      ExactCompletionError, TruncationError)
 from .isometry import (IsometryJet, FEReport, PolarizedReport,
                        RecoveredUnitary, VarietySystem, ExtensionResult,
-                       check_functional_eq, jacobian_normalization_residual,
-                       check_polarized_eq, recover_matching_unitary,
-                       build_k1_variety, solve_component_jet,
-                       membership_residual, build_k2_variety,
-                       extend_isometry, full_verification_report)
+                       check_functional_eq, check_polarized_eq,
+                       recover_matching_unitary, build_k1_variety,
+                       solve_component_jet, membership_residual,
+                       build_k2_variety, extend_isometry,
+                       full_verification_report)
 from .randmat import (random_exact_unitary, block_pair_unitary,
                       random_coisometry, random_isometric_slice,
                       random_exact_jet)
@@ -46,8 +46,8 @@ __all__ = [
     "TruncationError",
     "IsometryJet", "FEReport", "PolarizedReport", "RecoveredUnitary",
     "VarietySystem", "ExtensionResult",
-    "check_functional_eq", "jacobian_normalization_residual",
-    "check_polarized_eq", "recover_matching_unitary", "build_k1_variety",
+    "check_functional_eq", "check_polarized_eq",
+    "recover_matching_unitary", "build_k1_variety",
     "solve_component_jet", "membership_residual", "build_k2_variety",
     "extend_isometry", "full_verification_report",
     "random_exact_unitary", "block_pair_unitary", "random_coisometry",

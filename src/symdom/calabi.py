@@ -51,7 +51,7 @@ def _float_match(fmat: np.ndarray, gmat: np.ndarray,
     scale = max(1.0, float(np.max(np.abs(fmat))), float(np.max(np.abs(gmat))))
     gram_gap = float(np.max(np.abs(fmat.conj().T @ fmat -
                                    gmat.conj().T @ gmat)))
-    if gram_gap > tol * scale * scale:
+    if not gram_gap <= tol * scale * scale:  # NaN never passes
         raise UnitaryMatchError(
             f"coefficient Grams differ by {gram_gap:.3e}")
     w, s, vh = np.linalg.svd(gmat)
@@ -112,7 +112,7 @@ def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
         u = _float_match(fmat, gmat, tol)
         scale = max(1.0, float(np.max(np.abs(fmat))))
         res = float(np.max(np.abs(u @ gmat - fmat)))
-        if res > tol * scale:
+        if not res <= tol * scale:
             raise UnitaryMatchError(f"matching residual {res:.3e} exceeds tol")
     uni = coisometry_residual(u)
     if not uni <= (0.0 if mode == "exact" else tol):

@@ -25,7 +25,8 @@ basis: the signed Gram product of the stack's coefficient matrix (see
 `kernels.signed_gram`) plus 1 minus the diagonal of (1 - |w|^2)^k, read
 off by bidegree blocks.  Exact jets keep a pullback summed as a bidegree
 polynomial (`kernels.h_pullback`) from whose terms the same diagonal, as
-integers, is subtracted in place.
+integers, is subtracted in place.  The report reads the jacobian
+normalization conj(J)^T J = k I off that residual's (1, 1) block.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ from .scalars import EXACT_ZERO, as_complex, one, zero
 __all__ = [
     "IsometryJet", "FEReport", "PolarizedReport", "RecoveredUnitary",
     "VarietySystem", "ExtensionResult",
-    "check_functional_eq", "jacobian_normalization_residual",
-    "check_polarized_eq", "recover_matching_unitary", "build_k1_variety",
-    "solve_component_jet", "membership_residual", "build_k2_variety",
-    "extend_isometry", "full_verification_report",
+    "check_functional_eq", "check_polarized_eq", "recover_matching_unitary",
+    "build_k1_variety", "solve_component_jet", "membership_residual",
+    "build_k2_variety", "extend_isometry", "full_verification_report",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -179,7 +179,7 @@ def _exact_residual(iso: IsometryJet, d: int) -> tuple:
         if c.is_zero:
             continue
         key = (sum(alpha), sum(beta))
-        mag = abs(as_complex(c))
+        mag = max(abs(as_complex(c)), math.ulp(0.0))  # c != 0 never reads 0.0
         per[key] = _nan_max(per.get(key, 0.0), mag)
         worst = _nan_max(worst, mag)
     return worst, per, "exact"
@@ -216,15 +216,6 @@ def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
     worst, per, mode = iso._fe[d]
     return FEReport(max_residual=worst, per_bidegree=dict(per),
                     passed=worst <= tol, mode=mode, degree=d, tol=tol)
-
-
-def jacobian_normalization_residual(iso: IsometryJet) -> float:
-    """max |conj(J)^T J - k I| for the jacobian J at the origin: the
-    ``coisometry_residual`` of conj(J)^T, in the jet's mode."""
-    jac = iso.jet.jacobian0()
-    adjoint = (ex_conj_t(jac) if iso.mode == "exact"
-               else to_complex_matrix(jac).conj().T)
-    return coisometry_residual(adjoint, iso.k)
 
 
 @dataclass(frozen=True)
@@ -273,9 +264,12 @@ def check_polarized_eq(iso: IsometryJet, samples: int = 25,
 def full_verification_report(iso: IsometryJet, d: Optional[int] = None,
                              tol: float = DEFAULT_TOL, samples: int = 25,
                              seed: int = 0) -> dict:
-    """All three checks in one report dictionary (used by the CLI)."""
+    """All three checks in one report dictionary (used by the CLI); the
+    jacobian normalization is read off the FE check's (1, 1) block."""
     fe = check_functional_eq(iso, d, tol)
-    jac = jacobian_normalization_residual(iso)
+    # degree-1 generators are coordinates with sign -1, B's (1, 1) diagonal
+    # is -k: entry (a, b) of the block is -conj((conj(J)^T J - k I)_ab)
+    jac = fe.per_bidegree.get((1, 1), 0.0)
     pol = check_polarized_eq(iso, samples=samples, seed=seed)
     return {
         "functional-equation": {
@@ -332,16 +326,32 @@ class RecoveredUnitary:
         return self.matrix[n:]
 
 
+def _match_recovery_target(iso: IsometryJet, tol: float):
+    """(U, mode) with U f = (w, plus-composites of f, 0).  Below the bound
+    the target has zero rows, so no exact U exists: floats are matched."""
+    n = iso.jet.source_dim
+    d = iso.jet.degree
+    pad = iso.spec.dim - n - len(iso.sos.even)
+    mode = iso.jet.mode
+    comps = [HoloPoly.var(n, a, mode) for a in range(n)]
+    comps += _even_composites(iso, d)
+    comps += [HoloPoly.zero(n, mode) for _ in range(pad)]
+    target, source = JetMap(comps, d, n), iso.jet
+    if pad:
+        target, source = target.to_float(), source.to_float()
+    return match_unitary(target, source, tol)
+
+
 def recover_matching_unitary(iso: IsometryJet,
                              tol: float = DEFAULT_TOL) -> RecoveredUnitary:
     """Recover U with U f = (w, plus-composites of f, 0), for k = 1 jets.
 
-    Requires a rank-2 target whose minus generators are the coordinates and
-    a source dimension within the admissible range.  Exact jets with a
-    full-rank coefficient matrix give an exact U; otherwise U comes from
-    the singular value decomposition with deterministic completions.
-    Either way `match_unitary` has checked U f = target on the coefficient
-    matrices.
+    Requires a rank-2 target whose minus generators are the coordinates, a
+    source dimension up to the bound, and a passing pullback check.  At
+    the bound, exact jets with a full-rank coefficient matrix give an
+    exact U; below it U is the float SVD match with deterministic
+    completions.  Either way `match_unitary` has checked U f = target on
+    the coefficient matrices.
     """
     spec = iso.spec
     if iso.k != 1:
@@ -359,14 +369,8 @@ def recover_matching_unitary(iso: IsometryJet,
     if not fe.passed:
         raise VerificationError(
             f"pullback equation fails (residual {fe.max_residual:.3e})")
-    d = iso.jet.degree
-    pad = spec.dim - n - len(iso.sos.even)
-    mode = iso.jet.mode
-    comps = [HoloPoly.var(n, a, mode) for a in range(n)]
-    comps += _even_composites(iso, d)
-    comps += [HoloPoly.zero(n, mode) for _ in range(pad)]
-    u, umode = match_unitary(JetMap(comps, d, n), iso.jet, tol)
-    return RecoveredUnitary(matrix=u, mode=umode)
+    u, mode = _match_recovery_target(iso, tol)
+    return RecoveredUnitary(matrix=u, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -594,9 +598,10 @@ class ExtensionResult:
 def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResult:
     """Factor a non-maximal k = 1 jet through one of maximal source dimension.
 
-    Recovers the co-isometric bottom rows that pair the plus-composites,
-    rebuilds the maximal jet F from those rows alone, and verifies
-    f = F o rho for the linear isometric slice rho = conj(JF)^T Jf.
+    Recovers the co-isometric bottom rows that pair the plus-composites
+    (the float match of ``recover_matching_unitary``, whose checks are not
+    repeated), rebuilds the maximal jet F from those rows alone, and
+    verifies f = F o rho for the linear isometric slice rho = conj(JF)^T Jf.
     Exact input is extended exactly when the plus-composites vanish and
     the relation rows orthonormalize and complete inside the field.
     """
@@ -617,7 +622,6 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
             f"pullback equation fails (residual {fe.max_residual:.3e})")
     m2 = len(iso.sos.even)
     d = iso.jet.degree
-    mode_used = "float"
     ext: Optional[IsometryJet] = None
     if iso.mode == "exact":
         composites = _even_composites(iso, d)
@@ -631,22 +635,19 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
             if len(ortho) >= m2:
                 # a completion that leaves the field gives a float F
                 ext = solve_component_jet(ortho[:m2], iso.sos, d, tol)
-                mode_used = ext.mode
     if ext is None:
-        # n < n0 leaves zero rows in the recovery target, so the jet's
-        # coefficient matrix is rank-deficient and the match is a float one
-        rec = recover_matching_unitary(iso, tol)
-        rows = to_complex_matrix(rec.matrix)[n:n + m2]
-        ext = solve_component_jet(rows, iso.sos, d, tol)
+        # n < n0 pads the recovery target with zero rows: a float match
+        u, _ = _match_recovery_target(iso, tol)
+        ext = solve_component_jet(u[n:n + m2], iso.sos, d, tol)
     jf, jbig = iso.jet.jacobian0(), ext.jet.jacobian0()
     # an exact F comes from an exact input, so both jacobians are exact
-    if mode_used == "exact":
+    if ext.mode == "exact":
         rho_mat = ex_matmul(ex_conj_t(jbig), jf)
         rho_adj = ex_conj_t(rho_mat)
     else:
         rho_mat = to_complex_matrix(jbig).conj().T @ to_complex_matrix(jf)
         rho_adj = rho_mat.conj().T
-    limit = 0.0 if mode_used == "exact" else max(tol, 1e-8)
+    limit = 0.0 if ext.mode == "exact" else max(tol, 1e-8)
     gram_gap = coisometry_residual(rho_adj)  # max |conj(rho)^T rho - I|
     if not gram_gap <= limit:
         raise VerificationError(
@@ -657,11 +658,11 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
         raise VerificationError(
             f"factorization failed (residual {comp_res:.3e})")
     return ExtensionResult(
-        extended=ext, slice_map=rho, mode=mode_used,
+        extended=ext, slice_map=rho, mode=ext.mode,
         composition_residual=float(comp_res),
         report={
             "source_dim": n,
             "extended_dim": n0,
             "composition_residual": float(comp_res),
-            "mode": mode_used,
+            "mode": ext.mode,
         })

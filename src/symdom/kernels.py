@@ -158,8 +158,7 @@ def kernel_polarized(sos: SignedSOS, z: Sequence, xi: Sequence) -> Scalar:
     total = one(mode)
     for sign, g in sos.signed_generators():
         val = g.evaluate(z)
-        wal = g.evaluate(xi)
-        wal = wal.conjugate() if isinstance(wal, Exact) else complex(wal).conjugate()
+        wal = g.evaluate(xi).conjugate()
         total = total + val * wal * sign
     return total
 
@@ -268,8 +267,7 @@ def curvature_at_origin(sos: SignedSOS, alpha: Sequence) -> float:
     for sign, g in sos.signed_generators():
         if g.degree in c:
             val = g.evaluate(alpha)
-            mag = val * (val.conjugate() if isinstance(val, Exact)
-                         else complex(val).conjugate())
+            mag = val * val.conjugate()
             c[g.degree] = c[g.degree] + mag * sign
     return 4.0 * as_complex(c[2] - c[1] * c[1] / 2).real
 

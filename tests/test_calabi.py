@@ -154,11 +154,21 @@ def test_match_unitary_rejects_gram_mismatch():
 
 
 def test_match_unitary_rejects_nan_target():
-    # the float route's u is NaN in one row; its unitarity residual is NaN
+    # a NaN coefficient makes the Gram gap NaN, which never passes
     w1, w2 = HoloPoly.var(2, 0, "float"), HoloPoly.var(2, 1, "float")
     bad = HoloPoly.monomial(2, (1, 0), complex(math.nan), "float")
-    with pytest.raises(UnitaryMatchError, match="unitarity residual nan"):
+    with pytest.raises(UnitaryMatchError,
+                       match="coefficient Grams differ by nan"):
         match_unitary(JetMap([bad, w2], 2), JetMap([w1, w2], 2))
+
+
+def test_match_unitary_rejects_nan_source():
+    # the NaN is refused before it reaches the singular value decomposition
+    w1, w2 = HoloPoly.var(2, 0, "float"), HoloPoly.var(2, 1, "float")
+    bad = w1.scale(complex(math.nan))
+    with pytest.raises(UnitaryMatchError,
+                       match="coefficient Grams differ by nan"):
+        match_unitary(JetMap([w1, w2], 2), JetMap([bad, w2], 2))
 
 
 def test_match_unitary_rejects_inconsistent_exact_target():

@@ -2,8 +2,10 @@
 
 import copy
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -392,6 +394,30 @@ def test_overflowing_exact_jet_fails_checks(tmp_path, iv4_jet_doc, command,
     else:
         assert proc.stderr.startswith("verification failed:")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("deg", [1, 2])
+def test_subnormal_exact_perturbation_fails_verify(tmp_path, iv4_jet_doc,
+                                                   deg):
+    # 10^-400 added to one coefficient leaves FE entries below float range;
+    # a nonzero exact entry reads the smallest positive float, never 0.0
+    doc = copy.deepcopy(iv4_jet_doc)
+    term = next(t for comp in doc["jet"]["components"]
+                for t in comp["terms"] if sum(t["exp"]) == deg)
+    term["coeff"]["ar"] = str(Fraction(term["coeff"]["ar"])
+                              + Fraction(1, 10 ** 400))
+    bad_file, out = tmp_path / "bad.json", tmp_path / "report.json"
+    bad_file.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(bad_file), "--tol", "0",
+                 "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    fe, jac = report["functional-equation"], report["jacobian-normalization"]
+    assert fe["max_residual"] == math.ulp(0.0) and not fe["passed"]
+    assert fe["per_bidegree"] and all(
+        v == math.ulp(0.0) for v in fe["per_bidegree"].values())
+    # the jacobian is the FE check's (1,1) block
+    assert jac["max_residual"] == fe["per_bidegree"].get("1,1", 0.0)
+    assert jac["passed"] is (deg != 1)
 
 
 def _replace(*path_and_value):

@@ -212,3 +212,28 @@ def test_compare_counts_exact_kernel_documents(tmp_path):
                                                  here, other)
     assert (diffs, exact_docs) == (2, 1)
     assert largest == {"identical": 2 ** -52, "differs": None}
+
+
+def test_by_path_groups_differences_across_documents(tmp_path):
+    # one line per differing leaf path, in path order: the number of
+    # documents that differ there and the largest numeric gap among them
+    tool = _tool()
+    pairs = []
+    for name, here_doc, other_doc in (
+            ("a", {"jac": {"max_residual": 1e-16}, "mode": "float"},
+             {"jac": {"max_residual": 2e-16}, "mode": "float"}),
+            ("b", {"jac": {"max_residual": 0.0}, "mode": "float"},
+             {"jac": {"max_residual": 2.5e-16}, "mode": "exact"}),
+            ("c", {"jac": {"max_residual": 0.0}},
+             {"jac": {"max_residual": 0.0}})):
+        here, other = tmp_path / f"{name}.here", tmp_path / f"{name}.other"
+        here.write_text(json.dumps(here_doc))
+        other.write_text(json.dumps(other_doc))
+        pairs.append((here, other))
+    lines = tool.by_path(pairs)
+    assert lines[0] == ("jac/max_residual: 2 documents differ, largest "
+                        "absolute numeric difference 2.5e-16")
+    assert lines[1] == ("mode: 1 documents differ, largest absolute numeric "
+                        "difference none (no numbers differ)")
+    assert len(lines) == 2
+    assert tool.by_path(pairs[2:]) == []

@@ -28,7 +28,6 @@ from symdom import (
     compose_truncate,
     extend_isometry,
     full_verification_report,
-    jacobian_normalization_residual,
     kernel_polarized,
     make_sos,
     make_spec,
@@ -41,9 +40,10 @@ from symdom import (
     sos_type_i,
     sos_type_iv,
 )
-from symdom import isometry, kernels
-from symdom.calabi import complete_to_unitary
-from symdom.linalg import ex_conj_t, principal_angles, to_complex_matrix
+from symdom import calabi, isometry, kernels
+from symdom.calabi import complete_to_unitary, match_unitary
+from symdom.linalg import (coisometry_residual, ex_conj_t, principal_angles,
+                           to_complex_matrix)
 from symdom.poly import _graded
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -101,7 +101,8 @@ def test_canonical_isometries_exact_zero(builder):
     assert rep.mode == "exact"
     assert rep.max_residual == 0.0
     assert rep.passed
-    assert jacobian_normalization_residual(iso) == 0.0
+    assert full_verification_report(iso)["jacobian-normalization"] == {
+        "max_residual": 0.0, "passed": True}
 
 
 @pytest.mark.parametrize("builder", CANONICAL)
@@ -395,16 +396,17 @@ def test_ball_kernel_diagonal_matches_power(n, k):
         {alpha: b for alpha, b in zip(basis, diagonal) if b}
 
 
-def _plus_tenth(iso, d, i, deg):
-    """The jet truncated at d with 1/10 added to component i at its first
-    degree-deg monomial (w_1^deg when it has none), as an IsometryJet."""
+def _plus_tenth(iso, d, i, deg, amount=Fraction(1, 10)):
+    """The jet truncated at d with amount (1/10 by default) added to
+    component i at its first degree-deg monomial (w_1^deg when it has
+    none), as an IsometryJet."""
     comps = list(iso.jet.truncate(d).components)
     n = iso.source_dim
     exp = next((e for e, _ in comps[i].sorted_terms() if sum(e) == deg),
                (deg,) + (0,) * (n - 1))
     terms = dict(comps[i].terms)
-    terms[exp] = terms.get(exp, 0) + Fraction(1, 10)
-    comps[i] = HoloPoly(n, terms, "exact")
+    terms[exp] = terms.get(exp, 0) + amount
+    comps[i] = HoloPoly(n, terms, comps[i].mode)
     return IsometryJet(JetMap(comps, d, n), iso.k, iso.sos)
 
 
@@ -447,6 +449,50 @@ def test_exact_fe_matches_bidegree_reference(name):
                 assert rep.max_residual == 0.0 and rep.per_bidegree == {}
             failed += not rep.passed
     assert failed > 0
+
+
+def _jacobian_reference(iso):
+    """max |conj(J)^T J - k I|, computed from the jacobian itself."""
+    jac = iso.jet.jacobian0()
+    adjoint = (ex_conj_t(jac) if iso.mode == "exact"
+               else to_complex_matrix(jac).conj().T)
+    return coisometry_residual(adjoint, iso.k)
+
+
+def _report_jacobian(iso, d):
+    return full_verification_report(iso, d)["jacobian-normalization"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize(
+    "family, params, dims", CONSTRUCT_GRID,
+    ids=[f"{f}({','.join(map(str, p.values()))})" for f, p, _ in CONSTRUCT_GRID])
+def test_report_reads_jacobian_off_the_fe_check(family, params, dims, mode):
+    # the report's jacobian normalization is the (1,1) block of the FE
+    # check: equal to the reference for exact jets as built, with 1/10
+    # added to a degree-1 coefficient, and with 10^-400 added; within
+    # rounding for float jets; at the jet's degree and at degree 2
+    spec = make_spec(family, **params)
+    sos = make_sos(spec, mode)
+    for dim in dims:
+        rows = random_coisometry(spec.dim - dim, spec.dim, 1, mode)
+        iso = solve_component_jet(rows, sos, degree=4)
+        i = next(i for i, c in enumerate(iso.jet.components)
+                 if any(sum(e) == 1 for e in c.terms))
+        amounts = ([Fraction(1, 10), Fraction(1, 10 ** 400)]
+                   if mode == "exact" else [0.1])
+        jets = [iso] + [_plus_tenth(iso, 4, i, 1, a) for a in amounts]
+        for d in (2, 4):
+            for jet in jets:
+                got, want = _report_jacobian(jet, d), _jacobian_reference(jet)
+                assert got["passed"] is (want <= 1e-9)
+                if mode == "exact":
+                    assert got["max_residual"] == want
+                    assert (want > 0.0) is (jet is not iso)
+                elif jet is iso:
+                    assert abs(got["max_residual"] - want) <= 1e-15
+                else:
+                    assert abs(got["max_residual"] - want) <= 1e-13 * want
 
 
 def test_nan_coefficient_fails_checks():
@@ -636,6 +682,43 @@ def test_extend_sliced_construction():
     assert recomposed.max_coeff_distance(small.jet.to_float()) < 1e-10
     rep = check_functional_eq(res.extended)
     assert rep.passed
+
+
+def test_exact_extend_matches_once_in_floating_point(monkeypatch):
+    # the guards run once, in extend itself, and the padded target is
+    # matched in floating point without an exact rank test
+    spec = make_spec("IV", n=5)
+    rows = random_coisometry(spec.dim - 2, spec.dim, 1, "exact")
+    iso = solve_component_jet(rows, make_sos(spec), degree=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(isometry, "recover_matching_unitary", refuse)
+    monkeypatch.setattr(calabi, "ex_rank", refuse)
+    res = extend_isometry(iso)
+    assert res.extended.jet.source_dim == spec.ball_dim_bound
+    assert res.composition_residual < 1e-10
+
+
+@pytest.mark.parametrize("family, params, dim", [("IV", {"n": 5}, 2),
+                                                 ("I", {"p": 2, "q": 3}, 1)])
+def test_recover_below_bound_equals_exact_target_match(family, params, dim):
+    # the float match of the float copies is, bit for bit, the match of the
+    # exact target and jet, whose exact rank test fails on the zero rows
+    spec = make_spec(family, **params)
+    sos = make_sos(spec)
+    rows = random_coisometry(spec.dim - dim, spec.dim, 1, "exact")
+    iso = solve_component_jet(rows, sos, degree=4)
+    assert dim < spec.ball_dim_bound
+    comps = [HoloPoly.var(dim, a, "exact") for a in range(dim)]
+    comps += iso.composites(4).components[len(sos.odd):]
+    comps += [HoloPoly.zero(dim, "exact")
+              for _ in range(spec.ball_dim_bound - dim)]
+    want, mode = match_unitary(JetMap(comps, 4, dim), iso.jet)
+    rec = recover_matching_unitary(iso)
+    assert (rec.mode, mode) == ("float", "float")
+    assert rec.matrix.tobytes() == want.tobytes()
 
 
 def test_extend_rejects_maximal_source():

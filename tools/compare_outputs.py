@@ -17,7 +17,9 @@ exit status is 1 if there is any, else 0.  For a document whose sha256
 differs, the JSON paths at which the two documents differ are printed
 too, with the largest absolute difference of the numbers among them.  A
 ``verify`` or ``extend`` whose input document (the ``construct`` output)
-differs too is tagged "input differs", and the summary gives the largest
+differs too is tagged "input differs".  Before the summary, one line per
+JSON leaf path at which any documents differ counts them and gives the
+largest numeric difference there.  The summary gives the largest
 difference separately for documents whose input is identical and for
 those whose input differs: a difference that only propagates from the
 input is told apart from one the command itself makes.  The summary also
@@ -180,6 +182,23 @@ def explain(here: Path, other: Path) -> tuple:
     return lines, largest
 
 
+def by_path(pairs: list) -> list:
+    """A line per JSON leaf path at which some pair of documents (here,
+    other) differs, in path order: how many pairs differ there, and the
+    largest absolute difference of the numbers among them."""
+    paths = {}  # path -> [documents, largest]
+    for here, other in pairs:
+        for path, x, y in differences(json.loads(here.read_text()),
+                                      json.loads(other.read_text())):
+            entry = paths.setdefault(path, [0, None])
+            entry[0] += 1
+            if _is_number(x) and _is_number(y):
+                entry[1] = max(abs(x - y), entry[1] or 0.0)
+    return [f"{path}: {count} documents differ, largest absolute numeric "
+            f"difference {_show(largest)}"
+            for path, (count, largest) in sorted(paths.items())]
+
+
 def _show(largest) -> str:
     return "none (no numbers differ)" if largest is None else f"{largest:.3g}"
 
@@ -263,6 +282,10 @@ def main(argv=None) -> int:
         theirs = run_checkout(args.other, argvs, other_dir)
         lines, diffs, largest, exact_docs = compare(
             labelled, ours, theirs, here_dir, other_dir)
+        docs = [argv[argv.index("--out") + 1]
+                for argv, a, b in zip(argvs, ours, theirs)
+                if a[2] != b[2] and a[2] and b[2]]
+        lines += by_path([(here_dir / doc, other_dir / doc) for doc in docs])
     print("\n".join(lines + [summary(len(argvs), diffs, largest,
                                       exact_docs)]))
     return 1 if diffs else 0
