@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .domains import DomainSpec, sos_counts
-from .errors import ExactCompletionError, UnitaryMatchError
+from .errors import UnitaryMatchError
 from .linalg import (RANK_TOL, ExactMatrix, coisometry_residual,
                      ex_complete_orthonormal, ex_matmul, ex_rank, ex_rref,
                      ex_transpose, null_space, phase_normalize_columns,
@@ -137,8 +137,6 @@ def complete_to_unitary(rows: Union[ExactMatrix, np.ndarray]):
     if not exact:
         return np.vstack([row_complement(rows), rows])
     comp = ex_complete_orthonormal(rows)
-    if len(comp) + len(rows) != len(rows[0]):
-        raise ExactCompletionError("complement basis has wrong size")
     return comp + [list(r) for r in rows]
 
 

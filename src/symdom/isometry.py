@@ -37,7 +37,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .calabi import coefficient_matrix, complete_to_unitary, match_unitary
+from .calabi import (COISOMETRY_TOL, coefficient_matrix, complete_to_unitary,
+                     match_unitary)
 from .domains import DomainSpec, rank2_codim_inequality
 from .errors import (ExactCompletionError, ParameterError, TruncationError,
                      VerificationError)
@@ -45,7 +46,7 @@ from .kernels import (SignedSOS, generator_composites, h_pullback,
                       kernel_polarized_many, signed_gram)
 from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
                      ex_matmul, ex_nullspace, ex_transpose, matrix_rank_tol,
-                     to_complex_matrix)
+                     row_complement, to_complex_matrix)
 from .poly import HoloPoly, JetMap, _graded, compose_truncate, solve_graded
 from .scalars import EXACT_ZERO, as_complex, one, zero
 
@@ -102,11 +103,10 @@ class IsometryJet:
             else "float"
 
     def composites(self, d: int) -> JetMap:
-        """The generators (odd, then even) composed with the jet, truncated
-        at d; composed on the first call for each d."""
+        """The generators (odd, then even) composed with the jet (only its
+        terms of degree <= d are read), truncated at d; composed once per d."""
         if d not in self._stack:
-            self._stack[d] = generator_composites(self.sos,
-                                                  self.jet.truncate(d), d)
+            self._stack[d] = generator_composites(self.sos, self.jet, d)
         return self._stack[d]
 
 
@@ -119,7 +119,6 @@ class FEReport:
     passed: bool
     mode: str
     degree: int
-    tol: float
 
 
 def _nan_max(a: float, b: float) -> float:
@@ -168,8 +167,7 @@ def _exact_residual(iso: IsometryJet, d: int) -> tuple:
     of ``_ball_kernel_diagonal`` subtracted in place, read off term by
     term; every diagonal entry of B has |alpha| <= k <= d / 2, so B lies
     inside the triangle |alpha| + |beta| <= d."""
-    diff = h_pullback(iso.sos, iso.jet, d,
-                      composites=iso.composites(d)).terms
+    diff = h_pullback(iso.sos, iso.composites(d)).terms
     basis, _, _ = _graded(iso.source_dim, iso.k)  # |alpha| <= k
     for alpha, b in zip(basis, _ball_kernel_diagonal(basis, iso.k)):
         diff[alpha, alpha] = diff.get((alpha, alpha), EXACT_ZERO) - b
@@ -215,7 +213,7 @@ def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
                       else _exact_residual(iso, d))
     worst, per, mode = iso._fe[d]
     return FEReport(max_residual=worst, per_bidegree=dict(per),
-                    passed=worst <= tol, mode=mode, degree=d, tol=tol)
+                    passed=worst <= tol, mode=mode, degree=d)
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,6 @@ class PolarizedReport:
     samples: int
     radius: float
     passed: bool
-    tol: float
 
 
 def check_polarized_eq(iso: IsometryJet, samples: int = 25,
@@ -257,8 +254,7 @@ def check_polarized_eq(iso: IsometryJet, samples: int = 25,
     rhs = (1.0 - np.sum(pts[1].conj() * pts[0], axis=1)) ** iso.k
     worst = float(np.max(np.abs(lhs - rhs)))  # NaN propagates
     return PolarizedReport(max_residual=worst, samples=samples,
-                           radius=SAMPLE_RADIUS, passed=worst <= SAMPLE_TOL,
-                           tol=SAMPLE_TOL)
+                           radius=SAMPLE_RADIUS, passed=worst <= SAMPLE_TOL)
 
 
 def full_verification_report(iso: IsometryJet, d: Optional[int] = None,
@@ -425,7 +421,7 @@ def build_k1_variety(u_rows, sos: SignedSOS) -> VarietySystem:
     if m >= nbig:
         raise ParameterError("row count must leave a positive source dimension")
     res = coisometry_residual(rows)
-    if not res <= (0.0 if exact else 1e-8):
+    if not res <= (0.0 if exact else COISOMETRY_TOL):
         raise ValueError(f"rows are not orthonormal (residual {res:.3e})")
     mode = "exact" if exact else "float"
     z0, minus = zero(mode), zero(mode) - one(mode)
@@ -435,8 +431,7 @@ def build_k1_variety(u_rows, sos: SignedSOS) -> VarietySystem:
         proj = np.array(proj, dtype=complex)
     return VarietySystem(kind="k1", sos=sos,
                          equations=_projective_equations(proj, sos),
-                         matrix=rows, projective=proj,
-                         meta={"source_dim": nbig - m})
+                         matrix=rows, projective=proj)
 
 
 def membership_residual(system: VarietySystem, jet: JetMap,
@@ -455,22 +450,12 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
                         tol: float = DEFAULT_TOL) -> IsometryJet:
     """Rebuild the k = 1 jet determined by a co-isometric row system.
 
-    Completes the rows U to a unitary full = [A; U] and solves, degree by
-    degree,
-       z = conj(full)^T (w, z^#(z), 0),
-    where z^# is the stack of plus generators.  The plus generators have
-    degree >= 2, so the degree-m part of the right side only involves
-    parts of z below degree m, and m = 1..degree finishes in one pass:
-    one ``solve_graded`` call on the linear and plus blocks of
-    conj(full)^T, exact when the rows, their completion and the kernel
-    are (float rows or a float kernel give a float solve).  z^# is then
-    already the plus composites of the finished jet, and the minus
-    composites are its components, so the returned jet holds that stack
-    for its check.  A degree below 2 is refused before the completion, as
-    the check refuses it.  Rows that are not orthonormal are refused by
-    ``complete_to_unitary`` (exactly for exact rows).  Exact rows stay
-    exact when the completion stays in the field; otherwise the
-    computation restarts in floating point from the same rows.
+    Completes the rows U to a unitary full = [A; U] and solves from it
+    (``_solve_from_unitary``).  A degree below 2 is refused before the
+    completion, as the check refuses it.  Rows that are not orthonormal
+    are refused by ``complete_to_unitary`` (exactly for exact rows).
+    Exact rows stay exact when the completion stays in the field;
+    otherwise the computation restarts in floating point from them.
     """
     _require_coordinate_minus_block(sos)
     nbig = sos.nvars
@@ -483,13 +468,26 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
         raise TruncationError(
             f"truncation degree {degree} cannot see isometric constant 1: "
             f"need at least 2")
-    n = nbig - m
     try:
         full = complete_to_unitary(u_rows)
     except ExactCompletionError:  # raised for exact rows only
         return solve_component_jet(to_complex_matrix(u_rows), sos,
                                    degree, tol)
-    even = JetMap(sos.even, degree, nbig)
+    return _solve_from_unitary(full, sos, nbig - m, degree, tol)
+
+
+def _solve_from_unitary(full, sos: SignedSOS, n: int, degree: int,
+                        tol: float) -> IsometryJet:
+    """Solve z = conj(full)^T (w, z^#(z), 0) for z on C^n through
+    ``degree``, z^# the plus generators, full a unitary (not re-tested).
+    The plus generators have degree >= 2, so the degree-m part of the
+    right side involves only parts of z below degree m: one
+    ``solve_graded`` pass on the linear and plus blocks of conj(full)^T,
+    exact when full and the kernel are.  The jet keeps the stack the pass
+    built (its components, then z^#) for the FE check, which decides.
+    """
+    m2 = len(sos.even)
+    even = JetMap(sos.even, degree, sos.nvars)
     if isinstance(full, list) and even.mode == "exact":
         adjoint = ex_conj_t(full)
         linear = [row[:n] for row in adjoint]
@@ -527,8 +525,6 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
     if iso.k != 2:
         raise ParameterError("the quadric lift applies to k = 2 jets")
     _require_coordinate_minus_block(iso.sos)
-    if iso.jet.degree < 4:
-        raise TruncationError("need jet degree at least 4 for k = 2")
     fe = check_functional_eq(iso, tol=tol)
     if not fe.passed:
         raise VerificationError(
@@ -540,7 +536,6 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
     m0 = n * (n + 1) // 2
     nstack = max(n + m2, m0 + m1)
     d = iso.jet.degree
-    jet = iso.jet.to_float()
     composites = iso.composites(d).to_float().components
     sq2 = math.sqrt(2.0)
     lhs = [HoloPoly.var(n, a, "float").scale(sq2) for a in range(n)]
@@ -558,13 +553,8 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
     rhs += [HoloPoly.zero(n, "float") for _ in range(nstack - m0 - m1)]
     u, _ = match_unitary(JetMap(rhs, d, n), JetMap(lhs, d, n), tol)
     u = np.asarray(u, dtype=complex)
-    jac = to_complex_matrix(jet.jacobian0())
-    u2 = u[m0:]
-    u21 = u2[:, :n]
-    u22 = u2[:, n:]
-    expected = np.zeros((nstack - m0, n), dtype=complex)
-    expected[:nbig] = jac
-    linear_block_gap = float(np.max(np.abs(sq2 * u21 - expected)))
+    jac = to_complex_matrix(iso.jet.jacobian0())
+    u22 = u[m0:, n:]
     proj_half = 0.5 * (jac @ jac.conj().T)
     rank_gap = matrix_rank_tol(proj_half - np.eye(nbig)) - (nbig - n)
     hat = np.zeros((nstack - m0, nbig), dtype=complex)
@@ -572,10 +562,7 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
     proj = np.hstack([np.zeros((nstack - m0, 1)), hat, u22[:, :m2]])
     proj[:m1, 1:1 + m1] -= np.eye(m1)
     meta = {
-        "matcher": u,
-        "linear_block_gap": linear_block_gap,
         "rank_identity_ok": bool(rank_gap == 0),
-        "jacobian": jac,
         "stack_dim": nstack,
     }
     return VarietySystem(kind="k2", sos=iso.sos,
@@ -592,16 +579,15 @@ class ExtensionResult:
     slice_map: JetMap
     mode: str
     composition_residual: float
-    report: dict = field(default_factory=dict)
 
 
 def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResult:
     """Factor a non-maximal k = 1 jet through one of maximal source dimension.
 
-    Recovers the co-isometric bottom rows that pair the plus-composites
-    (the float match of ``recover_matching_unitary``, whose checks are not
-    repeated), rebuilds the maximal jet F from those rows alone, and
-    verifies f = F o rho for the linear isometric slice rho = conj(JF)^T Jf.
+    Matches the plus-composites in floating point, as
+    ``recover_matching_unitary`` does, and rebuilds the maximal jet F from
+    the matched rows without testing them again; F's FE check and the
+    check of f = F o rho, rho = conj(JF)^T Jf the linear slice, decide.
     Exact input is extended exactly when the plus-composites vanish and
     the relation rows orthonormalize and complete inside the field.
     """
@@ -636,9 +622,12 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
                 # a completion that leaves the field gives a float F
                 ext = solve_component_jet(ortho[:m2], iso.sos, d, tol)
     if ext is None:
-        # n < n0 pads the recovery target with zero rows: a float match
+        # n < n0 pads the recovery target with zero rows: a float match,
+        # whose unitarity test stands for the completion's row test
         u, _ = _match_recovery_target(iso, tol)
-        ext = solve_component_jet(u[n:n + m2], iso.sos, d, tol)
+        rows = u[n:n + m2]
+        full = np.vstack([row_complement(rows), rows])
+        ext = _solve_from_unitary(full, iso.sos, iso.sos.nvars - m2, d, tol)
     jf, jbig = iso.jet.jacobian0(), ext.jet.jacobian0()
     # an exact F comes from an exact input, so both jacobians are exact
     if ext.mode == "exact":
@@ -659,10 +648,4 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
             f"factorization failed (residual {comp_res:.3e})")
     return ExtensionResult(
         extended=ext, slice_map=rho, mode=ext.mode,
-        composition_residual=float(comp_res),
-        report={
-            "source_dim": n,
-            "extended_dim": n0,
-            "composition_residual": float(comp_res),
-            "mode": ext.mode,
-        })
+        composition_residual=float(comp_res))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -190,33 +190,29 @@ def signed_gram(sos: SignedSOS, composites: JetMap,
         return mat.T @ (signs[:, None] * mat.conj())
 
 
-def h_pullback(sos: SignedSOS, f: JetMap, d: Optional[int] = None, *,
-               composites: Optional[JetMap] = None) -> BidegPoly:
+def h_pullback(sos: SignedSOS, composites: JetMap) -> BidegPoly:
     """h(f(w), conj f(w)) restricted to the terms with |alpha| + |beta| <= d,
-    every generator composite truncated at degree d.
+    from the stack ``generator_composites(sos, f, d)``; d, f's dimension
+    and the mode are the stack's.
 
     Each returned coefficient is exact for a degree-d jet of a true map,
     because a coefficient at (alpha, beta) only involves composite
-    coefficients of degrees |alpha| and |beta|.  ``composites`` is the
-    stack ``generator_composites(sos, f, d)`` when the caller holds it
-    (an IsometryJet keeps one per degree); otherwise it is composed here.
+    coefficients of degrees |alpha| and |beta|.
 
     The sum runs over nonzero coefficients only, in either mode, into one
     dict: for each composite c with sign s, each unordered pair of terms
     c_alpha, c_beta with |alpha| + |beta| <= d adds s c_alpha conj(c_beta)
-    at (alpha, beta) and its conjugate at (beta, alpha).  Given
-    ``composites`` and d, only f's dimensions and mode are read.  The
-    float check uses ``signed_gram`` instead.
+    at (alpha, beta) and its conjugate at (beta, alpha).  The float check
+    uses ``signed_gram`` instead.
     """
-    if f.target_dim != sos.nvars:
-        raise ValueError(
-            f"jet lands in C^{f.target_dim}, expansion lives on C^{sos.nvars}")
-    d = f.degree if d is None else d
-    if composites is None:
-        composites = generator_composites(sos, f, d)
     signs = [-1] * len(sos.odd) + [1] * len(sos.even)
-    mode = "exact" if sos.mode == f.mode == "exact" else "float"
-    n = f.source_dim
+    if composites.target_dim != len(signs):
+        raise ValueError(
+            f"stack has {composites.target_dim} composites for "
+            f"{len(signs)} generators")
+    d = composites.degree
+    mode = composites.mode
+    n = composites.source_dim
     e0 = (0,) * n
     acc = {(e0, e0): one(mode)}
     for sign, comp in zip(signs, composites.components):

@@ -524,6 +524,36 @@ def test_construct_degree_below_two_exits_2(tmp_path, capsys, degree, mode):
     assert not (tmp_path / "jet.json").exists()
 
 
+@pytest.mark.parametrize("family, dim, seed, delta", [
+    (("IV", "--n", "5"), 2, 3, 1e-9),
+    (("IV", "--n", "4"), 1, 2, 1e-10),
+    (("I", "--p", "2", "--q", "4"), 1, 1, 1e-10),
+    (("IV", "--n", "6"), 1, 3, 1e-10),
+], ids=["IV5-dim2", "IV4-dim1", "I24-dim1", "IV6-dim1"])
+def test_extend_accepts_float_jets_that_verify(tmp_path, capsys, family, dim,
+                                               seed, delta):
+    # delta added to a degree-2 coefficient moves the matched rows off
+    # orthonormality by more than the completion's 1e-10, within --tol;
+    # extend solves from the match without a second row test
+    jet_file = tmp_path / "jet.json"
+    assert main(["construct", "--family", *family, "--dim", str(dim),
+                 "--seed", str(seed), "--mode", "float", "--degree", "4",
+                 "--out", str(jet_file)]) == 0
+    doc = json.loads(jet_file.read_text())
+    term = next(t for t in doc["jet"]["components"][0]["terms"]
+                if sum(t["exp"]) == 2)
+    term["coeff"]["re"] += delta
+    jet_file.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(jet_file),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    out = tmp_path / "ext.json"
+    code = main(["extend", "--in", str(jet_file), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    ext = json.loads(out.read_text())
+    assert ext["verification"]["passed"] and ext["mode"] == "float"
+    assert ext["composition_residual"] <= 1e-8
+
+
 def test_degree_beyond_the_graded_basis_exits_2(tmp_path, capsys):
     # at degree 60 a float check would need C(63, 3) = 39711 monomials in 3
     # variables (a Gram of about 25 GB) and a float solve C(65, 5) in 5;

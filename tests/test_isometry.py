@@ -41,6 +41,7 @@ from symdom import (
     sos_type_iv,
 )
 from symdom import calabi, isometry, kernels
+from symdom.kernels import generator_composites
 from symdom.calabi import complete_to_unitary, match_unitary
 from symdom.linalg import (coisometry_residual, ex_conj_t, principal_angles,
                            to_complex_matrix)
@@ -441,8 +442,7 @@ def test_exact_fe_matches_bidegree_reference(name):
             rep = check_functional_eq(jet, d)
             assert rep.mode == "exact"
             ref = _reference_pullback(jet, d)
-            assert kernels.h_pullback(jet.sos, jet.jet, d,
-                                      composites=jet.composites(d)) == ref
+            assert kernels.h_pullback(jet.sos, jet.composites(d)) == ref
             assert (rep.max_residual, rep.per_bidegree) == \
                 _reference_fe(jet, d, ref)
             if j == 0:
@@ -561,6 +561,20 @@ def test_k1_variety_row_count_gate():
         build_k1_variety([], sos)
 
 
+def test_float_rows_meet_one_orthonormality_limit():
+    # 5e-10 at entry (0, 0) leaves a residual between COISOMETRY_TOL and
+    # the 1e-8 the variety once allowed: both the variety and the solve
+    # refuse the rows
+    sos = make_sos(make_spec("IV", n=5), "float")
+    rows = random_coisometry(3, 5, 4, "float")
+    rows[0, 0] += 5e-10
+    assert calabi.COISOMETRY_TOL < coisometry_residual(rows) < 1e-8
+    with pytest.raises(ValueError, match="not orthonormal"):
+        build_k1_variety(rows, sos)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        solve_component_jet(rows, sos, degree=4)
+
+
 def test_k1_variety_rejects_nan_rows():
     sos = make_sos(make_spec("IV", n=4), "float")
     rows = np.array([[math.nan, 0.0, 0.0, 0.0]])
@@ -652,6 +666,28 @@ def test_variety_equations_match_projective(build):
 def test_k2_variety_rejects_k1():
     with pytest.raises(ParameterError):
         build_k2_variety(quadric_null_disk())
+
+
+def test_k2_variety_refuses_degree_below_four():
+    # the FE check refuses a degree below 2k = 4 before the lift
+    iso = bidisk_diagonal()
+    with pytest.raises(TruncationError, match="need at least 4"):
+        build_k2_variety(IsometryJet(iso.jet.truncate(3), 2, iso.sos))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_composites_read_the_jet_through_degree_d(mode):
+    # composing the whole jet at degree d gives the stack of its
+    # truncation at d, bit for bit
+    spec = make_spec("I", p=2, q=3)
+    sos = make_sos(spec, mode)
+    rows = random_coisometry(spec.dim - 2, spec.dim, 5, mode)
+    built = solve_component_jet(rows, sos, degree=5)
+    iso = IsometryJet(built.jet, 1, sos)  # no stack from the solve
+    assert iso.mode == mode
+    for d in range(2, 6):
+        assert iso.composites(d) == generator_composites(
+            sos, iso.jet.truncate(d), d)
 
 
 def test_extend_null_disk_exact():

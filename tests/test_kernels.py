@@ -381,9 +381,23 @@ def test_float_pullback_random_jets_match_loop(spec):
         scale = max(1.0, ref.max_abs_coeff())
         assert (got - ref).max_abs_coeff() <= 1e-12 * scale
         # an exact expansion with a float jet is a float pullback too
-        mixed = h_pullback(make_sos(spec, mode="exact"), f, 4)
+        exact_sos = make_sos(spec, mode="exact")
+        mixed = h_pullback(exact_sos, generator_composites(exact_sos, f, 4))
         assert mixed.mode == "float"
         assert (mixed - ref).max_abs_coeff() <= 1e-12 * scale
+
+
+def test_pullback_refuses_a_stack_of_the_wrong_length():
+    # one composite per generator: a stack without the last plus composite
+    # (or with an extra one) is refused
+    sos = make_sos(make_spec("IV", n=4))
+    f = JetMap([HoloPoly.var(1, 0)] + [HoloPoly.zero(1)] * 3, 4)
+    stack = generator_composites(sos, f, 4)
+    comps = stack.components
+    for bad in (comps[:-1], comps + comps[-1:]):
+        with pytest.raises(ValueError, match="composites for 5 generators"):
+            h_pullback(sos, JetMap(bad, 4))
+    assert h_pullback(sos, stack).mode == "exact"
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1e200, 0.0)],
