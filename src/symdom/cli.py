@@ -204,10 +204,15 @@ def cmd_kernel(args) -> int:
 
 
 def _load_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document at path (- for stdin); ValueError for one nested
+    too deeply to decode."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError as exc:
+        raise ValueError(f"document nested too deeply: {exc}") from None
 
 
 def cmd_verify(args) -> int:

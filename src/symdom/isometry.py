@@ -233,20 +233,23 @@ def check_polarized_eq(iso: IsometryJet, samples: int = 25,
     The sampling radius ``SAMPLE_RADIUS`` keeps the degree-(d+1) tail of
     a truncated true isometry below the tolerance ``SAMPLE_TOL``.  The
     pairs are drawn one after another from ``default_rng(seed)``, each as
-    one normal draw of the rows (re w, im w, re v, im v) and one uniform
-    draw of the two radii; the jet and the kernel generators are then
+    one standard normal draw of the rows (re w, im w, re v, im v) and one
+    draw of two uniforms u, the radii 0.3 + 0.7 u: bit for bit the points
+    of ``normal(size=(4, n))`` and ``uniform(0.3, 1.0, size=2)``.  The
+    draws are stacked once, and the jet and the kernel generators are
     evaluated in floating point at all of them at once (one numpy batch).
     """
     if samples < 1:
         raise ValueError(f"need at least 1 polarized sample, got {samples}")
     n = iso.jet.source_dim
     g = np.random.default_rng(seed)
-    pts = np.empty((2, samples, n), dtype=complex)  # rows w_s, then v_s
-    scale = np.empty((2, samples))
-    for s in range(samples):
-        x = g.normal(size=(4, n))
-        pts[:, s] = x[0::2] + 1j * x[1::2]
-        scale[:, s] = g.uniform(0.3, 1.0, size=2)
+    normals, uniforms = [], []
+    for _ in range(samples):
+        normals.append(g.standard_normal((4, n)))
+        uniforms.append(g.random(2))
+    x = np.stack(normals, axis=1)
+    pts = x[0::2] + 1j * x[1::2]  # rows w_s, then v_s
+    scale = 0.3 + (1.0 - 0.3) * np.stack(uniforms, axis=1)
     nrm = np.linalg.norm(pts, axis=2)
     pts *= (SAMPLE_RADIUS * scale / nrm)[:, :, None]
     f = iso.jet.evaluate_many(pts.reshape(2 * samples, n))

@@ -25,8 +25,9 @@ Three layers:
   (``_sparse_pass``); float rows are coefficient arrays over one graded
   basis (the monomials of degree <= d in the inner variables) with its
   product index split by degree, one cached table per (variables,
-  degree) (``_graded_pass``).  A basis above ``MAX_GRADED_BASIS``
-  monomials is refused before anything is built.
+  degree) (``_graded_pass``).  A float basis above ``MAX_GRADED_BASIS``
+  monomials, or an exact degree d with more than ``MAX_EXACT_BASIS``
+  monomials of degree <= d, is refused before anything is built.
 
 Coefficients are either all exact (:class:`symdom.scalars.Exact`) or all
 ``complex``; the containers carry an explicit ``mode`` so exactness is never
@@ -433,6 +434,20 @@ def _monomial_basis(jets: Sequence[JetMap]) -> List[Exponent]:
 # M monomials (16 M^2 bytes); M <= 8192 keeps it within 1 GiB.  The grid's
 # largest basis has 126 monomials, the CLI default (dim 5, degree 6) 462.
 MAX_GRADED_BASIS = 8192
+# An exact pass keeps one term dict per degree for each monomial row, and
+# its work grows with the monomials of degree <= d; 16384 admits exact
+# IV(8) dim 5 at degree 14 (11628 monomials in 5 variables).
+MAX_EXACT_BASIS = 16384
+
+
+def _check_basis(n: int, d: int, cap: int, what: str) -> None:
+    """ParameterError when the monomials of degree <= d in n variables
+    pass cap; what names the pass that would hold them."""
+    size = math.comb(n + d, d)
+    if size > cap:
+        raise ParameterError(
+            f"degree {d} in {n} variables needs {size} monomials, more than "
+            f"the {cap} {what}")
 
 
 @functools.cache
@@ -449,11 +464,7 @@ def _graded(n: int, d: int):
     block at a time, so no M x M array is formed (M = len(basis)).  A
     basis above MAX_GRADED_BASIS is refused before anything is built.
     """
-    size = math.comb(n + d, d)
-    if size > MAX_GRADED_BASIS:
-        raise ParameterError(
-            f"degree {d} in {n} variables needs {size} monomials, more than "
-            f"the {MAX_GRADED_BASIS} a float check can hold")
+    _check_basis(n, d, MAX_GRADED_BASIS, "a float check can hold")
     combos = [c for s in range(d + 1)
               for c in itertools.combinations_with_replacement(range(n), s)]
     basis = [tuple(map(c.count, range(n))) for c in combos]
@@ -664,6 +675,7 @@ def solve_graded(linear, outer: JetMap, back, d: int) -> Tuple[JetMap, JetMap]:
         z[:, first[1]:first[2]] = linear
         q = _graded_pass(z, outer, n, d, back)
         return _rows_jet(z, basis, n, d), _rows_jet(q, basis, n, d)
+    _check_basis(n, d, MAX_EXACT_BASIS, "an exact pass takes")
     units = _units(n)
     rows = [[{}, {e: c for e, c in zip(units, row) if not c.is_zero}]
             + [{}] * (d - 1) for row in linear]
@@ -690,6 +702,7 @@ def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
     if not outer.mode == inner.mode == "exact":
         return _compose_float(outer, inner, d)
     n = inner.source_dim
+    _check_basis(n, d, MAX_EXACT_BASIS, "an exact pass takes")
     buckets = [c._buckets() for c in inner.components]
     rows = [[dict(b.get(s, ())) for s in range(d + 1)] for b in buckets]
     return _parts_jet(_sparse_pass(rows, outer, n, d), n, d)

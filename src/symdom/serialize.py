@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from .domains import FAMILIES, DomainSpec, make_spec
 from .isometry import IsometryJet, VarietySystem
 from .kernels import make_sos
 from .poly import HoloPoly, JetMap
-from .scalars import Exact, mode_of
+from .scalars import Exact, _raw, mode_of
 
 SCHEMA_VERSION = "1"
 
@@ -28,10 +30,17 @@ __all__ = ["SCHEMA_VERSION", "scalar_to_json", "scalar_from_json",
            "variety_to_json", "strict_json_value", "dumps"]
 
 
+def _part_text(x: int, d: int) -> str:
+    """str(Fraction(x, d)) for d > 0, with one gcd and no Fraction."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
 def scalar_to_json(c) -> dict:
     if isinstance(c, Exact):
-        return {"ar": str(c.ar), "ai": str(c.ai),
-                "br": str(c.br), "bi": str(c.bi)}
+        a, b, s, t, d = c._n
+        return {"ar": _part_text(a, d), "ai": _part_text(b, d),
+                "br": _part_text(s, d), "bi": _part_text(t, d)}
     z = complex(c)
     return {"re": z.real, "im": z.imag}
 
@@ -48,11 +57,53 @@ def _field(obj, key: str, kind: type):
     return val
 
 
+_EXACT_PARTS = ("ar", "ai", "br", "bi")
+# a part in str(Fraction)'s own form with at most 300 digits a side, so
+# that its value is below 1e300 (a finite float) and int() reads it
+_fraction_text = re.compile(r"(-?[0-9]{1,300})(?:/([0-9]{1,300}))?").fullmatch
+
+
+def _exact_from_text(obj: dict):
+    """The Exact whose four parts obj writes as _fraction_text strings, built
+    from their integers; None if a part is anything else (an int, "1.5",
+    " 3", "1/0", a 5000-digit string, ...)."""
+    nums = []
+    dens = []
+    for key in _EXACT_PARTS:
+        text = obj.get(key)
+        match = _fraction_text(text) if type(text) is str else None
+        if match is None:
+            return None
+        num, den = match.groups()
+        n, d = int(num), int(den or 1)
+        if not d:
+            return None
+        g = gcd(n, d)
+        nums.append(n // g)
+        dens.append(d // g)
+    # over the lcm of the reduced denominators the form is in lowest terms
+    d = lcm(*dens)
+    return _raw(tuple(n * (d // q) for n, q in zip(nums, dens)) + (d,))
+
+
 def scalar_from_json(obj: dict):
     """Decode one coefficient; every part must parse and be a finite float,
-    else ValueError."""
+    else ValueError.
+
+    Float parts that are finite floats, and exact parts in str(Fraction)'s
+    own form, are read in one pass; anything else takes the Fraction route,
+    which refuses what it must with the same messages."""
     exact = type(obj) is dict and "ar" in obj
-    parts = ("ar", "ai", "br", "bi") if exact else ("re", "im")
+    if exact:
+        c = _exact_from_text(obj)
+        if c is not None:
+            return c
+    elif type(obj) is dict:
+        re_, im = obj.get("re"), obj.get("im")
+        if (type(re_) is float and type(im) is float
+                and -math.inf < re_ < math.inf and -math.inf < im < math.inf):
+            return complex(re_, im)
+    parts = _EXACT_PARTS if exact else ("re", "im")
     kinds = (str, int) if exact else (int, float)
     if type(obj) is not dict or not all(type(obj.get(key)) in kinds
                                         for key in parts):
@@ -77,11 +128,13 @@ def poly_to_json(p: HoloPoly) -> dict:
 
 
 def poly_from_json(obj: dict) -> HoloPoly:
-    """Decode a polynomial; its coefficients must be encoded in its mode."""
+    """Decode a polynomial; its coefficients must be encoded in its mode,
+    and no exponent may repeat."""
     nvars = _field(obj, "vars", int)
     mode = _field(obj, "mode", str)
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown polynomial mode {mode!r:.80}")
+    kind = Exact if mode == "exact" else complex
     terms = {}
     for t in _field(obj, "terms", list):
         exp = _field(t, "exp", list)
@@ -90,10 +143,13 @@ def poly_from_json(obj: dict) -> HoloPoly:
             raise ValueError(f"bad exponent {exp!r:.80} for {nvars} "
                              "variables")
         c = scalar_from_json(t.get("coeff"))
-        if mode_of(c) != mode:
+        if type(c) is not kind:
             raise ValueError(f"{mode_of(c)} coefficient in a {mode} polynomial")
-        terms[tuple(exp)] = c
-    return HoloPoly(nvars, terms, mode)
+        key = tuple(exp)
+        if key in terms:
+            raise ValueError(f"exponent {exp!r:.80} repeats")
+        terms[key] = c
+    return HoloPoly.from_field(nvars, terms, mode)
 
 
 def jet_to_json(jet: JetMap) -> dict:
@@ -206,26 +262,37 @@ _int_repr = int.__repr__
 _float_repr = float.__repr__
 
 
+# json's own isinstance order, so that a subclass reads as json reads it
+_JSON_TYPES = (str, type(None), bool, int, float, list, tuple, dict)
+_PLAIN = frozenset((float, int, dict, list, str))
+
+
+def _json_type(obj) -> type:
+    """The type json writes obj as: one of _JSON_TYPES, a tuple being a
+    list; TypeError for a value json does not write."""
+    for kind in _JSON_TYPES:
+        if isinstance(obj, kind):
+            return list if kind is tuple else kind
+    raise TypeError(f"{type(obj).__name__} is not written by dumps")
+
+
 def _write(obj, out: list, indent: str) -> None:
     """Append obj's document text to out, in pieces; indent is the newline
     and spaces before obj's closing bracket.  TypeError for a key that is
     not a str, or a value that is not a str, None, bool, int, float, list,
-    tuple or dict."""
-    # json's own isinstance order, so that subclasses read as json reads them
-    if isinstance(obj, str):
-        out.append(_str_json(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(_int_repr(obj))
-    elif isinstance(obj, float):
+    tuple or dict.
+
+    Dispatch is on the exact type first; subclasses, None, bools and
+    tuples go through _json_type."""
+    kind = type(obj)
+    if kind not in _PLAIN:
+        kind = _json_type(obj)
+    if kind is float:
         text = _float_repr(obj)
         out.append(text if -math.inf < obj < math.inf else f'"{text}"')
-    elif isinstance(obj, (list, tuple)):
+    elif kind is int:
+        out.append(_int_repr(obj))
+    elif kind is list:
         if not obj:
             out.append("[]")
             return
@@ -236,7 +303,7 @@ def _write(obj, out: list, indent: str) -> None:
             _write(value, out, inner)
             sep = "," + inner
         out.append(indent + "]")
-    elif isinstance(obj, dict):
+    elif kind is dict:
         if not obj:
             out.append("{}")
             return
@@ -249,8 +316,12 @@ def _write(obj, out: list, indent: str) -> None:
             _write(obj[key], out, inner)
             sep = "," + inner
         out.append(indent + "}")
+    elif kind is str:
+        out.append(_str_json(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
     else:
-        raise TypeError(f"{type(obj).__name__} is not written by dumps")
+        out.append("null")
 
 
 def dumps(obj: dict) -> str:

@@ -1,6 +1,7 @@
 """End-to-end command line checks through subprocess calls."""
 
 import copy
+import io
 import json
 import math
 import subprocess
@@ -10,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdom import BidegPoly, HoloPoly, cli, isometry, kernels, serialize
+from symdom import (BidegPoly, HoloPoly, cli, isometry, kernels, poly,
+                    serialize)
 from symdom.cli import main
 
 
@@ -432,6 +434,12 @@ def _replace(*path_and_value):
     return corrupt
 
 
+def _repeat_first_term(doc):
+    terms = doc["jet"]["components"][0]["terms"]
+    terms.append(copy.deepcopy(terms[0]))
+    return doc
+
+
 MALFORMED_DOCS = {
     "components": _replace("jet", "components", 3),
     "terms": _replace("jet", "components", 0, "terms", {"a": 1}),
@@ -446,6 +454,7 @@ MALFORMED_DOCS = {
     "source_dim_string": _replace("jet", "source_dim", "1"),
     "float_mode_exact_coeffs": _replace("jet", "components", 0, "mode",
                                         "float"),
+    "repeated_exponent": _repeat_first_term,
 }
 
 
@@ -574,6 +583,53 @@ def test_degree_beyond_the_graded_basis_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: degree 60 in ") and "monomials" in err
         assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_exact_degree_beyond_the_cap_exits_2(tmp_path, capsys, monkeypatch,
+                                             iv4_jet_doc):
+    # an exact degree with more than MAX_EXACT_BASIS monomials below it is
+    # refused before any row is built: the exact pass must not start (a
+    # header of 10**9 would otherwise run without bound); in one variable
+    # this degree has MAX_EXACT_BASIS + 1 monomials
+    degree = poly.MAX_EXACT_BASIS
+
+    def unbounded(*args):
+        raise AssertionError("the exact pass started")
+
+    monkeypatch.setattr(poly, "_sparse_pass", unbounded)
+    doc = copy.deepcopy(iv4_jet_doc)
+    doc["jet"]["degree"] = degree
+    jet_file = tmp_path / "jet.json"
+    jet_file.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    for argv in (["verify", "--in", str(jet_file)],
+                 ["extend", "--in", str(jet_file)],
+                 ["construct", "--family", "IV", "--n", "4", "--dim", "1",
+                  "--degree", str(degree)]):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: degree {degree} in 1 variables needs ")
+        assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "extend"])
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_deeply_nested_document_exits_2(tmp_path, capsys, monkeypatch,
+                                        command, stdin):
+    text = "[" * 100_000
+    if stdin:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        infile = "-"
+    else:
+        infile = tmp_path / "deep.json"
+        infile.write_text(text)
+    out = tmp_path / "out.json"
+    assert main([command, "--in", str(infile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: document nested too deeply")
+    assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 

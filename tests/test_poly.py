@@ -572,3 +572,13 @@ def test_exact_composition_equals_recursive_reference(n, m, d, seed):
     got = compose_truncate(outer, inner, d)
     assert got == recursive_compose(outer, inner, d)
     assert got.components[-1] == ww.mul_trunc(ww, d).scale(Exact(4))
+
+
+def test_exact_cap_admits_degree_14_in_5_variables():
+    # exact IV(8) dim 5 at degree 14 has 11628 monomials below its degree
+    assert math.comb(5 + 14, 14) == 11628 <= poly.MAX_EXACT_BASIS
+    poly._check_basis(5, 14, poly.MAX_EXACT_BASIS, "an exact pass takes")
+    for n, d in ((1, poly.MAX_EXACT_BASIS), (3, 10 ** 9)):
+        with pytest.raises(poly.ParameterError, match=f"degree {d} in {n} "):
+            poly._check_basis(n, d, poly.MAX_EXACT_BASIS,
+                              "an exact pass takes")

@@ -1,5 +1,6 @@
 """JSON round trips for scalars, jets, isometries, varieties."""
 
+import copy
 import json
 import math
 import random
@@ -14,6 +15,8 @@ from symdom import build_k2_variety, solve_component_jet, random_coisometry
 from symdom.poly import HoloPoly, JetMap
 from symdom.serialize import (
     dumps,
+    poly_from_json,
+    poly_to_json,
     iso_from_json,
     iso_to_json,
     jet_from_json,
@@ -169,3 +172,129 @@ def test_dumps_leaves_other_values_to_json():
                 {"n": np.int64(3)}):
         with pytest.raises(TypeError):
             dumps(bad)
+
+
+def reference_scalar_from_json(obj):
+    """Every coefficient through Fraction: the route scalar_from_json keeps
+    for the parts it does not read in one pass."""
+    exact = type(obj) is dict and "ar" in obj
+    parts = ("ar", "ai", "br", "bi") if exact else ("re", "im")
+    kinds = (str, int) if exact else (int, float)
+    if type(obj) is not dict or not all(type(obj.get(key)) in kinds
+                                        for key in parts):
+        raise ValueError(f"malformed coefficient {obj!r:.80}")
+    try:
+        vals = [Fraction(obj[key]) if exact else obj[key] for key in parts]
+        finite = all(math.isfinite(float(v)) for v in vals)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError(f"malformed or non-finite coefficient {obj!r}")
+    return Exact(*vals) if exact else complex(*vals)
+
+
+def reference_scalar_to_json(c) -> dict:
+    if isinstance(c, Exact):
+        return {"ar": str(c.ar), "ai": str(c.ai),
+                "br": str(c.br), "bi": str(c.bi)}
+    z = complex(c)
+    return {"re": z.real, "im": z.imag}
+
+
+def _outcome(decode, obj):
+    """What decode makes of obj: its type and value (the canonical form of
+    an Exact, the repr of a complex, so -0.0 counts), or its ValueError."""
+    try:
+        c = decode(obj)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return type(c), (c._n if isinstance(c, Exact) else repr(c))
+
+
+_huge_ints = st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+# part strings that are not str(Fraction)'s own output, or lie at the
+# edges of the one-pass reader: 300 digits, float overflow, int()'s limit
+ODD_TEXTS = [
+    "2/4", "-0", "007", "-007/014", "0/5", " 3", "3 ", "+3", "1.5", "1e3",
+    "3/-4", "-3/4", "1/0", "0/0", "", "-", "/", "1/", "/2", "1_000",
+    "\u0663", "1" * 5000, "1/" + "7" * 5000, "9" * 300, "9" * 301,
+    "-" + "9" * 300, "9" * 309, "-" + "9" * 309, "1" + "0" * 308,
+    "1/" + "3" * 300, "1/" + "3" * 301, "NaN", "inf"]
+_odd_texts = st.sampled_from(ODD_TEXTS)
+_part_texts = st.one_of(st.fractions().map(str), _odd_texts,
+                        st.integers().map(str), st.text(max_size=6))
+_others = st.one_of(st.none(), st.booleans(), _floats, st.lists(
+    st.integers(), max_size=2))
+_exact_parts = st.one_of(_part_texts, _part_texts, st.integers(), _huge_ints,
+                         _others)
+_float_parts = st.one_of(_floats, _floats, st.integers(), _huge_ints,
+                         _others, _part_texts)
+
+
+def _coefficients(keys, parts):
+    # some keys left out, an extra one now and then
+    return st.dictionaries(st.sampled_from(keys + ("x",)), parts,
+                           max_size=len(keys) + 1) | st.fixed_dictionaries(
+        {key: parts for key in keys})
+
+
+_coeff_docs = st.one_of(
+    _coefficients(("ar", "ai", "br", "bi"), _exact_parts),
+    _coefficients(("re", "im"), _float_parts),
+    st.fixed_dictionaries({"ar": _exact_parts, "re": _floats}),
+    _others, st.text(max_size=3))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_coeff_docs)
+def test_scalar_from_json_matches_fraction_reference(obj):
+    assert (_outcome(scalar_from_json, obj)
+            == _outcome(reference_scalar_from_json, obj))
+
+
+def test_scalar_from_json_reads_each_part_as_fraction_does():
+    for text in ODD_TEXTS:
+        for key in ("ar", "ai", "br", "bi"):
+            obj = {"ar": "-5/6", "ai": "0", "br": "7", "bi": "1/3", key: text}
+            assert (_outcome(scalar_from_json, obj)
+                    == _outcome(reference_scalar_from_json, obj)), obj
+    for part in (0.0, -0.0, 5e-324, 1e308, 0, -3, 10 ** 400, True, None,
+                 math.nan, math.inf, -math.inf, np.float64(0.5), "1.5"):
+        for key in ("re", "im"):
+            obj = {"re": 0.25, "im": -1.5, key: part}
+            assert (_outcome(scalar_from_json, obj)
+                    == _outcome(reference_scalar_from_json, obj)), obj
+
+
+_rationals = st.one_of(st.fractions(), st.just(Fraction(0)),
+                       st.fractions(max_denominator=2 ** 80).map(
+                           lambda x: x * 10 ** 30))
+_exacts = st.builds(Exact, _rationals, _rationals, _rationals, _rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_exacts, st.builds(Exact, _rationals),
+                 st.builds(lambda r: Exact(0, 0, r), _rationals),
+                 st.complex_numbers(allow_nan=False, allow_infinity=False)))
+def test_scalar_to_json_matches_reference_and_round_trips(c):
+    doc = scalar_to_json(c)
+    assert doc == reference_scalar_to_json(c)
+    assert _outcome(scalar_from_json, doc) == _outcome(
+        reference_scalar_from_json, doc)
+    back = scalar_from_json(doc)
+    if isinstance(c, Exact):
+        assert back._n == c._n
+    else:
+        assert repr(back) == repr(complex(c))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_repeated_exponent_is_refused(mode):
+    jet = random_exact_jet(2, 2, 3, rng=random.Random(8))
+    poly = jet.components[0] if mode == "exact" else \
+        jet.components[0].to_float()
+    doc = poly_to_json(poly)
+    assert poly_from_json(doc) == poly
+    doc["terms"].append(copy.deepcopy(doc["terms"][-1]))
+    with pytest.raises(ValueError, match="repeats"):
+        poly_from_json(doc)
