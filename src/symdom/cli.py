@@ -226,6 +226,11 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     spec = _spec_from_args(args)
+    if spec.rank > 2:
+        # ball_dim_bound is below 1 there: the construction is rank-2's
+        raise ParameterError(
+            f"construct needs a domain of rank at most 2; {spec.label} "
+            f"has rank {spec.rank}")
     sos = make_sos(spec, args.mode)
     n = args.dim
     nbig = spec.dim

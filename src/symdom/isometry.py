@@ -59,8 +59,16 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-SAMPLE_RADIUS = 0.03
+SAMPLE_RADIUS = 0.03  # the sampling radius from degree 4 on
 SAMPLE_TOL = 1e-10
+
+
+def sample_radius(d: int) -> float:
+    """The polarized check's radius for a degree-d jet: ``SAMPLE_RADIUS``
+    for d >= 4, and SAMPLE_RADIUS ** (6 / (d + 2)) below, so that
+    r ** (d + 2), the order of the truncation tail, stays at its degree-4
+    size."""
+    return min(SAMPLE_RADIUS, SAMPLE_RADIUS ** (6 / (d + 2)))
 
 
 @dataclass(frozen=True)
@@ -230,14 +238,16 @@ def check_polarized_eq(iso: IsometryJet, samples: int = 25,
                        seed: int = 0) -> PolarizedReport:
     """Evaluate h(f(w), conj f(v)) - (1 - <w, v>)^k at sampled point pairs.
 
-    The sampling radius ``SAMPLE_RADIUS`` keeps the degree-(d+1) tail of
-    a truncated true isometry below the tolerance ``SAMPLE_TOL``.  The
-    pairs are drawn one after another from ``default_rng(seed)``, each as
-    one standard normal draw of the rows (re w, im w, re v, im v) and one
-    draw of two uniforms u, the radii 0.3 + 0.7 u: bit for bit the points
-    of ``normal(size=(4, n))`` and ``uniform(0.3, 1.0, size=2)``.  The
-    draws are stacked once, and the jet and the kernel generators are
-    evaluated in floating point at all of them at once (one numpy batch).
+    The sampling radius ``sample_radius(d)``, d the jet's degree, keeps
+    the tail of a truncated true isometry, of order r ** (d + 2) (a
+    degree-(d+1) term of f(w) against the linear part of f(v)), below the
+    tolerance ``SAMPLE_TOL``.  The pairs are drawn one after another from
+    ``default_rng(seed)``, each as one standard normal draw of the rows
+    (re w, im w, re v, im v) and one draw of two uniforms u, the radii
+    0.3 + 0.7 u: bit for bit the points of ``normal(size=(4, n))`` and
+    ``uniform(0.3, 1.0, size=2)``.  The draws are stacked once, and the
+    jet and the kernel generators are evaluated in floating point at all
+    of them at once (one numpy batch).
     """
     if samples < 1:
         raise ValueError(f"need at least 1 polarized sample, got {samples}")
@@ -251,13 +261,14 @@ def check_polarized_eq(iso: IsometryJet, samples: int = 25,
     pts = x[0::2] + 1j * x[1::2]  # rows w_s, then v_s
     scale = 0.3 + (1.0 - 0.3) * np.stack(uniforms, axis=1)
     nrm = np.linalg.norm(pts, axis=2)
-    pts *= (SAMPLE_RADIUS * scale / nrm)[:, :, None]
+    radius = sample_radius(iso.jet.degree)
+    pts *= (radius * scale / nrm)[:, :, None]
     f = iso.jet.evaluate_many(pts.reshape(2 * samples, n))
     lhs = kernel_polarized_many(iso.sos, f[:samples], f[samples:])
     rhs = (1.0 - np.sum(pts[1].conj() * pts[0], axis=1)) ** iso.k
     worst = float(np.max(np.abs(lhs - rhs)))  # NaN propagates
     return PolarizedReport(max_residual=worst, samples=samples,
-                           radius=SAMPLE_RADIUS, passed=worst <= SAMPLE_TOL)
+                           radius=radius, passed=worst <= SAMPLE_TOL)
 
 
 def full_verification_report(iso: IsometryJet, d: Optional[int] = None,

@@ -31,7 +31,8 @@ import numpy as np
 
 from .domains import DomainSpec, ParameterError, make_spec
 from .poly import BidegPoly, HoloPoly, JetMap, compose_truncate
-from .scalars import Exact, Scalar, as_complex, mode_of, one, zero
+from .scalars import (EXACT_ONE, Exact, Scalar, as_complex, mode_of, one,
+                      sum_products, zero)
 
 
 @dataclass(frozen=True)
@@ -199,11 +200,14 @@ def h_pullback(sos: SignedSOS, composites: JetMap) -> BidegPoly:
     because a coefficient at (alpha, beta) only involves composite
     coefficients of degrees |alpha| and |beta|.
 
-    The sum runs over nonzero coefficients only, in either mode, into one
-    dict: for each composite c with sign s, each unordered pair of terms
-    c_alpha, c_beta with |alpha| + |beta| <= d adds s c_alpha conj(c_beta)
-    at (alpha, beta) and its conjugate at (beta, alpha).  The float check
-    uses ``signed_gram`` instead.
+    The sum runs over nonzero coefficients only: for each composite c
+    with sign s, each unordered pair of terms c_alpha, c_beta with
+    |alpha| + |beta| <= d adds s c_alpha conj(c_beta) at (alpha, beta) and
+    its conjugate, s c_beta conj(c_alpha), at (beta, alpha).  Exact stacks
+    feed these products, from each term's signed and conjugated internal
+    forms, to one ``sum_products``, so each coefficient is reduced once;
+    float stacks sum them in one dict.  The float check uses
+    ``signed_gram`` instead.
     """
     signs = [-1] * len(sos.odd) + [1] * len(sos.even)
     if composites.target_dim != len(signs):
@@ -211,10 +215,12 @@ def h_pullback(sos: SignedSOS, composites: JetMap) -> BidegPoly:
             f"stack has {composites.target_dim} composites for "
             f"{len(signs)} generators")
     d = composites.degree
-    mode = composites.mode
     n = composites.source_dim
     e0 = (0,) * n
-    acc = {(e0, e0): one(mode)}
+    if composites.mode == "exact":
+        return BidegPoly.from_field(n, sum_products(_pullback_products(
+            signs, composites.components, d, e0)), "exact")
+    acc = {(e0, e0): 1 + 0j}
     for sign, comp in zip(signs, composites.components):
         items = [(e, c, sum(e)) for e, c in comp.terms.items()]
         for i, (ea, ca, da) in enumerate(items):
@@ -230,7 +236,25 @@ def h_pullback(sos: SignedSOS, composites: JetMap) -> BidegPoly:
                     key = (eb, ea)
                     val = val.conjugate()
                     acc[key] = acc[key] + val if key in acc else val
-    return BidegPoly.from_field(n, acc, mode)
+    return BidegPoly.from_field(n, acc, "float")
+
+
+def _pullback_products(signs, components, d, e0):
+    """``h_pullback``'s (key, x, y) triples for an exact stack: 1 at
+    (0, 0), then s c_alpha times conj(c_beta) at (alpha, beta) and
+    s c_beta times conj(c_alpha) at (beta, alpha)."""
+    yield (e0, e0), EXACT_ONE._n, EXACT_ONE._n
+    for sign, comp in zip(signs, components):
+        # by degree, so each term's partners end at the first one too high
+        items = sorted((sum(e), e, (-c if sign < 0 else c)._n,
+                        c.conjugate()._n) for e, c in comp.terms.items())
+        for i, (da, ea, sa, ca) in enumerate(items):
+            for db, eb, sb, cb in items[i:]:
+                if da + db > d:
+                    break
+                yield (ea, eb), sa, cb
+                if ea != eb:
+                    yield (eb, ea), sb, ca
 
 
 def minimal_embedding(sos: SignedSOS, z: Sequence) -> List[Scalar]:

@@ -18,7 +18,7 @@ from typing import List
 import numpy as np
 
 from .errors import ExactCompletionError
-from .scalars import EXACT_ONE, EXACT_ZERO, Exact, field_sqrt
+from .scalars import EXACT_ONE, EXACT_ZERO, Exact, dot, field_sqrt
 
 ExactMatrix = List[List[Exact]]
 
@@ -51,17 +51,7 @@ def ex_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch")
     bt = ex_transpose(b)
-    out: ExactMatrix = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = EXACT_ZERO
-            for x, y in zip(row, col):
-                if not (x.is_zero or y.is_zero):
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    return [[dot(row, col) for col in bt] for row in a]
 
 
 def ex_rref(a: ExactMatrix):
@@ -127,16 +117,10 @@ def ex_gs_orthonormal(rows: ExactMatrix) -> ExactMatrix:
     for row in rows:
         v = [Exact.of(x) for x in row]
         for e in ortho:
-            coef = EXACT_ZERO
-            for x, y in zip(v, e):
-                if not (x.is_zero or y.is_zero):
-                    coef = coef + x * y.conjugate()
+            coef = dot(v, e, conj=True)
             if not coef.is_zero:
                 v = [x - coef * y for x, y in zip(v, e)]
-        norm2 = EXACT_ZERO
-        for x in v:
-            if not x.is_zero:
-                norm2 = norm2 + x * x.conjugate()
+        norm2 = dot(v, v, conj=True)
         if norm2.is_zero:
             continue
         root = field_sqrt(norm2)
@@ -233,10 +217,7 @@ def coisometry_residual(a, k: int = 1) -> float:
     worst = 0.0
     for i, u in enumerate(a):
         for j in range(i, len(a)):
-            acc = EXACT_ZERO
-            for x, y in zip(u, a[j]):
-                if not (x.is_zero or y.is_zero):
-                    acc = acc + x * y.conjugate()
+            acc = dot(u, a[j], conj=True)
             if i == j:
                 acc = acc - k
             if not acc.is_zero:

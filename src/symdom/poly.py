@@ -54,8 +54,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import ParameterError
-from .scalars import (EXACT_ONE, Exact, Scalar, as_complex, cabs,
-                      coerce, mode_of, one, zero)
+from .scalars import (EXACT_ONE, Exact, Scalar, as_complex, cabs, coerce,
+                      mode_of, one, sum_products, zero)
 
 Exponent = Tuple[int, ...]
 Parts = List[Dict[Exponent, Exact]]  # homogeneous parts, part s of degree s
@@ -593,15 +593,6 @@ def _rows_jet(rows: np.ndarray, basis: Sequence[Exponent], n: int,
                    for row in rows.tolist()], d, n)
 
 
-def _collect(items) -> Dict[Exponent, Exact]:
-    """The sums of the values of equal exponents in (exponent, value)
-    items, exact zeros dropped."""
-    acc: Dict[Exponent, Exact] = {}
-    for e, v in items:
-        acc[e] = acc[e] + v if e in acc else v
-    return {e: v for e, v in acc.items() if not v.is_zero}
-
-
 def _sparse_pass(z: List[Parts], outer: JetMap, n: int, d: int,
                  back: Optional[List[List[Exact]]] = None) -> List[Parts]:
     """The exact twin of ``_graded_pass``, on rows of homogeneous parts
@@ -611,13 +602,17 @@ def _sparse_pass(z: List[Parts], outer: JetMap, n: int, d: int,
     monomial row's degree-m part is the sum over s of its lower
     monomial's degree-s part times one row of z's degree-(m - s) part;
     with ``back`` (N x K), z's degree-m parts are then set, in place, to
-    back times outer's.
+    back times outer's.  Each of these parts is one ``sum_products`` over
+    the internal forms, so every coefficient is reduced once.
     """
     rank = len(z)
     order, steps = _monomial_rows(outer.components, rank, d)
     index = {e: r for r, e in enumerate(order)}
-    coeffs = [[(index[e], c) for e, c in comp.terms.items() if e in index]
+    coeffs = [[(index[e], c._n) for e, c in comp.terms.items() if e in index]
               for comp in outer.components]
+    if back is not None:
+        back = [[(k, c._n) for k, c in enumerate(b) if not c.is_zero]
+                for b in back]
     table = [[{(0,) * n: EXACT_ONE}] + [{}] * d, *z]
     table += [[{}] * (d + 1) for _ in order[rank + 1:]]
     by_degree = []
@@ -626,18 +621,18 @@ def _sparse_pass(z: List[Parts], outer: JetMap, n: int, d: int,
         for rows, lower, js in steps[:max(m - 1, 0)]:
             for r, lo, j in zip(range(rows.start, rows.stop), lower.tolist(),
                                 js.tolist()):
-                table[r][m] = _collect(
-                    (_add_exp(ea, eb), ca * cb) for s in range(1, m)
+                table[r][m] = sum_products(
+                    (_add_exp(ea, eb), ca._n, cb._n) for s in range(1, m)
                     for ea, ca in table[lo][s].items()
                     for eb, cb in table[j][m - s].items())
-        parts = [_collect((e, c * v) for r, c in comp
-                          for e, v in table[r][m].items())
+        parts = [sum_products((e, c, v._n) for r, c in comp
+                              for e, v in table[r][m].items())
                  for comp in coeffs]
         by_degree.append(parts)
         if back is not None and m >= 2:
             for row, b in zip(z, back):
-                row[m] = _collect((e, c * v) for c, part in zip(b, parts)
-                                  if not c.is_zero for e, v in part.items())
+                row[m] = sum_products((e, c, v._n) for k, c in b
+                                      for e, v in parts[k].items())
     return [list(row) for row in zip(*by_degree)]
 
 

@@ -13,15 +13,19 @@ silently re-gained: there is no float -> exact conversion).
 An exact element is four integer numerators over one positive common
 denominator, in lowest terms, so the field operations are integer
 arithmetic plus one gcd per result; ``complex()`` divides the integers,
-correctly rounded, with +-inf beyond the float range.
+correctly rounded, with +-inf beyond the float range.  A sum of products
+is one result too: ``sum_products`` (and ``dot`` on it) multiplies the
+integer forms unreduced, sums them per key over a common denominator and
+takes one gcd per sum, and the library's exact sums of products (the
+composition pass, the pullback, the exact dot products) all go through it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Union
+from math import gcd, lcm
+from typing import Dict, Hashable, Iterable, Optional, Union
 
 
 def _frac(x) -> Fraction:
@@ -49,6 +53,59 @@ def _raw(n: tuple) -> "Exact":
     x = _new(Exact)
     x._n = n
     return x
+
+
+def _product(x: tuple, y: tuple) -> tuple:
+    """The product of two internal forms, as an internal form not reduced:
+    (x1 + y1 s)(x2 + y2 s) = (x1 x2 + 2 y1 y2) + (x1 y2 + x2 y1) s with
+    x = a + b i, y = c + e i, expanded componentwise."""
+    a1, b1, c1, e1, d1 = x
+    a2, b2, c2, e2, d2 = y
+    return (a1 * a2 - b1 * b2 + 2 * (c1 * c2 - e1 * e2),
+            a1 * b2 + b1 * a2 + 2 * (c1 * e2 + e1 * c2),
+            a1 * c2 - b1 * e2 + a2 * c1 - b2 * e1,
+            a1 * e2 + b1 * c2 + a2 * e1 + b2 * c1,
+            d1 * d2)
+
+
+def sum_products(triples: Iterable[tuple]) -> Dict[Hashable, "Exact"]:
+    """The sums of x * y per key over (key, x, y) triples, x and y internal
+    forms (``Exact._n``), as Exacts: exact zeros are dropped.
+
+    The products are not reduced.  Each key's sum is kept as integers over
+    the lcm of the denominators it has seen, and reduced once at the end by
+    one gcd, where a loop of ``*`` and ``+`` reduces every product and
+    every partial sum.  The form is canonical, so the results are the same.
+    """
+    acc: Dict[Hashable, tuple] = {}
+    get = acc.get
+    for key, x, y in triples:
+        p = _product(x, y)
+        s = get(key)
+        if s is None:
+            acc[key] = p
+            continue
+        a, b, c, e, d = p
+        a0, b0, c0, e0, d0 = s
+        g, r = divmod(d0, d)
+        if not r:
+            acc[key] = a0 + a * g, b0 + b * g, c0 + c * g, e0 + e * g, d0
+        else:
+            m = lcm(d0, d)
+            f, g = m // d0, m // d
+            acc[key] = (a0 * f + a * g, b0 * f + b * g, c0 * f + c * g,
+                        e0 * f + e * g, m)
+    return {key: _make(a, b, c, e, d)
+            for key, (a, b, c, e, d) in acc.items() if a or b or c or e}
+
+
+def dot(xs: Iterable["Exact"], ys: Iterable["Exact"],
+        conj: bool = False) -> "Exact":
+    """sum_k xs[k] * ys[k], or xs[k] * conj(ys[k]) with ``conj``, reduced
+    once (``sum_products``)."""
+    return sum_products((None, x._n, (y.conjugate() if conj else y)._n)
+                        for x, y in zip(xs, ys)
+                        if not (x.is_zero or y.is_zero)).get(None, EXACT_ZERO)
 
 
 def _make(a: int, b: int, c: int, e: int, d: int) -> "Exact":
@@ -168,15 +225,7 @@ class Exact:
 
     def __mul__(self, other):
         if isinstance(other, Exact):
-            # (x1 + y1 s)(x2 + y2 s) = (x1 x2 + 2 y1 y2) + (x1 y2 + x2 y1) s
-            # with x = a + b i, y = c + e i, expanded componentwise.
-            a1, b1, c1, e1, d1 = self._n
-            a2, b2, c2, e2, d2 = other._n
-            return _make(a1 * a2 - b1 * b2 + 2 * (c1 * c2 - e1 * e2),
-                         a1 * b2 + b1 * a2 + 2 * (c1 * e2 + e1 * c2),
-                         a1 * c2 - b1 * e2 + a2 * c1 - b2 * e1,
-                         a1 * e2 + b1 * c2 + a2 * e1 + b2 * c1,
-                         d1 * d2)
+            return _make(*_product(self._n, other._n))
         if isinstance(other, (int, Fraction)):
             a, b, c, e, d = self._n
             p, q = other.numerator, other.denominator

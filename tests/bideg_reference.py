@@ -14,7 +14,9 @@ functional-equation checks.
   monomial built once by a recursive memo over ``mul_trunc``;
 * ``degree_loop_solve`` -- the exact k = 1 solve
   z = conj(full)^T (w, z^#(z), 0) that recomposes z^# with the whole jet
-  at each degree, using ``recursive_compose``.
+  at each degree, using ``recursive_compose``;
+* ``PRIMES`` -- distinct primes of 30 to 607 bits, whose reciprocals give
+  the exact references coefficients with large, unequal denominators.
 """
 
 import numpy as np
@@ -24,6 +26,9 @@ from symdom.kernels import signed_gram
 from symdom.linalg import ex_conj_t
 from symdom.poly import _graded, _lower, _units
 from symdom.scalars import EXACT_ONE, EXACT_ZERO
+
+PRIMES = (10 ** 9 + 7, 2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1,
+          998244353, 2 ** 521 - 1, 10 ** 9 + 9, 2 ** 607 - 1, 2 ** 31 - 1)
 
 
 def ball_kernel_power(n, k, mode, d):

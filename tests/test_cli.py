@@ -2,11 +2,13 @@
 
 import copy
 import io
+import itertools
 import json
 import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 from symdom import (BidegPoly, HoloPoly, cli, isometry, kernels, poly,
                     serialize)
 from symdom.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import CONSTRUCT_GRID  # noqa: E402
 
 
 def run_cli(*argv, expect=0):
@@ -156,6 +161,24 @@ def test_construct_rejected_family_exits_2():
 def test_construct_dim_gate_exits_2():
     run_cli("construct", "--family", "IV", "--n", "3", "--dim", "3",
             expect=2)
+
+
+@pytest.mark.parametrize("domain, dim, message", [
+    (("I", "--p", "2", "--q", "5"), 1,
+     "source dimension 1 outside 1..0 for I(2,5)"),
+    (("IV", "--n", "3"), 3, "source dimension 3 outside 1..2 for IV(3)"),
+    (("I", "--p", "3", "--q", "3"), 1,
+     "construct needs a domain of rank at most 2; I(3,3) has rank 3"),
+    (("polydisk", "--p", "3"), 1,
+     "construct needs a domain of rank at most 2; polydisk^3 has rank 3"),
+], ids=["codim-inequality", "dim-bound", "rank-3-matrix", "rank-3-polydisk"])
+def test_construct_gate_messages(tmp_path, capsys, domain, dim, message):
+    jet_file = tmp_path / "jet.json"
+    argv = ["construct", "--family", *domain, "--dim", str(dim),
+            "--out", str(jet_file)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not jet_file.exists()
 
 
 def test_verify_perturbed_jet_exits_1(tmp_path):
@@ -531,6 +554,55 @@ def test_construct_degree_below_two_exits_2(tmp_path, capsys, degree, mode):
         f"error: truncation degree {degree} cannot see isometric constant "
         f"1: need at least 2\n")
     assert not (tmp_path / "jet.json").exists()
+
+
+def _plus_tenth_doc(doc, deg):
+    """A copy of a jet document with 1/10 added to the first degree-deg
+    coefficient of its first component with a linear part (to a new
+    w_1^deg term there when it has none)."""
+    doc = copy.deepcopy(doc)
+    terms = next(comp["terms"] for comp in doc["jet"]["components"]
+                 if any(sum(t["exp"]) == 1 for t in comp["terms"]))
+    term = next((t for t in terms if sum(t["exp"]) == deg), None)
+    if term is None:
+        zero = ({"ar": "0", "ai": "0", "br": "0", "bi": "0"}
+                if doc["jet"]["mode"] == "exact" else {"re": 0.0, "im": 0.0})
+        term = {"coeff": zero,
+                "exp": [deg] + [0] * (doc["jet"]["source_dim"] - 1)}
+        terms.append(term)
+    coeff = term["coeff"]
+    if "ar" in coeff:
+        coeff["ar"] = str(Fraction(coeff["ar"]) + Fraction(1, 10))
+    else:
+        coeff["re"] += 0.1
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_degree_2_grid_constructs_exit_0(tmp_path, capsys, mode):
+    # below degree 4 the polarized sample's radius shrinks with the degree,
+    # so the truncated true isometries of the grid pass at degree 2 (at
+    # the fixed radius 0.03 they read up to 1.9e-9 against 1e-10), and
+    # their documents verify.  1/10 added to a degree-1 coefficient, or to
+    # a degree-2 one of a component with a linear part (an error of order
+    # r ** 3), still fails
+    jet_file, bad_file = tmp_path / "jet.json", tmp_path / "bad.json"
+    for family, params, dims in CONSTRUCT_GRID:
+        opts = [x for k, v in params.items() for x in (f"--{k}", str(v))]
+        for dim, seed in itertools.product(dims, (1, 2, 3)):
+            argv = ["construct", "--family", family, *opts, "--dim",
+                    str(dim), "--seed", str(seed), "--mode", mode,
+                    "--degree", "2", "--out", str(jet_file)]
+            assert main(argv) == 0, argv
+            assert main(["verify", "--in", str(jet_file)]) == 0, argv
+            doc = json.loads(jet_file.read_text())
+            assert doc["verification"]["polarized-sample"]["radius"] == \
+                0.03 ** 1.5
+            for deg in (1, 2):
+                bad_file.write_text(json.dumps(_plus_tenth_doc(doc, deg)))
+                assert main(["verify", "--in", str(bad_file)]) == 1, \
+                    (argv, deg)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("family, dim, seed, delta", [

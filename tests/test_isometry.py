@@ -1,6 +1,7 @@
 """Jet-level isometry verification, construction, varieties, extension."""
 
 import functools
+import hashlib
 import math
 import sys
 import warnings
@@ -40,7 +41,7 @@ from symdom import (
     sos_type_i,
     sos_type_iv,
 )
-from symdom import calabi, isometry, kernels
+from symdom import calabi, isometry, kernels, serialize
 from symdom.kernels import generator_composites
 from symdom.calabi import complete_to_unitary, match_unitary
 from symdom.linalg import (coisometry_residual, ex_conj_t, principal_angles,
@@ -51,7 +52,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from workloads import CONSTRUCT_GRID  # noqa: E402
 from bideg_reference import (  # noqa: E402
-    ball_kernel_power, degree_loop_solve, gram_pullback, sandwich_pullback)
+    PRIMES, ball_kernel_power, degree_loop_solve, gram_pullback,
+    sandwich_pullback)
 
 DEG = 6
 
@@ -428,9 +430,11 @@ EXACT_FE_JETS = {
 @pytest.mark.parametrize("name", list(EXACT_FE_JETS))
 def test_exact_fe_matches_bidegree_reference(name):
     # the exact grid jets at seed 1 and the exact disks (k = 1 and k = 2):
-    # every truncation degree d from 2k to 6, as built and with 1/10 added
-    # at each degree 1..d of each component; the pullback itself equals
-    # the per-composite sandwich sum
+    # every truncation degree d from 2k to 6, as built, with 1/10 added
+    # at each degree 1..d of each component, and with 1/p added at each
+    # degree of one component, p distinct primes of 30 to 607 bits, for
+    # large, unequal denominators; the pullback itself equals the
+    # per-composite sandwich sum
     iso = EXACT_FE_JETS[name]()
     assert iso.mode == "exact"
     failed = 0
@@ -438,6 +442,9 @@ def test_exact_fe_matches_bidegree_reference(name):
         jets = [IsometryJet(iso.jet.truncate(d), iso.k, iso.sos)]
         jets += [_plus_tenth(iso, d, i, deg)
                  for i in range(iso.jet.target_dim) for deg in range(1, d + 1)]
+        i = d % iso.jet.target_dim
+        jets += [_plus_tenth(iso, d, i, deg, Fraction(1, p))
+                 for deg, p in zip(range(1, d + 1), PRIMES)]
         for j, jet in enumerate(jets):
             rep = check_functional_eq(jet, d)
             assert rep.mode == "exact"
@@ -449,6 +456,20 @@ def test_exact_fe_matches_bidegree_reference(name):
                 assert rep.max_residual == 0.0 and rep.per_bidegree == {}
             failed += not rep.passed
     assert failed > 0
+
+
+def test_exact_degree_10_document_is_pinned():
+    # exact IV(8) dim 5 seed 3 at degree 10, whose denominators reach 414
+    # bits: the document's sha256, pinned from the arithmetic that reduced
+    # every product and every partial sum
+    spec = make_spec("IV", n=8)
+    rows = random_coisometry(3, 8, 3, "exact")
+    iso = solve_component_jet(rows, make_sos(spec, "exact"), degree=10)
+    assert max(c._n[4].bit_length() for comp in iso.jet.components
+               for c in comp.terms.values()) == 414
+    text = serialize.dumps(serialize.iso_to_json(iso))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "50e9396df7ca022afe0da2e58cfa678bdec63348316bc6776ab89b386924abdc")
 
 
 def _jacobian_reference(iso):

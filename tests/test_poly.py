@@ -18,7 +18,7 @@ from symdom import compose_truncate, random_exact_jet
 from symdom import poly
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bideg_reference import recursive_compose  # noqa: E402
+from bideg_reference import PRIMES, recursive_compose  # noqa: E402
 
 
 def rand_coeff(r, mode):
@@ -545,24 +545,34 @@ def test_float_composition_matches_loop_on_random_floats(data):
 
 # -- the exact composition route against the recursive memo -------------------
 
+def _over_primes(jet, r):
+    """The components of jet with each coefficient divided by a prime
+    drawn from ``PRIMES``: large, unequal denominators."""
+    return [HoloPoly.from_field(comp.nvars, {
+        e: c * Exact(Fraction(1, r.choice(PRIMES)))
+        for e, c in comp.terms.items()}, "exact")
+        for comp in jet.components]
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 3), m=st.integers(1, 3), d=st.integers(1, 6),
        seed=st.integers(0, 2 ** 16))
 def test_exact_composition_equals_recursive_reference(n, m, d, seed):
-    # random jets with terms up to degree d + 2, an outer constant term
-    # and outer linear terms; inner adds p = w + w^2 and q = w - w^2, whose
+    # random jets with terms up to degree d + 2, each coefficient divided
+    # by a prime of 30 to 607 bits, an outer constant term and outer
+    # linear terms; inner adds p = w + w^2 and q = w - w^2, whose
     # product has a zero degree-3 part, and outer adds
     # x_p^2 + x_q^2 - 2 x_p x_q = (p - q)^2 = 4 w^4, whose parts of degree
     # 2 and 3 cancel to zero
     r = random.Random(seed)
     w = HoloPoly.var(n, 0)
     ww = w.mul_trunc(w)
-    inner = random_exact_jet(n, m, d + 2, rng=r).components
+    inner = _over_primes(random_exact_jet(n, m, d + 2, rng=r), r)
     inner += (w + ww, w - ww)
     top = HoloPoly.monomial(n, (d + 1,) + (0,) * (n - 1), Exact(1, -1))
     inner = JetMap([inner[0] + top] + list(inner[1:]), d + 2)
     xp, xq = HoloPoly.var(m + 2, m), HoloPoly.var(m + 2, m + 1)
-    outer = list(random_exact_jet(m + 2, 2, d + 2, rng=r).components)
+    outer = _over_primes(random_exact_jet(m + 2, 2, d + 2, rng=r), r)
     outer[0] = (outer[0] + HoloPoly.const(m + 2, Exact(2, 1))
                 + HoloPoly.monomial(m + 2, (0,) * (m + 1) + (d + 1,),
                                     Exact(0, 3)))

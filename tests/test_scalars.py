@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from symdom import Exact, EXACT_ZERO, EXACT_ONE, EXACT_I, SQRT2, HALF_SQRT2
 from symdom import field_sqrt, rational_sqrt
-from symdom.scalars import coerce, mode_of
+from symdom.scalars import _ZERO_N, coerce, dot, mode_of, sum_products
 
 
 def rand_exact(r, small=False):
@@ -229,3 +229,71 @@ def test_integer_core_matches_fraction_reference(p, q, r):
     assert d > 0 and math.gcd(a, b, c, e, d) == 1
     if not y.is_zero:
         assert ((x / y) * y)._n == x._n
+
+
+# -- the accumulator against a loop of * and + ------------------------------
+
+def _loop_sums(triples):
+    """Per-key sums of x * y over (key, x, y), one Exact * and + at a
+    time, exact zeros dropped: the loops that ``sum_products`` replaced,
+    kept as its reference."""
+    acc = {}
+    for key, x, y in triples:
+        acc[key] = acc[key] + x * y if key in acc else x * y
+    return {key: v._n for key, v in acc.items() if not v.is_zero}
+
+
+_big = st.builds(lambda sign, v: sign * (2 ** 300 + v),
+                 st.sampled_from((-1, 1)), st.integers(0, 2 ** 330))
+
+
+@st.composite
+def _product_triples(draw):
+    # one denominator for every part, or a mix; parts that are 0, small,
+    # or of 300 to 330 bits; few keys, so they repeat; and some products
+    # repeated with x negated, so that sums cancel
+    den = draw(st.one_of(st.just(None), st.integers(1, 12),
+                         st.integers(2 ** 300, 2 ** 330)))
+    dens = _denominators if den is None else st.just(den)
+    nums = st.one_of(st.just(0), st.integers(-12, 12), _big)
+    part = st.builds(Fraction, nums, dens)
+    value = st.builds(Exact, part, part, part, part)
+    triples = draw(st.lists(st.tuples(st.integers(0, 3), value, value),
+                            max_size=10))
+    negate = draw(st.lists(st.booleans(), min_size=len(triples),
+                           max_size=len(triples)))
+    triples += [(k, -x, y) for (k, x, y), neg in zip(triples, negate) if neg]
+    return draw(st.permutations(triples))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_product_triples())
+def test_sum_products_matches_loop(triples):
+    got = sum_products((k, x._n, y._n) for k, x, y in triples)
+    assert {k: v._n for k, v in got.items()} == _loop_sums(triples)
+    xs = [x for _, x, _ in triples]
+    ys = [y for _, _, y in triples]
+    assert dot(xs, ys)._n == \
+        _loop_sums((0, x, y) for x, y in zip(xs, ys)).get(0, _ZERO_N)
+    assert dot(xs, ys, conj=True)._n == _loop_sums(
+        (0, x, y.conjugate()) for x, y in zip(xs, ys)).get(0, _ZERO_N)
+
+
+def test_sum_products_edge_cases():
+    big = Exact(Fraction(3 ** 200, 2 ** 310 + 1), 5, Fraction(-7, 3), 1)
+    other = Exact(Fraction(2 ** 305, 11), Fraction(1, 2 ** 301), 0, -1)
+    assert sum_products(iter(())) == {}
+    assert dot([], []) is EXACT_ZERO
+    # a key whose sum cancels is absent, whatever the denominators
+    got = sum_products([("a", big._n, other._n), ("b", big._n, big._n),
+                        ("a", (-big)._n, other._n)])
+    assert list(got) == ["b"] and got["b"]._n == (big * big)._n
+    assert sum_products([(0, big._n, EXACT_ZERO._n)]) == {}
+    # i and sqrt2 parts: i * i + sqrt2 * sqrt2 = 1, (1/2 + i) (1/3 - i)
+    got = sum_products([(0, EXACT_I._n, EXACT_I._n), (0, SQRT2._n, SQRT2._n),
+                        (1, Exact(Fraction(1, 2), 1)._n,
+                         Exact(Fraction(1, 3), -1)._n)])
+    assert got[0] == EXACT_ONE
+    assert got[1] == Exact(Fraction(7, 6), Fraction(-1, 6))
+    assert dot([HALF_SQRT2, EXACT_I], [SQRT2, EXACT_I], conj=True) == \
+        Exact(2)
