@@ -15,10 +15,9 @@ import numpy as np
 
 from .domains import DomainSpec, sos_counts
 from .errors import UnitaryMatchError
-from .linalg import (RANK_TOL, ExactMatrix, coisometry_residual,
+from .linalg import (ExactMatrix, coisometry_residual,
                      ex_complete_orthonormal, ex_matmul, ex_rank, ex_rref,
-                     ex_transpose, null_space, phase_normalize_columns,
-                     row_complement)
+                     ex_transpose, row_complement)
 from .poly import JetMap, _monomial_basis
 from .scalars import EXACT_ZERO
 
@@ -47,31 +46,17 @@ def coefficient_matrix(jet: JetMap, basis: Optional[Sequence[tuple]] = None):
 
 def _float_match(fmat: np.ndarray, gmat: np.ndarray,
                  tol: float) -> np.ndarray:
-    n = gmat.shape[0]
+    """The polar factor of fmat conj(gmat)^T, after the Gram-gap gate: for
+    fmat = u0 gmat, u0 unitary, that is u0 (gmat conj(gmat)^T), so the
+    factor agrees with u0 on the column span of gmat."""
     scale = max(1.0, float(np.max(np.abs(fmat))), float(np.max(np.abs(gmat))))
     gram_gap = float(np.max(np.abs(fmat.conj().T @ fmat -
                                    gmat.conj().T @ gmat)))
     if not gram_gap <= tol * scale * scale:  # NaN never passes
         raise UnitaryMatchError(
             f"coefficient Grams differ by {gram_gap:.3e}")
-    w, s, vh = np.linalg.svd(gmat)
-    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 1.0)))
-    x = w[:, :rank]
-    y = fmat @ vh.conj().T[:, :rank] @ np.diag(1.0 / s[:rank])
-    u = y @ x.conj().T
-    if rank < n:
-        xc = null_space(x.conj().T)
-        z = xc - y @ (y.conj().T @ xc)
-        sv = np.linalg.svd(z, compute_uv=False)
-        if sv.size and sv[-1] > 1e-8:
-            q, r = np.linalg.qr(z)
-            signs = np.diag(r).copy()
-            signs[np.abs(signs) < 1e-14] = 1.0
-            yc = phase_normalize_columns(q @ np.diag(signs / np.abs(signs)))
-        else:
-            yc = null_space(y.conj().T)
-        u = u + yc @ xc.conj().T
-    return u
+    w, _, vh = np.linalg.svd(fmat @ gmat.conj().T)
+    return w @ vh
 
 
 def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
@@ -79,9 +64,8 @@ def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
 
     Returns (u, mode).  When both jets are exact and the source coefficient
     matrix has full row rank, u is exact and the identity u @ G = F is
-    verified exactly; otherwise a floating u is built from the singular
-    value decomposition, acting as the identity between the orthogonal
-    complements of the two coefficient column spans.
+    verified exactly; otherwise u is the polar factor of
+    F conj(G)^T, F and G the float coefficient matrices (one SVD).
 
     Raises UnitaryMatchError when no unitary can exist (coefficient Grams
     differ beyond tol) or when verification of the candidate fails.

@@ -46,7 +46,7 @@ from .kernels import (SignedSOS, generator_composites, h_pullback,
                       kernel_polarized_many, signed_gram)
 from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
                      ex_matmul, ex_nullspace, ex_transpose, matrix_rank_tol,
-                     row_complement, to_complex_matrix)
+                     to_complex_matrix)
 from .poly import HoloPoly, JetMap, _graded, compose_truncate, solve_graded
 from .scalars import EXACT_ZERO, as_complex, one, zero
 
@@ -359,9 +359,9 @@ def recover_matching_unitary(iso: IsometryJet,
     Requires a rank-2 target whose minus generators are the coordinates, a
     source dimension up to the bound, and a passing pullback check.  At
     the bound, exact jets with a full-rank coefficient matrix give an
-    exact U; below it U is the float SVD match with deterministic
-    completions.  Either way `match_unitary` has checked U f = target on
-    the coefficient matrices.
+    exact U; below it U is the polar factor of the float match.  Either
+    way `match_unitary` has checked U f = target on the coefficient
+    matrices.
     """
     spec = iso.spec
     if iso.k != 1:
@@ -598,10 +598,11 @@ class ExtensionResult:
 def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResult:
     """Factor a non-maximal k = 1 jet through one of maximal source dimension.
 
-    Matches the plus-composites in floating point, as
-    ``recover_matching_unitary`` does, and rebuilds the maximal jet F from
-    the matched rows without testing them again; F's FE check and the
-    check of f = F o rho, rho = conj(JF)^T Jf the linear slice, decide.
+    Matches (w, plus-composites, 0) in floating point, as
+    ``recover_matching_unitary`` does, and solves the maximal jet F from
+    the matched unitary's own rows, not tested again, so that F(w, 0) = f
+    and the linear slice rho = conj(JF)^T Jf is the coordinate inclusion;
+    F's FE check and the checks of rho and of f = F o rho decide.
     Exact input is extended exactly when the plus-composites vanish and
     the relation rows orthonormalize and complete inside the field.
     """
@@ -636,11 +637,11 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
                 # a completion that leaves the field gives a float F
                 ext = solve_component_jet(ortho[:m2], iso.sos, d, tol)
     if ext is None:
-        # n < n0 pads the recovery target with zero rows: a float match,
-        # whose unitarity test stands for the completion's row test
+        # n < n0 pads the recovery target with zero rows: a float match.
+        # Moving U's plus rows last gives full f = ((w, 0), z^#(f)), so F
+        # solved from full has F(w, 0) = f: rho is the inclusion
         u, _ = _match_recovery_target(iso, tol)
-        rows = u[n:n + m2]
-        full = np.vstack([row_complement(rows), rows])
+        full = np.vstack([u[:n], u[n + m2:], u[n:n + m2]])
         ext = _solve_from_unitary(full, iso.sos, iso.sos.nvars - m2, d, tol)
     jf, jbig = iso.jet.jacobian0(), ext.jet.jacobian0()
     # an exact F comes from an exact input, so both jacobians are exact

@@ -14,9 +14,10 @@ Implemented expansions: polydisk (square-free monomials), type IV
 Cauchy-Binet).
 
 The pullback h(f, conj f) of a jet f is summed from its generator
-composites: as a sparse bidegree polynomial (`h_pullback`, the exact FE
-check's route), or as one signed Gram product of their coefficient matrix
-(`signed_gram`, the float check's route).  Curvature at the origin is a
+composites: for an exact stack as a sparse bidegree polynomial
+(`h_pullback`, the exact FE check's route), for a float one as one signed
+Gram product of their coefficient matrix (`signed_gram`, the float
+check's route).  Curvature at the origin is a
 closed form in the generators' values along the direction.
 """
 
@@ -193,8 +194,9 @@ def signed_gram(sos: SignedSOS, composites: JetMap,
 
 def h_pullback(sos: SignedSOS, composites: JetMap) -> BidegPoly:
     """h(f(w), conj f(w)) restricted to the terms with |alpha| + |beta| <= d,
-    from the stack ``generator_composites(sos, f, d)``; d, f's dimension
-    and the mode are the stack's.
+    from the exact stack ``generator_composites(sos, f, d)``; d and f's
+    dimension are the stack's.  A float stack raises ValueError: its
+    pullback is ``signed_gram``.
 
     Each returned coefficient is exact for a degree-d jet of a true map,
     because a coefficient at (alpha, beta) only involves composite
@@ -203,40 +205,20 @@ def h_pullback(sos: SignedSOS, composites: JetMap) -> BidegPoly:
     The sum runs over nonzero coefficients only: for each composite c
     with sign s, each unordered pair of terms c_alpha, c_beta with
     |alpha| + |beta| <= d adds s c_alpha conj(c_beta) at (alpha, beta) and
-    its conjugate, s c_beta conj(c_alpha), at (beta, alpha).  Exact stacks
-    feed these products, from each term's signed and conjugated internal
-    forms, to one ``sum_products``, so each coefficient is reduced once;
-    float stacks sum them in one dict.  The float check uses
-    ``signed_gram`` instead.
+    its conjugate, s c_beta conj(c_alpha), at (beta, alpha).  These
+    products, from each term's signed and conjugated internal forms, feed
+    one ``sum_products``, so each coefficient is reduced once.
     """
     signs = [-1] * len(sos.odd) + [1] * len(sos.even)
     if composites.target_dim != len(signs):
         raise ValueError(
             f"stack has {composites.target_dim} composites for "
             f"{len(signs)} generators")
-    d = composites.degree
+    if composites.mode != "exact":
+        raise ValueError("a float stack is squared by signed_gram")
     n = composites.source_dim
-    e0 = (0,) * n
-    if composites.mode == "exact":
-        return BidegPoly.from_field(n, sum_products(_pullback_products(
-            signs, composites.components, d, e0)), "exact")
-    acc = {(e0, e0): 1 + 0j}
-    for sign, comp in zip(signs, composites.components):
-        items = [(e, c, sum(e)) for e, c in comp.terms.items()]
-        for i, (ea, ca, da) in enumerate(items):
-            if sign < 0:
-                ca = -ca
-            for eb, cb, db in items[i:]:
-                if da + db > d:
-                    continue
-                val = ca * cb.conjugate()
-                key = (ea, eb)
-                acc[key] = acc[key] + val if key in acc else val
-                if ea != eb:
-                    key = (eb, ea)
-                    val = val.conjugate()
-                    acc[key] = acc[key] + val if key in acc else val
-    return BidegPoly.from_field(n, acc, "float")
+    return BidegPoly.from_field(n, sum_products(_pullback_products(
+        signs, composites.components, composites.degree, (0,) * n)), "exact")
 
 
 def _pullback_products(signs, components, d, e0):

@@ -6,8 +6,7 @@ sum_k u[k] * conj(v[k]).  ``coisometry_residual`` is the one orthonormality
 test for both kinds, computed in the matrix's own field.  The floating
 helpers decide numerical rank with fixed relative thresholds: a singular
 value below ``NULL_TOL`` (null spaces, complements) or ``RANK_TOL``
-(``matrix_rank_tol`` and the float match of ``calabi``) times max(1, the
-largest) counts as zero.
+(``matrix_rank_tol``) times max(1, the largest) counts as zero.
 """
 
 from __future__ import annotations

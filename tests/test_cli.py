@@ -605,21 +605,41 @@ def test_degree_2_grid_constructs_exit_0(tmp_path, capsys, mode):
     capsys.readouterr()
 
 
+def _inclusion_gap(slice_doc) -> float:
+    """Largest coefficient distance of a slice map from the coordinate
+    inclusion C^n -> C^n0."""
+    rho = serialize.jet_from_json(slice_doc)
+    incl = [[float(i == j) for j in range(rho.source_dim)]
+            for i in range(rho.target_dim)]
+    return rho.max_coeff_distance(poly.JetMap.from_linear(incl, rho.degree))
+
+
 @pytest.mark.parametrize("family, dim, seed, delta", [
     (("IV", "--n", "5"), 2, 3, 1e-9),
     (("IV", "--n", "4"), 1, 2, 1e-10),
     (("I", "--p", "2", "--q", "4"), 1, 1, 1e-10),
     (("IV", "--n", "6"), 1, 3, 1e-10),
-], ids=["IV5-dim2", "IV4-dim1", "I24-dim1", "IV6-dim1"])
+    (("IV", "--n", "4"), 1, 3, 1e-10),
+    (("I", "--p", "2", "--q", "3"), 1, 1, 1e-9),
+    (("IV", "--n", "6"), 2, 1, 1e-9),
+    (("I", "--p", "2", "--q", "4"), 1, 2, 1e-9),
+], ids=["IV5-dim2", "IV4-dim1", "I24-dim1", "IV6-dim1", "IV4-dim1-seed3",
+        "I23-dim1", "IV6-dim2", "I24-dim1-seed2"])
 def test_extend_accepts_float_jets_that_verify(tmp_path, capsys, family, dim,
                                                seed, delta):
-    # delta added to a degree-2 coefficient moves the matched rows off
-    # orthonormality by more than the completion's 1e-10, within --tol;
-    # extend solves from the match without a second row test
-    jet_file = tmp_path / "jet.json"
+    # delta added to a degree-2 coefficient leaves a jet that verifies at
+    # --tol, and extend accepts it: the polar-factor match is unitary to
+    # rounding.  F is built from the matched unitary's own rows, so the
+    # slice is the inclusion, and the unperturbed jet factors through it
+    # to rounding
+    jet_file, out = tmp_path / "jet.json", tmp_path / "ext.json"
     assert main(["construct", "--family", *family, "--dim", str(dim),
                  "--seed", str(seed), "--mode", "float", "--degree", "4",
                  "--out", str(jet_file)]) == 0
+    assert main(["extend", "--in", str(jet_file), "--out", str(out)]) == 0
+    ext = json.loads(out.read_text())
+    assert ext["composition_residual"] <= 1e-12
+    assert _inclusion_gap(ext["slice"]) <= 1e-12
     doc = json.loads(jet_file.read_text())
     term = next(t for t in doc["jet"]["components"][0]["terms"]
                 if sum(t["exp"]) == 2)
@@ -627,12 +647,12 @@ def test_extend_accepts_float_jets_that_verify(tmp_path, capsys, family, dim,
     jet_file.write_text(json.dumps(doc))
     assert main(["verify", "--in", str(jet_file),
                  "--out", str(tmp_path / "report.json")]) == 0
-    out = tmp_path / "ext.json"
     code = main(["extend", "--in", str(jet_file), "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     ext = json.loads(out.read_text())
     assert ext["verification"]["passed"] and ext["mode"] == "float"
     assert ext["composition_residual"] <= 1e-8
+    assert _inclusion_gap(ext["slice"]) <= 1e-12
 
 
 def test_degree_beyond_the_graded_basis_exits_2(tmp_path, capsys):

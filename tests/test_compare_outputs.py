@@ -141,7 +141,7 @@ def test_compare_tags_differences_propagated_from_the_input(tmp_path):
         return [[0, [], f"{name}-{x if side == 0 else y}"]
                 for name, (x, y) in docs.items()]
 
-    lines, diffs, largest, exact_docs = tool.compare(
+    lines, diffs, largest, kinds = tool.compare(
         labelled, results(0), results(1), here, other)
     heads = [line for line in lines if not line.startswith("  ")]
     assert diffs == 3
@@ -150,14 +150,16 @@ def test_compare_tags_differences_propagated_from_the_input(tmp_path):
     assert heads[1].endswith(" (input differs)")
     assert not heads[0].endswith(")") and not heads[2].endswith(")")
     assert largest == {"identical": pytest.approx(3e-16), "differs": 0.5}
-    assert exact_docs == 3  # a construct without --mode is exact
-    assert tool.summary(5, diffs, largest, exact_docs) == (
+    # a construct without --mode is exact
+    assert kinds == {("construct", "exact"): 1, ("verify", "exact"): 2}
+    assert tool.summary(5, diffs, largest, kinds) == [
+        "construct exact: 1", "verify exact: 2",
         "5 commands, 3 differences; largest absolute numeric difference in "
         "a differing document 3e-16 where its input is identical, 0.5 where "
-        "its input differs; 3 exact-mode documents differ")
+        "its input differs; 3 exact-mode documents differ"]
     _, _, same, none = tool.compare(labelled, results(0), results(0), here,
                                     other)
-    assert same == {"identical": None, "differs": None} and none == 0
+    assert same == {"identical": None, "differs": None} and none == {}
 
 
 def test_compare_counts_differing_exact_mode_documents(tmp_path):
@@ -187,11 +189,21 @@ def test_compare_counts_differing_exact_mode_documents(tmp_path):
                                f"{jet}.extend"])]
     ours = [[0, [], f"here-{i}"] for i in range(len(labelled))]
     theirs = [[0, [], f"other-{i}"] for i in range(len(labelled))]
-    diffs, exact_docs = tool.compare(labelled, ours, theirs, here, other)[1::2]
+    diffs, kinds = tool.compare(labelled, ours, theirs, here, other)[1::2]
     # e: construct, verify, extend; g: the extend document only
-    assert (diffs, exact_docs) == (9, 4)
+    assert diffs == 9
+    assert kinds == {("construct", "exact"): 1, ("verify", "exact"): 1,
+                     ("extend", "exact"): 2, ("construct", "float"): 2,
+                     ("verify", "float"): 2, ("extend", "float"): 1}
+    assert tool.summary(12, diffs, {"identical": None, "differs": None},
+                        kinds)[:-1] == [
+        "construct exact: 1", "construct float: 2", "extend exact: 2",
+        "extend float: 1", "verify exact: 1", "verify float: 2"]
     theirs[1] = ours[1]  # the exact verify document agrees
-    assert tool.compare(labelled, ours, theirs, here, other)[3] == 3
+    kinds = tool.compare(labelled, ours, theirs, here, other)[3]
+    assert ("verify", "exact") not in kinds
+    assert tool.summary(12, 8, {"identical": None, "differs": None},
+                        kinds)[-1].endswith("; 3 exact-mode documents differ")
 
 
 def test_compare_counts_exact_kernel_documents(tmp_path):
@@ -208,9 +220,10 @@ def test_compare_counts_exact_kernel_documents(tmp_path):
             "kernel", "--mode", mode, "--direction", "[1.0]", "--out", name]))
     ours = [[0, [], "here-e"], [0, [], "here-f"]]
     theirs = [[0, [], "other-e"], [0, [], "other-f"]]
-    _, diffs, largest, exact_docs = tool.compare(labelled, ours, theirs,
-                                                 here, other)
-    assert (diffs, exact_docs) == (2, 1)
+    _, diffs, largest, kinds = tool.compare(labelled, ours, theirs,
+                                            here, other)
+    assert diffs == 2
+    assert kinds == {("kernel", "exact"): 1, ("kernel", "float"): 1}
     assert largest == {"identical": 2 ** -52, "differs": None}
 
 

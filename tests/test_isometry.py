@@ -734,6 +734,13 @@ def test_extend_sliced_construction():
         compose_truncate(big.jet, JetMap.from_linear(sl, DEG), DEG), 1, sos)
     res = extend_isometry(small)
     assert res.extended.jet.source_dim == n0
+    assert res.mode == "float"
+    # F is solved from the matched unitary's own rows: F(w, 0) = f, so the
+    # slice is the coordinate inclusion and f = F o rho to rounding
+    incl = [[float(i == j) for j in range(2)] for i in range(n0)]
+    assert res.slice_map.max_coeff_distance(
+        JetMap.from_linear(incl, DEG)) <= 1e-12
+    assert res.composition_residual <= 1e-12
     recomposed = compose_truncate(
         res.extended.jet.to_float(), res.slice_map, DEG)
     assert recomposed.max_coeff_distance(small.jet.to_float()) < 1e-10

@@ -380,11 +380,11 @@ def test_float_pullback_random_jets_match_loop(spec):
         got = gram_pullback(sos, generator_composites(sos, f, 4), 4)
         scale = max(1.0, ref.max_abs_coeff())
         assert (got - ref).max_abs_coeff() <= 1e-12 * scale
-        # an exact expansion with a float jet is a float pullback too
+        # an exact expansion with a float jet gives a float stack, which
+        # h_pullback refuses: its pullback is signed_gram's
         exact_sos = make_sos(spec, mode="exact")
-        mixed = h_pullback(exact_sos, generator_composites(exact_sos, f, 4))
-        assert mixed.mode == "float"
-        assert (mixed - ref).max_abs_coeff() <= 1e-12 * scale
+        with pytest.raises(ValueError, match="signed_gram"):
+            h_pullback(exact_sos, generator_composites(exact_sos, f, 4))
 
 
 def test_pullback_refuses_a_stack_of_the_wrong_length():

@@ -22,16 +22,19 @@ JSON leaf path at which any documents differ counts them and gives the
 largest numeric difference there.  The summary gives the largest
 difference separately for documents whose input is identical and for
 those whose input differs: a difference that only propagates from the
-input is told apart from one the command itself makes.  The summary also
-counts the differing exact-mode documents: ``construct`` and ``verify``
-documents of the exact cases, ``kernel`` documents with ``--mode exact``,
-and ``extend`` documents with ``"mode": "exact"`` (an exact input may
-extend in floating point).
+input is told apart from one the command itself makes.  Before it, one
+line per (command, mode) counts the differing documents, e.g.
+"extend float: 46", and the summary counts the differing exact-mode
+documents.  A document's mode is its command's ``--mode`` for ``kernel``,
+the ``construct``'s for ``construct`` and ``verify``, and the ``"mode"``
+an ``extend`` document writes ("exact" when either side wrote it; an
+exact input may extend in floating point).
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -215,14 +218,15 @@ def _extend_mode(*paths: Path) -> str:
 
 def compare(labelled: list, ours: list, theirs: list, here_dir: Path,
             other_dir: Path) -> tuple:
-    """(lines, differences, largest, exact_docs): a line per difference
+    """(lines, differences, largest, kinds): a line per difference
     between the results of two checkouts, each document's explanation
     after it, the number of differences, the largest absolute numeric
     difference among differing documents as {"identical": x,
     "differs": y}, keyed by whether the command's input document is
     identical (None when no numbers differ), and the number of differing
-    exact-mode documents."""
-    lines, diffs, exact_docs = [], 0, 0
+    documents per (command, mode)."""
+    lines, diffs = [], 0
+    kinds = collections.Counter()
     largest = {"identical": None, "differs": None}
     changed = {}  # document -> whether its sha256 differs
     modes = {}  # construct or kernel document -> its --mode
@@ -238,7 +242,7 @@ def compare(labelled: list, ours: list, theirs: list, here_dir: Path,
         if changed[doc]:
             mode = (_extend_mode(here_dir / doc, other_dir / doc)
                     if argv[0] == "extend" else modes.get(source or doc))
-            exact_docs += mode == "exact"
+            kinds[argv[0], mode] += 1
         for field, x, y in zip(("exit", "stderr", "sha256"), a, b):
             if x != y:
                 diffs += 1
@@ -249,16 +253,21 @@ def compare(labelled: list, ours: list, theirs: list, here_dir: Path,
                     lines += more
                     if gap is not None:
                         largest[key] = max(gap, largest[key] or 0.0)
-    return lines, diffs, largest, exact_docs
+    return lines, diffs, largest, kinds
 
 
 def summary(commands_run: int, diffs: int, largest: dict,
-            exact_docs: int) -> str:
-    return (f"{commands_run} commands, {diffs} differences; largest absolute "
-            f"numeric difference in a differing document "
-            f"{_show(largest['identical'])} where its input is identical, "
-            f"{_show(largest['differs'])} where its input differs; "
-            f"{exact_docs} exact-mode documents differ")
+            kinds: dict) -> list:
+    """The closing lines: "command mode: count" per kind of differing
+    document, then the totals with the count of exact-mode ones."""
+    exact_docs = sum(n for (_, mode), n in kinds.items() if mode == "exact")
+    totals = (f"{commands_run} commands, {diffs} differences; largest "
+              f"absolute numeric difference in a differing document "
+              f"{_show(largest['identical'])} where its input is identical, "
+              f"{_show(largest['differs'])} where its input differs; "
+              f"{exact_docs} exact-mode documents differ")
+    return [f"{name} {mode}: {n}"
+            for (name, mode), n in sorted(kinds.items())] + [totals]
 
 
 def main(argv=None) -> int:
@@ -280,14 +289,13 @@ def main(argv=None) -> int:
         here_dir, other_dir = Path(here_dir), Path(other_dir)
         ours = run_checkout(ROOT, argvs, here_dir)
         theirs = run_checkout(args.other, argvs, other_dir)
-        lines, diffs, largest, exact_docs = compare(
+        lines, diffs, largest, kinds = compare(
             labelled, ours, theirs, here_dir, other_dir)
         docs = [argv[argv.index("--out") + 1]
                 for argv, a, b in zip(argvs, ours, theirs)
                 if a[2] != b[2] and a[2] and b[2]]
         lines += by_path([(here_dir / doc, other_dir / doc) for doc in docs])
-    print("\n".join(lines + [summary(len(argvs), diffs, largest,
-                                      exact_docs)]))
+    print("\n".join(lines + summary(len(argvs), diffs, largest, kinds)))
     return 1 if diffs else 0
 
 
