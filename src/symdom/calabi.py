@@ -110,6 +110,7 @@ def complete_to_unitary(rows: Union[ExactMatrix, np.ndarray]):
     The rows must pass ``coisometry_residual``: exactly for exact rows,
     within ``COISOMETRY_TOL`` for a numpy array (NaN never passes);
     otherwise ValueError is raised.  Square rows get an empty completion.
+    Float rows are completed by ``row_complement`` (one complete QR).
     Exact input stays exact when every Gram-Schmidt normalization has a
     square root in Q(i, sqrt2); otherwise ExactCompletionError is raised
     and the caller may retry in floating point.

@@ -44,9 +44,9 @@ from .errors import (ExactCompletionError, ParameterError, TruncationError,
                      VerificationError)
 from .kernels import (SignedSOS, generator_composites, h_pullback,
                       kernel_polarized_many, signed_gram)
-from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
-                     ex_matmul, ex_nullspace, ex_transpose, matrix_rank_tol,
-                     to_complex_matrix)
+from .linalg import (coisometry_residual, ex_complete_orthonormal, ex_conj_t,
+                     ex_gs_orthonormal, ex_matmul, ex_nullspace, ex_transpose,
+                     row_complement, to_complex_matrix)
 from .poly import HoloPoly, JetMap, _graded, compose_truncate, solve_graded
 from .scalars import EXACT_ZERO, as_complex, one, zero
 
@@ -570,19 +570,14 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
     jac = to_complex_matrix(iso.jet.jacobian0())
     u22 = u[m0:, n:]
     proj_half = 0.5 * (jac @ jac.conj().T)
-    rank_gap = matrix_rank_tol(proj_half - np.eye(nbig)) - (nbig - n)
     hat = np.zeros((nstack - m0, nbig), dtype=complex)
     hat[:nbig] = proj_half
     proj = np.hstack([np.zeros((nstack - m0, 1)), hat, u22[:, :m2]])
     proj[:m1, 1:1 + m1] -= np.eye(m1)
-    meta = {
-        "rank_identity_ok": bool(rank_gap == 0),
-        "stack_dim": nstack,
-    }
     return VarietySystem(kind="k2", sos=iso.sos,
                          equations=_projective_equations(proj, iso.sos),
                          matrix=np.hstack([hat, u22]), projective=proj,
-                         meta=meta)
+                         meta={"stack_dim": nstack})
 
 
 @dataclass(frozen=True)
@@ -600,11 +595,12 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
 
     Matches (w, plus-composites, 0) in floating point, as
     ``recover_matching_unitary`` does, and solves the maximal jet F from
-    the matched unitary's own rows, not tested again, so that F(w, 0) = f
-    and the linear slice rho = conj(JF)^T Jf is the coordinate inclusion;
-    F's FE check and the checks of rho and of f = F o rho decide.
-    Exact input is extended exactly when the plus-composites vanish and
-    the relation rows orthonormalize and complete inside the field.
+    the matched unitary's rows that meet (w, plus-composites), not tested
+    again, completed by ``row_complement``, so that F(w, 0) = f and the
+    linear slice rho = conj(JF)^T Jf is the coordinate inclusion; F's FE
+    check and the checks of rho and of f = F o rho decide.  Exact input is
+    extended exactly when the plus-composites vanish and the relation rows
+    orthonormalize and complete inside the field.
     """
     spec = iso.spec
     if iso.k != 1:
@@ -622,27 +618,29 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
         raise VerificationError(
             f"pullback equation fails (residual {fe.max_residual:.3e})")
     m2 = len(iso.sos.even)
+    n_ext = iso.sos.nvars - m2  # F's source dimension
     d = iso.jet.degree
     ext: Optional[IsometryJet] = None
-    if iso.mode == "exact":
-        composites = _even_composites(iso, d)
-        if all(c.is_zero for c in composites):
-            fmat, _ = coefficient_matrix(iso.jet)
-            relations = ex_nullspace(ex_transpose(fmat))
-            try:
-                ortho = ex_gs_orthonormal(relations)
-            except ExactCompletionError:
-                ortho = []
-            if len(ortho) >= m2:
-                # a completion that leaves the field gives a float F
-                ext = solve_component_jet(ortho[:m2], iso.sos, d, tol)
+    if iso.mode == "exact" and all(c.is_zero
+                                   for c in _even_composites(iso, d)):
+        # the plus rows are orthonormal relations among f's components; a
+        # norm outside the field, in either step, takes the float route
+        fmat, _ = coefficient_matrix(iso.jet)
+        try:
+            rows = ex_gs_orthonormal(ex_nullspace(ex_transpose(fmat)))[:m2]
+            if len(rows) == m2:
+                full = ex_complete_orthonormal(rows) + rows
+                ext = _solve_from_unitary(full, iso.sos, n_ext, d, tol)
+        except ExactCompletionError:
+            pass
     if ext is None:
         # n < n0 pads the recovery target with zero rows: a float match.
-        # Moving U's plus rows last gives full f = ((w, 0), z^#(f)), so F
-        # solved from full has F(w, 0) = f: rho is the inclusion
+        # Completing U's rows that meet (w, z^#(f)) and moving the plus rows
+        # last gives full f = ((w, 0), z^#(f)), so F solved from full has
+        # F(w, 0) = f: rho is the inclusion
         u, _ = _match_recovery_target(iso, tol)
-        full = np.vstack([u[:n], u[n + m2:], u[n:n + m2]])
-        ext = _solve_from_unitary(full, iso.sos, iso.sos.nvars - m2, d, tol)
+        full = np.vstack([u[:n], row_complement(u[:n + m2]), u[n:n + m2]])
+        ext = _solve_from_unitary(full, iso.sos, n_ext, d, tol)
     jf, jbig = iso.jet.jacobian0(), ext.jet.jacobian0()
     # an exact F comes from an exact input, so both jacobians are exact
     if ext.mode == "exact":

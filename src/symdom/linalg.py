@@ -4,9 +4,8 @@ Exact matrices are lists of rows of Exact scalars; floating matrices are
 numpy arrays.  The Hermitian inner product of rows u, v is
 sum_k u[k] * conj(v[k]).  ``coisometry_residual`` is the one orthonormality
 test for both kinds, computed in the matrix's own field.  The floating
-helpers decide numerical rank with fixed relative thresholds: a singular
-value below ``NULL_TOL`` (null spaces, complements) or ``RANK_TOL``
-(``matrix_rank_tol``) times max(1, the largest) counts as zero.
+helpers decide no numerical rank: ``row_complement`` takes rows that are
+orthonormal already, so their rank is their count.
 """
 
 from __future__ import annotations
@@ -26,12 +25,8 @@ __all__ = [
     "ex_matmul", "ex_rref", "ex_rank", "ex_nullspace",
     "ex_gs_orthonormal",
     "ex_complete_orthonormal", "to_complex_matrix",
-    "phase_normalize_columns", "null_space", "row_complement",
-    "principal_angles", "coisometry_residual", "matrix_rank_tol",
+    "row_complement", "principal_angles", "coisometry_residual",
 ]
-
-NULL_TOL = 1e-10
-RANK_TOL = 1e-8
 
 
 def ex_transpose(a: ExactMatrix) -> ExactMatrix:
@@ -148,39 +143,13 @@ def to_complex_matrix(a) -> np.ndarray:
     return np.array([[complex(x) for x in row] for row in a], dtype=complex)
 
 
-def phase_normalize_columns(m: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus entry is real positive."""
-    out = m.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 1e-14:
-            out[:, j] = col * (abs(pivot) / pivot)
-    return out
-
-
-def null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning {x : a @ x = 0}, deterministic phases."""
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > NULL_TOL * max(1.0, s[0] if s.size else 1.0)))
-    basis = vh.conj().T[:, rank:]
-    return phase_normalize_columns(basis)
-
-
 def row_complement(a: np.ndarray) -> np.ndarray:
-    """Rows orthonormal (Hermitian) to the rows of a, deterministic."""
-    basis = null_space(np.asarray(a, dtype=complex).conj())
-    return basis.T
-
-
-def matrix_rank_tol(a: np.ndarray) -> int:
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > RANK_TOL * max(1.0, s[0])))
+    """Orthonormal rows spanning the Hermitian orthocomplement of the rows
+    of a, which are orthonormal: the trailing columns of the complete QR
+    of conj(a)^T, conjugate-transposed."""
+    a = np.asarray(a, dtype=complex)
+    q, _ = np.linalg.qr(a.conj().T, mode="complete")
+    return q[:, a.shape[0]:].conj().T
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

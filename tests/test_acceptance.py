@@ -397,7 +397,6 @@ def test_criterion_08_k2_varieties():
         system = build_k2_variety(iso)
         assert system.kind == "k2"
         assert membership_residual(system, iso.jet) < 1e-10
-        assert system.meta["rank_identity_ok"]
         jac = iso.jet.jacobian0()
         nbig = iso.spec.dim
         n = iso.jet.source_dim

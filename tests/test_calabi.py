@@ -50,6 +50,17 @@ def test_complete_to_unitary_float_goldens():
     assert np.max(np.abs(full @ full.conj().T - np.eye(3))) < 1e-12
     assert np.allclose(full[-1], row[0])
 
+    # one complete QR: unitary to rounding, the given rows kept at the
+    # bottom bit for bit, and the same output on every call
+    for m, ncols in [(1, 2), (1, 5), (2, 5), (3, 4), (4, 9), (6, 10)]:
+        for seed in (1, 2):
+            rows = random_coisometry(m, ncols, seed, "float")
+            full = complete_to_unitary(rows)
+            assert full.shape == (ncols, ncols)
+            assert coisometry_residual(full) <= 1e-14
+            assert np.array_equal(full[ncols - m:], rows)
+            assert np.array_equal(complete_to_unitary(rows), full)
+
 
 def test_complete_to_unitary_rejects_bad_rows():
     with pytest.raises(ValueError):

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symdom import (BidegPoly, HoloPoly, cli, isometry, kernels, poly,
-                    serialize)
+from symdom import (BidegPoly, HoloPoly, cli, domains, isometry, kernels,
+                    poly, serialize)
 from symdom.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -653,6 +653,43 @@ def test_extend_accepts_float_jets_that_verify(tmp_path, capsys, family, dim,
     assert ext["verification"]["passed"] and ext["mode"] == "float"
     assert ext["composition_residual"] <= 1e-8
     assert _inclusion_gap(ext["slice"]) <= 1e-12
+
+
+# the non-maximal grid cases but I(2,4) dim 1
+STABLE_EXTEND_GRID = [
+    (family, params, dim) for family, params, dims in CONSTRUCT_GRID
+    for dim in dims
+    if dim < domains.make_spec(family, **params).ball_dim_bound
+    and (family, params, dim) != ("I", {"p": 2, "q": 4}, 1)]
+
+
+@pytest.mark.parametrize("family, params, dim", STABLE_EXTEND_GRID, ids=[
+    f"{f}{''.join(map(str, p.values()))}-dim{d}"
+    for f, p, d in STABLE_EXTEND_GRID])
+def test_float_extend_is_stable_under_rounding(tmp_path, capsys, family,
+                                               params, dim):
+    # F is fixed by the rows that meet (w, z^#(f)) and by one complete QR of
+    # them, so 1e-14 added to a degree-2 coefficient moves F at rounding
+    # level.  I(2,4) dim 1 is left out: its n + m2 = 7 matched rows exceed
+    # its 4 monomials, so f does not fix them
+    jet_file, out = tmp_path / "jet.json", tmp_path / "ext.json"
+    opts = [x for k, v in params.items() for x in (f"--{k}", str(v))]
+    for seed in (1, 2, 3):
+        assert main(["construct", "--family", family, *opts, "--dim",
+                     str(dim), "--seed", str(seed), "--mode", "float",
+                     "--degree", "4", "--out", str(jet_file)]) == 0
+        exts = []
+        for delta in (0.0, 1e-14):
+            doc = json.loads(jet_file.read_text())
+            term = next(t for t in doc["jet"]["components"][0]["terms"]
+                        if sum(t["exp"]) == 2)
+            term["coeff"]["re"] += delta
+            jet_file.write_text(json.dumps(doc))
+            assert main(["extend", "--in", str(jet_file),
+                         "--out", str(out)]) == 0, capsys.readouterr().err
+            exts.append(serialize.jet_from_json(
+                json.loads(out.read_text())["extended"]["jet"]))
+        assert exts[0].max_coeff_distance(exts[1]) <= 1e-10, seed
 
 
 def test_degree_beyond_the_graded_basis_exits_2(tmp_path, capsys):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from symdom import (
     Exact,
+    ExactCompletionError,
     HALF_SQRT2,
     HoloPoly,
     IsometryJet,
@@ -610,7 +611,6 @@ def test_k2_variety_canonical(builder):
     system = build_k2_variety(iso)
     assert system.kind == "k2"
     assert membership_residual(system, iso.jet) < 1e-10
-    assert system.meta["rank_identity_ok"]
     n = iso.source_dim
     m1, m2 = len(iso.sos.odd), len(iso.sos.even)
     assert system.meta["stack_dim"] == max(n + m2, n * (n + 1) // 2 + m1)
@@ -711,7 +711,15 @@ def test_composites_read_the_jet_through_degree_d(mode):
             sos, iso.jet.truncate(d), d)
 
 
-def test_extend_null_disk_exact():
+def test_extend_null_disk_exact(monkeypatch):
+    # the vanishing-composite branch completes its relation rows and solves
+    # from them, without the entry checks of the public solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    for module in (isometry, calabi):
+        monkeypatch.setattr(module, "complete_to_unitary", refuse)
+    monkeypatch.setattr(isometry, "solve_component_jet", refuse)
     iso = quadric_null_disk()
     res = extend_isometry(iso)
     assert res.mode == "exact"
@@ -721,6 +729,21 @@ def test_extend_null_disk_exact():
     assert rep.max_residual == 0.0
     recomposed = compose_truncate(res.extended.jet, res.slice_map, DEG)
     assert recomposed.max_coeff_distance(iso.jet) == 0.0
+
+
+def test_extend_null_disk_leaves_the_field_for_the_float_route(monkeypatch):
+    # a completion norm with no square root in the field sends the exact
+    # input down the general float route, whose slice is the inclusion
+    def no_root(rows):
+        raise ExactCompletionError("norm has no square root")
+
+    monkeypatch.setattr(isometry, "ex_complete_orthonormal", no_root)
+    res = extend_isometry(quadric_null_disk())
+    assert res.mode == "float"
+    incl = [[float(i == 0)] for i in range(3)]
+    assert res.slice_map.max_coeff_distance(
+        JetMap.from_linear(incl, DEG)) <= 1e-12
+    assert res.composition_residual <= 1e-12
 
 
 def test_extend_sliced_construction():
