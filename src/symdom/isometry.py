@@ -16,17 +16,18 @@ The generator composites of a jet (odd, then even generators composed
 with it) are one stack per truncation degree, and the pullback residual
 one result per degree; both are kept on the (frozen) IsometryJet, so a
 pipeline that checks the same jet at several stages pays for one check,
-and unitary recovery and extension slice the plus block out of that
-stack.  A jet rebuilt by `solve_component_jet` is handed the stack its
-solve built, so its check composes nothing.  The solve, in either mode,
-is the degree pass that composition runs too (`poly.solve_graded`).  In
-floating point the pullback check is one array identity over the graded
-basis: the signed Gram product of the stack's coefficient matrix (see
-`kernels.signed_gram`) plus 1 minus the diagonal of (1 - |w|^2)^k, read
-off by bidegree blocks.  Exact jets keep a pullback summed as a bidegree
-polynomial (`kernels.h_pullback`) from whose terms the same diagonal, as
-integers, is subtracted in place.  The report reads the jacobian
-normalization conj(J)^T J = k I off that residual's (1, 1) block.
+and the Calabi matchings split that stack by sign into the two sides of
+the pullback equation (``_kernel_sides``).  A jet rebuilt by
+`solve_component_jet` is handed the stack its solve built, so its check
+composes nothing.  The solve, in either mode, is the degree pass that
+composition runs too (`poly.solve_graded`).  In floating point the
+pullback check is one array identity over the graded basis: the signed
+Gram product of the stack's coefficient matrix (see `kernels.signed_gram`)
+plus 1 minus the diagonal of (1 - |w|^2)^k, read off by bidegree blocks.
+Exact jets keep a pullback summed as a bidegree polynomial
+(`kernels.h_pullback`) from whose terms the same diagonal, as integers, is
+subtracted in place.  The report reads the jacobian normalization
+conj(J)^T J = k I off that residual's (1, 1) block.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .linalg import (coisometry_residual, ex_complete_orthonormal, ex_conj_t,
                      ex_gs_orthonormal, ex_matmul, ex_nullspace, ex_transpose,
                      row_complement, to_complex_matrix)
 from .poly import HoloPoly, JetMap, _graded, compose_truncate, solve_graded
-from .scalars import EXACT_ZERO, as_complex, one, zero
+from .scalars import EXACT_ZERO, Exact, as_complex, field_sqrt, one, zero
 
 __all__ = [
     "IsometryJet", "FEReport", "PolarizedReport", "RecoveredUnitary",
@@ -308,26 +309,79 @@ def full_verification_report(iso: IsometryJet, d: Optional[int] = None,
 
 # -- rank-2 machinery --------------------------------------------------------
 
-def _require_coordinate_minus_block(sos: SignedSOS) -> None:
-    spec = sos.spec
-    n = sos.nvars
+def _require_coordinate_minus_block(sos: SignedSOS, u_rows=None) -> None:
+    """The minus generators must be the coordinates; given the rows u_rows
+    of a k = 1 construction, their count m must have m2 <= m < N (the
+    plus block covered, a positive source dimension)."""
+    label, n, m2 = sos.spec.label, sos.nvars, len(sos.even)
     if len(sos.odd) != n:
         raise ParameterError(
-            f"{spec.label}: minus block must consist of the {n} coordinates")
+            f"{label}: minus block must consist of the {n} coordinates")
     for j, g in enumerate(sos.odd):
         exp = tuple(1 if i == j else 0 for i in range(n))
         if set(g.terms) != {exp} or as_complex(g.coeff(exp)) != 1:
             raise ParameterError(
-                f"{spec.label}: minus generator {j} is not the coordinate z_{j}")
+                f"{label}: minus generator {j} is not the coordinate z_{j}")
+    if u_rows is not None and not m2 <= len(u_rows) < n:
+        raise ParameterError(f"row count {len(u_rows)} outside {m2}..{n - 1}")
 
 
-def _even_composites(iso: IsometryJet, d: int) -> Tuple[HoloPoly, ...]:
-    return iso.composites(d).components[len(iso.sos.odd):]
+def _require_rank2_jet(iso: IsometryJet, k: int, task: str, tol: float,
+                       extending: bool = False) -> None:
+    """The entry checks of the rank-2 machinery, in this order and before
+    anything is composed: isometric constant k, the coordinate minus
+    block, for k = 1 the codimension inequality and a source dimension up
+    to the bound (below it when extending), then the pullback check."""
+    if iso.k != k:
+        raise ParameterError(f"{task} applies to k = {k} jets")
+    _require_coordinate_minus_block(iso.sos)
+    spec = iso.spec
+    if k == 1:
+        if not rank2_codim_inequality(spec):
+            raise ParameterError(
+                f"{spec.label} fails the codimension inequality")
+        n, bound = iso.source_dim, spec.ball_dim_bound
+        if n > bound or (extending and n == bound):
+            word = "exceeds" if n > bound else "already at"
+            raise ParameterError(
+                f"source dimension {n} {word} the bound {bound}")
+    fe = check_functional_eq(iso, tol=tol)
+    if not fe.passed:
+        raise VerificationError(
+            f"pullback equation fails (residual {fe.max_residual:.3e})")
+
+
+def _kernel_sides(iso: IsometryJet) -> Tuple[JetMap, JetMap]:
+    """The pullback equation split by sign into |plus|^2 = |minus|^2.
+
+    Each side holds the monomials w^alpha, 1 <= |alpha| <= k, weighted by
+    the square roots of ``_ball_kernel_diagonal`` (odd |alpha| on the plus
+    side), then the generator composites of its sign.  Both are padded
+    with zeros to one length and, once padded, converted to floating
+    point.  For k = 1 the sides are (w, z^#(f), 0) and f; for k = 2 they
+    are (sqrt2 w, z^#(f), 0) and (the degree-2 monomials weighted by 1 or
+    sqrt2, f, 0)."""
+    n, d, m1 = iso.source_dim, iso.jet.degree, len(iso.sos.odd)
+    stack = iso.composites(d)
+    basis = _graded(n, iso.k)[0][1:]  # 1 <= |alpha| <= k
+    sides = ([], [])  # plus, minus: b < 0 for odd |alpha|
+    for alpha, b in zip(basis, _ball_kernel_diagonal(basis, iso.k)):
+        sides[b > 0].append(HoloPoly.monomial(
+            n, alpha, field_sqrt(Exact.of(abs(b))), stack.mode))
+    sides[0].extend(stack.components[m1:])
+    sides[1].extend(stack.components[:m1])
+    size = max(map(len, sides))
+    jets = [JetMap(side + [HoloPoly.zero(n, stack.mode)] * (size - len(side)),
+                   d, n) for side in sides]
+    if len(sides[0]) != len(sides[1]):
+        jets = [jet.to_float() for jet in jets]
+    return jets[0], jets[1]
 
 
 @dataclass(frozen=True)
 class RecoveredUnitary:
-    """Constant unitary matching (w, plus-composites, 0) to the jet."""
+    """Constant unitary U with U f = (w, z^#(f), 0): the match of the k = 1
+    kernel sides (see ``_kernel_sides``)."""
 
     matrix: object
     mode: str
@@ -336,50 +390,20 @@ class RecoveredUnitary:
         return self.matrix[n:]
 
 
-def _match_recovery_target(iso: IsometryJet, tol: float):
-    """(U, mode) with U f = (w, plus-composites of f, 0).  Below the bound
-    the target has zero rows, so no exact U exists: floats are matched."""
-    n = iso.jet.source_dim
-    d = iso.jet.degree
-    pad = iso.spec.dim - n - len(iso.sos.even)
-    mode = iso.jet.mode
-    comps = [HoloPoly.var(n, a, mode) for a in range(n)]
-    comps += _even_composites(iso, d)
-    comps += [HoloPoly.zero(n, mode) for _ in range(pad)]
-    target, source = JetMap(comps, d, n), iso.jet
-    if pad:
-        target, source = target.to_float(), source.to_float()
-    return match_unitary(target, source, tol)
-
-
 def recover_matching_unitary(iso: IsometryJet,
                              tol: float = DEFAULT_TOL) -> RecoveredUnitary:
     """Recover U with U f = (w, plus-composites of f, 0), for k = 1 jets.
 
     Requires a rank-2 target whose minus generators are the coordinates, a
-    source dimension up to the bound, and a passing pullback check.  At
-    the bound, exact jets with a full-rank coefficient matrix give an
-    exact U; below it U is the polar factor of the float match.  Either
-    way `match_unitary` has checked U f = target on the coefficient
-    matrices.
+    source dimension up to the bound, and a passing pullback check (see
+    ``_require_rank2_jet``).  U matches the two sides of the pullback
+    equation (``_kernel_sides``).  At the bound the sides are unpadded,
+    and exact jets with a full-rank coefficient matrix give an exact U;
+    below it U is the polar factor of the float match.  Either way
+    `match_unitary` has checked U f = target on the coefficient matrices.
     """
-    spec = iso.spec
-    if iso.k != 1:
-        raise ParameterError("unitary recovery applies to k = 1 jets")
-    _require_coordinate_minus_block(iso.sos)
-    if not rank2_codim_inequality(spec):
-        raise ParameterError(
-            f"{spec.label} fails the codimension inequality")
-    n = iso.jet.source_dim
-    nmax = spec.ball_dim_bound
-    if n > nmax:
-        raise ParameterError(
-            f"source dimension {n} exceeds the bound {nmax}")
-    fe = check_functional_eq(iso, tol=max(tol, DEFAULT_TOL))
-    if not fe.passed:
-        raise VerificationError(
-            f"pullback equation fails (residual {fe.max_residual:.3e})")
-    u, mode = _match_recovery_target(iso, tol)
+    _require_rank2_jet(iso, 1, "unitary recovery", max(tol, DEFAULT_TOL))
+    u, mode = match_unitary(*_kernel_sides(iso), tol)
     return RecoveredUnitary(matrix=u, mode=mode)
 
 
@@ -423,17 +447,11 @@ def build_k1_variety(u_rows, sos: SignedSOS) -> VarietySystem:
     row l of u pairs the coordinates against plus generator l for l < m2
     and against zero for the remaining rows.
     """
-    _require_coordinate_minus_block(sos)
-    nbig = sos.nvars
+    _require_coordinate_minus_block(sos, u_rows)
     m2 = len(sos.even)
     exact = isinstance(u_rows, list)
     rows = u_rows if exact else np.asarray(u_rows, dtype=complex)
     m = len(rows)
-    if m < m2:
-        raise ParameterError(
-            f"need at least {m2} rows to cover the plus block, got {m}")
-    if m >= nbig:
-        raise ParameterError("row count must leave a positive source dimension")
     res = coisometry_residual(rows)
     if not res <= (0.0 if exact else COISOMETRY_TOL):
         raise ValueError(f"rows are not orthonormal (residual {res:.3e})")
@@ -471,13 +489,7 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
     Exact rows stay exact when the completion stays in the field;
     otherwise the computation restarts in floating point from them.
     """
-    _require_coordinate_minus_block(sos)
-    nbig = sos.nvars
-    m2 = len(sos.even)
-    m = len(u_rows)
-    if not m2 <= m < nbig:
-        raise ParameterError(
-            f"row count {m} outside {m2}..{nbig - 1}")
+    _require_coordinate_minus_block(sos, u_rows)
     if degree < 2:
         raise TruncationError(
             f"truncation degree {degree} cannot see isometric constant 1: "
@@ -487,7 +499,8 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
     except ExactCompletionError:  # raised for exact rows only
         return solve_component_jet(to_complex_matrix(u_rows), sos,
                                    degree, tol)
-    return _solve_from_unitary(full, sos, nbig - m, degree, tol)
+    return _solve_from_unitary(full, sos, sos.nvars - len(u_rows), degree,
+                               tol)
 
 
 def _solve_from_unitary(full, sos: SignedSOS, n: int, degree: int,
@@ -528,45 +541,22 @@ def build_k2_variety(iso: IsometryJet, tol: float = DEFAULT_TOL) -> VarietySyste
     """Variety of a k = 2 jet: lift through the squared-coordinate map.
 
     Where a k = 1 jet solves z = conj(full)^T (w, z^#(z), 0) for one
-    unitary, a k = 2 jet is matched one level up: a constant unitary takes
-    (sqrt2 w, z^#(f), 0) to (paired squares of w, f, 0).  Its rows below
-    the squares, with the linear block replaced by (1/2) J conj(J)^T
-    through the jacobian normalization, are the projective forms
-    (hat - I) z + u22 z^#(z); the equations are those forms applied to
-    (z, z^#) in the ambient coordinates.
+    unitary, a k = 2 jet is matched one level up: after the checks of
+    ``_require_rank2_jet``, a constant unitary takes the plus side of the
+    pullback equation, (sqrt2 w, z^#(f), 0), to its minus side, (the
+    degree-2 monomials of w weighted by 1 or sqrt2, f, 0) (see
+    ``_kernel_sides``).  Its rows below the monomials, with the linear
+    block replaced by (1/2) J conj(J)^T through the jacobian
+    normalization, are the projective forms (hat - I) z + u22 z^#(z); the
+    equations are those forms applied to (z, z^#) in the ambient
+    coordinates.
     """
-    spec = iso.spec
-    if iso.k != 2:
-        raise ParameterError("the quadric lift applies to k = 2 jets")
-    _require_coordinate_minus_block(iso.sos)
-    fe = check_functional_eq(iso, tol=tol)
-    if not fe.passed:
-        raise VerificationError(
-            f"pullback equation fails (residual {fe.max_residual:.3e})")
-    n = iso.jet.source_dim
-    nbig = spec.dim
-    m1 = len(iso.sos.odd)
-    m2 = len(iso.sos.even)
+    _require_rank2_jet(iso, 2, "the quadric lift", tol)
+    plus, minus = _kernel_sides(iso)
+    u = to_complex_matrix(match_unitary(minus, plus, tol)[0])
+    n, nbig, nstack = iso.source_dim, iso.spec.dim, plus.target_dim
+    m1, m2 = len(iso.sos.odd), len(iso.sos.even)
     m0 = n * (n + 1) // 2
-    nstack = max(n + m2, m0 + m1)
-    d = iso.jet.degree
-    composites = iso.composites(d).to_float().components
-    sq2 = math.sqrt(2.0)
-    lhs = [HoloPoly.var(n, a, "float").scale(sq2) for a in range(n)]
-    lhs += composites[m1:]
-    lhs += [HoloPoly.zero(n, "float") for _ in range(nstack - n - m2)]
-    rhs = []
-    for a in range(n):
-        exp = tuple(2 if b == a else 0 for b in range(n))
-        rhs.append(HoloPoly.monomial(n, exp, 1.0, "float"))
-    for a in range(n):
-        for b in range(a + 1, n):
-            exp = tuple(1 if c in (a, b) else 0 for c in range(n))
-            rhs.append(HoloPoly.monomial(n, exp, sq2, "float"))
-    rhs += composites[:m1]
-    rhs += [HoloPoly.zero(n, "float") for _ in range(nstack - m0 - m1)]
-    u, _ = match_unitary(JetMap(rhs, d, n), JetMap(lhs, d, n), tol)
-    u = np.asarray(u, dtype=complex)
     jac = to_complex_matrix(iso.jet.jacobian0())
     u22 = u[m0:, n:]
     proj_half = 0.5 * (jac @ jac.conj().T)
@@ -593,36 +583,25 @@ class ExtensionResult:
 def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResult:
     """Factor a non-maximal k = 1 jet through one of maximal source dimension.
 
-    Matches (w, plus-composites, 0) in floating point, as
-    ``recover_matching_unitary`` does, and solves the maximal jet F from
-    the matched unitary's rows that meet (w, plus-composites), not tested
-    again, completed by ``row_complement``, so that F(w, 0) = f and the
-    linear slice rho = conj(JF)^T Jf is the coordinate inclusion; F's FE
-    check and the checks of rho and of f = F o rho decide.  Exact input is
+    After the checks of ``_require_rank2_jet`` (a source dimension below
+    the bound), matches the two sides of the pullback equation
+    (``_kernel_sides``: (w, plus-composites, 0) and f, padded, so matched
+    in floating point) and solves the maximal jet F from the matched
+    unitary's rows that meet (w, plus-composites), not tested again,
+    completed by ``row_complement``, so that F(w, 0) = f and the linear
+    slice rho = conj(JF)^T Jf is the coordinate inclusion; F's FE check
+    and the checks of rho and of f = F o rho decide.  Exact input is
     extended exactly when the plus-composites vanish and the relation rows
     orthonormalize and complete inside the field.
     """
-    spec = iso.spec
-    if iso.k != 1:
-        raise ParameterError("extension applies to k = 1 jets")
-    _require_coordinate_minus_block(iso.sos)
-    if not rank2_codim_inequality(spec):
-        raise ParameterError(f"{spec.label} fails the codimension inequality")
-    n = iso.jet.source_dim
-    n0 = spec.ball_dim_bound
-    if n >= n0:
-        raise ParameterError(
-            f"source dimension {n} already at the bound {n0}")
-    fe = check_functional_eq(iso, tol=tol)
-    if not fe.passed:
-        raise VerificationError(
-            f"pullback equation fails (residual {fe.max_residual:.3e})")
+    _require_rank2_jet(iso, 1, "extension", tol, extending=True)
+    n = iso.source_dim
     m2 = len(iso.sos.even)
     n_ext = iso.sos.nvars - m2  # F's source dimension
     d = iso.jet.degree
     ext: Optional[IsometryJet] = None
-    if iso.mode == "exact" and all(c.is_zero
-                                   for c in _even_composites(iso, d)):
+    plus_composites = iso.composites(d).components[len(iso.sos.odd):]
+    if iso.mode == "exact" and all(c.is_zero for c in plus_composites):
         # the plus rows are orthonormal relations among f's components; a
         # norm outside the field, in either step, takes the float route
         fmat, _ = coefficient_matrix(iso.jet)
@@ -634,11 +613,10 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
         except ExactCompletionError:
             pass
     if ext is None:
-        # n < n0 pads the recovery target with zero rows: a float match.
         # Completing U's rows that meet (w, z^#(f)) and moving the plus rows
         # last gives full f = ((w, 0), z^#(f)), so F solved from full has
         # F(w, 0) = f: rho is the inclusion
-        u, _ = _match_recovery_target(iso, tol)
+        u, _ = match_unitary(*_kernel_sides(iso), tol)
         full = np.vstack([u[:n], row_complement(u[:n + m2]), u[n:n + m2]])
         ext = _solve_from_unitary(full, iso.sos, n_ext, d, tol)
     jf, jbig = iso.jet.jacobian0(), ext.jet.jacobian0()

@@ -45,9 +45,9 @@ from symdom import (
 from symdom import calabi, isometry, kernels, serialize
 from symdom.kernels import generator_composites
 from symdom.calabi import complete_to_unitary, match_unitary
-from symdom.linalg import (coisometry_residual, ex_conj_t, principal_angles,
-                           to_complex_matrix)
-from symdom.poly import _graded
+from symdom.linalg import (coisometry_residual, ex_conj_t, ex_matmul,
+                           principal_angles, to_complex_matrix)
+from symdom.poly import _graded, _monomial_basis
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -806,6 +806,100 @@ def test_recover_below_bound_equals_exact_target_match(family, params, dim):
     rec = recover_matching_unitary(iso)
     assert (rec.mode, mode) == ("float", "float")
     assert rec.matrix.tobytes() == want.tobytes()
+
+
+def _side_gap(iso):
+    """(mode, gap) of the kernel sides: the largest entry of the difference
+    of their coefficient Grams conj(C)^T C over one basis, formed in the
+    field for exact sides (0.0 exactly when they agree)."""
+    plus, minus = isometry._kernel_sides(iso)
+    assert plus.target_dim == minus.target_dim
+    basis = _monomial_basis([plus, minus])
+    cp, cm = (calabi.coefficient_matrix(side, basis)[0]
+              for side in (plus, minus))
+    if plus.mode == "exact":
+        gp, gm = (ex_matmul(ex_conj_t(c), c) for c in (cp, cm))
+        return "exact", max(abs(complex(a - b)) for ra, rb in zip(gp, gm)
+                            for a, b in zip(ra, rb))
+    diff = cp.conj().T @ cp - cm.conj().T @ cm
+    return "float", float(np.max(np.abs(diff)))
+
+
+def _grid_jet(family, params, dim, mode):
+    spec = make_spec(family, **params)
+    rows = random_coisometry(spec.dim - dim, spec.dim, 24, mode)
+    return solve_component_jet(rows, make_sos(spec, mode), degree=4)
+
+
+SIDE_JETS = {
+    **{f"{family}({','.join(map(str, params.values()))})-dim{dim}-{mode}":
+       functools.partial(_grid_jet, family, params, dim, mode)
+       for mode in ("exact", "float")
+       for family, params, dims in CONSTRUCT_GRID for dim in dims},
+    **{b.__name__: b for b in [bidisk_diagonal, quadric_sqrt2_disk,
+                               matrix_diagonal_disk]},
+}
+
+
+@pytest.mark.parametrize("name", list(SIDE_JETS))
+def test_kernel_sides_state_the_pullback_identity(name):
+    # |plus|^2 = |minus|^2 holds coefficientwise on the truncated sides:
+    # exactly when they are exact (unpadded), to rounding otherwise; 1/10
+    # on a degree-2 coefficient of f breaks it
+    iso = SIDE_JETS[name]()
+    mode, gap = _side_gap(iso)
+    if mode == "exact":
+        assert gap == 0.0
+    else:
+        assert gap <= 1e-12
+    _, bad = _side_gap(_plus_tenth(iso, iso.jet.degree, 0, 2))
+    assert bad > 1e-3
+
+
+def _maximal_iv4_jet():
+    # a fresh jet, without the stack its solve built
+    spec = make_spec("IV", n=4)
+    rows = random_coisometry(spec.dim - spec.ball_dim_bound, spec.dim, 2,
+                             "exact")
+    built = solve_component_jet(rows, make_sos(spec), degree=DEG)
+    return IsometryJet(built.jet, 1, built.sos)
+
+
+def _polydisk_axis():
+    w = disk_var()
+    return IsometryJet(JetMap([w, HoloPoly.zero(1)], DEG, 1), 1,
+                       sos_polydisk(2))
+
+
+def _iv4_identity():
+    # source dimension 4, above IV(4)'s bound 3
+    return IsometryJet(JetMap.identity(4, DEG), 1, sos_type_iv(4))
+
+
+GATE_CASES = {
+    "extend-maximal": (extend_isometry, _maximal_iv4_jet, "already at"),
+    "extend-beyond": (extend_isometry, _iv4_identity, "4 exceeds the bound 3"),
+    "extend-k2": (extend_isometry, quadric_sqrt2_disk, "k = 1"),
+    "extend-polydisk": (extend_isometry, _polydisk_axis, "codimension"),
+    "recover-k2": (recover_matching_unitary, quadric_sqrt2_disk, "k = 1"),
+    "lift-k1": (build_k2_variety, quadric_null_disk, "k = 2"),
+}
+
+
+@pytest.mark.parametrize("name", list(GATE_CASES))
+def test_entry_checks_refuse_before_composing(name, monkeypatch):
+    # the parameter checks of the rank-2 machinery run before the
+    # pullback check, which is the first to compose
+    call, build, message = GATE_CASES[name]
+    iso = build()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("composed")
+
+    for module in (kernels, isometry):
+        monkeypatch.setattr(module, "compose_truncate", refuse)
+    with pytest.raises(ParameterError, match=message):
+        call(iso)
 
 
 def test_extend_rejects_maximal_source():
