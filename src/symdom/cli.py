@@ -99,8 +99,7 @@ def _parse_point(text: str, n: int) -> List[complex]:
 def cmd_invariants(args) -> int:
     spec = _spec_from_args(args)
     doc = {
-        "family": spec.family,
-        "params": serialize.spec_to_json(spec)["params"],
+        **serialize.spec_to_json(spec),
         "label": spec.label,
         "dim": spec.dim,
         "rank": spec.rank,
@@ -159,8 +158,7 @@ def cmd_threshold_table(args) -> int:
         agree = closed == brute
         if not agree:
             mismatches += 1
-        rows.append({"family": spec.family,
-                     "params": serialize.spec_to_json(spec)["params"],
+        rows.append({**serialize.spec_to_json(spec),
                      "brute": brute, "closed_form": closed,
                      "agree": agree})
     if args.format == "json":
@@ -179,8 +177,7 @@ def cmd_kernel(args) -> int:
     spec = _spec_from_args(args)
     sos = make_sos(spec, args.mode)
     doc = {
-        "family": spec.family,
-        "params": serialize.spec_to_json(spec)["params"],
+        **serialize.spec_to_json(spec),
         "dim": spec.dim,
         "odd_count": len(sos.odd),
         "even_count": len(sos.even),

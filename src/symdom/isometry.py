@@ -48,7 +48,8 @@ from .kernels import (SignedSOS, generator_composites, h_pullback,
 from .linalg import (coisometry_residual, ex_complete_orthonormal, ex_conj_t,
                      ex_gs_orthonormal, ex_matmul, ex_nullspace, ex_transpose,
                      row_complement, to_complex_matrix)
-from .poly import HoloPoly, JetMap, _graded, compose_truncate, solve_graded
+from .poly import (HoloPoly, JetMap, _graded, _units, compose_truncate,
+                   solve_graded)
 from .scalars import EXACT_ZERO, Exact, as_complex, field_sqrt, one, zero
 
 __all__ = [
@@ -317,8 +318,7 @@ def _require_coordinate_minus_block(sos: SignedSOS, u_rows=None) -> None:
     if len(sos.odd) != n:
         raise ParameterError(
             f"{label}: minus block must consist of the {n} coordinates")
-    for j, g in enumerate(sos.odd):
-        exp = tuple(1 if i == j else 0 for i in range(n))
+    for j, (g, exp) in enumerate(zip(sos.odd, _units(n))):
         if set(g.terms) != {exp} or as_complex(g.coeff(exp)) != 1:
             raise ParameterError(
                 f"{label}: minus generator {j} is not the coordinate z_{j}")
@@ -433,10 +433,9 @@ def _projective_equations(proj, sos: SignedSOS) -> Tuple[HoloPoly, ...]:
     """proj[:, 1:] applied to the stack (minus generators, plus generators)
     by one composition.  Column 0, the coefficient of 1, is zero for the
     varieties built here."""
-    gens = sos.odd + sos.even
-    d = max(g.degree for g in gens)
+    d = sos.stack.degree
     forms = JetMap.from_linear([row[1:] for row in proj], d)
-    return compose_truncate(forms, JetMap(gens, d), d).components
+    return compose_truncate(forms, sos.stack, d).components
 
 
 def build_k1_variety(u_rows, sos: SignedSOS) -> VarietySystem:

@@ -13,18 +13,20 @@ Implemented expansions: polydisk (square-free monomials), type IV
 (coordinates and one half-sum of squares), type I (all k x k minors, signs by
 Cauchy-Binet).
 
-The pullback h(f, conj f) of a jet f is summed from its generator
-composites: for an exact stack as a sparse bidegree polynomial
-(`h_pullback`, the exact FE check's route), for a float one as one signed
-Gram product of their coefficient matrix (`signed_gram`, the float
-check's route).  Curvature at the origin is a
-closed form in the generators' values along the direction.
+h is the signature form of the minimal embedding [1, odd, even], whose
+stack (odd, then even generators) and signs a `SignedSOS` holds.  Kernel
+values, the embedding and the curvature at the origin (a closed form in
+the generators' values along the direction) evaluate the stack.  The
+pullback h(f, conj f) of a jet f is summed from the stack composed with
+f: for an exact stack as a sparse bidegree polynomial (`h_pullback`, the
+exact FE check's route), for a float one as one signed Gram product of
+their coefficient matrix (`signed_gram`, the float check's route).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -32,22 +34,28 @@ import numpy as np
 
 from .domains import DomainSpec, ParameterError, make_spec
 from .poly import BidegPoly, HoloPoly, JetMap, compose_truncate
-from .scalars import (EXACT_ONE, Exact, Scalar, as_complex, mode_of, one,
-                      sum_products, zero)
+from .scalars import (EXACT_ONE, EXACT_ZERO, Exact, Scalar, as_complex,
+                      one, sum_products, zero)
 
 
 @dataclass(frozen=True)
 class SignedSOS:
-    """Kernel expansion: odd-degree generators enter with minus, even with plus."""
+    """Kernel expansion: odd-degree generators enter with minus, even with plus.
+
+    Set once, after the checks: ``stack``, the jet of odd + even at the top
+    generator degree, and ``signs``, -1 per odd and +1 per even generator."""
 
     spec: DomainSpec
     odd: Tuple[HoloPoly, ...]
     even: Tuple[HoloPoly, ...]
     mode: str
+    stack: JetMap = field(init=False, compare=False, repr=False)
+    signs: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.spec.dim
-        for g in self.odd + self.even:
+        gens = self.odd + self.even
+        for g in gens:
             if g.nvars != n:
                 raise ValueError("generator variable count mismatch")
             degs = {sum(e) for e in g.terms}
@@ -61,13 +69,17 @@ class SignedSOS:
                 raise ValueError("even block contains an odd-degree generator")
         if (self.spec.sos_odd, self.spec.sos_even) != (len(self.odd), len(self.even)):
             raise ValueError("generator counts disagree with the catalog")
+        object.__setattr__(self, "stack",
+                           JetMap(gens, max(g.degree for g in gens)))
+        object.__setattr__(self, "signs",
+                           (-1,) * len(self.odd) + (1,) * len(self.even))
 
     @property
     def nvars(self) -> int:
         return self.spec.dim
 
     def signed_generators(self) -> List[Tuple[int, HoloPoly]]:
-        return [(-1, g) for g in self.odd] + [(1, g) for g in self.even]
+        return list(zip(self.signs, self.stack.components))
 
 
 def _squarefree_monomials(p: int, parity: int, mode: str) -> List[HoloPoly]:
@@ -154,29 +166,26 @@ def kernel_value(sos: SignedSOS, z: Sequence) -> Scalar:
 
 
 def kernel_polarized(sos: SignedSOS, z: Sequence, xi: Sequence) -> Scalar:
-    """h(z, conj xi): holomorphic in z, anti-holomorphic in xi."""
-    exact_pt = all(mode_of(pt) == "exact" for pt in list(z) + list(xi))
-    mode = "exact" if sos.mode == "exact" and exact_pt else "float"
-    total = one(mode)
-    for sign, g in sos.signed_generators():
-        val = g.evaluate(z)
-        wal = g.evaluate(xi).conjugate()
-        total = total + val * wal * sign
+    """h(z, conj xi): holomorphic in z, anti-holomorphic in xi; an ``Exact``
+    when the expansion and both points are exact, else a ``complex``."""
+    total = EXACT_ONE
+    for sign, val, wal in zip(sos.signs, sos.stack.evaluate(z),
+                              sos.stack.evaluate(xi)):
+        total = total + val * wal.conjugate() * sign
     return total
 
 
 def kernel_polarized_many(sos: SignedSOS, z, xi) -> np.ndarray:
     """h(z_s, conj xi_s) for the rows s of two S x dim float arrays."""
-    signs, gens = zip(*sos.signed_generators())
-    stack = JetMap(gens, max(g.degree for g in gens))
-    vals = stack.evaluate_many(np.concatenate([z, xi]))
+    vals = sos.stack.evaluate_many(np.concatenate([z, xi]))
     prods = vals[:len(z)] * vals[len(z):].conj()
-    return 1.0 + prods @ np.array(signs, dtype=float)
+    return 1.0 + prods @ np.array(sos.signs, dtype=float)
 
 
 def generator_composites(sos: SignedSOS, f: JetMap, d: int) -> JetMap:
-    """The generators (odd, then even) composed with f, truncated at d."""
-    return compose_truncate(JetMap(sos.odd + sos.even, d), f, d)
+    """The generators (odd, then even) composed with f, truncated at d:
+    the composition reads only the stack's terms of degree <= d."""
+    return compose_truncate(sos.stack, f, d)
 
 
 def signed_gram(sos: SignedSOS, composites: JetMap,
@@ -187,7 +196,7 @@ def signed_gram(sos: SignedSOS, composites: JetMap,
     w^basis[a] conj(w)^basis[b] in sum_g s_g |g o f|^2.  A value beyond
     float range reads as inf / nan, with no warning."""
     mat = composites.float_coefficients(basis)
-    signs = np.array([-1.0] * len(sos.odd) + [1.0] * len(sos.even))
+    signs = np.array(sos.signs, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         return mat.T @ (signs[:, None] * mat.conj())
 
@@ -209,24 +218,23 @@ def h_pullback(sos: SignedSOS, composites: JetMap) -> BidegPoly:
     products, from each term's signed and conjugated internal forms, feed
     one ``sum_products``, so each coefficient is reduced once.
     """
-    signs = [-1] * len(sos.odd) + [1] * len(sos.even)
-    if composites.target_dim != len(signs):
+    if composites.target_dim != len(sos.signs):
         raise ValueError(
             f"stack has {composites.target_dim} composites for "
-            f"{len(signs)} generators")
+            f"{len(sos.signs)} generators")
     if composites.mode != "exact":
         raise ValueError("a float stack is squared by signed_gram")
-    n = composites.source_dim
-    return BidegPoly.from_field(n, sum_products(_pullback_products(
-        signs, composites.components, composites.degree, (0,) * n)), "exact")
+    return BidegPoly.from_field(composites.source_dim, sum_products(
+        _pullback_products(sos.signs, composites)), "exact")
 
 
-def _pullback_products(signs, components, d, e0):
+def _pullback_products(signs, stack):
     """``h_pullback``'s (key, x, y) triples for an exact stack: 1 at
     (0, 0), then s c_alpha times conj(c_beta) at (alpha, beta) and
     s c_beta times conj(c_alpha) at (beta, alpha)."""
+    d, e0 = stack.degree, (0,) * stack.source_dim
     yield (e0, e0), EXACT_ONE._n, EXACT_ONE._n
-    for sign, comp in zip(signs, components):
+    for sign, comp in zip(signs, stack.components):
         # by degree, so each term's partners end at the first one too high
         items = sorted((sum(e), e, (-c if sign < 0 else c)._n,
                         c.conjugate()._n) for e, c in comp.terms.items())
@@ -242,10 +250,7 @@ def _pullback_products(signs, components, d, e0):
 def minimal_embedding(sos: SignedSOS, z: Sequence) -> List[Scalar]:
     """Projective coordinates [1, odd generators, even generators] at z;
     never the zero vector."""
-    out = [one(sos.mode)]
-    for g in sos.odd + sos.even:
-        out.append(g.evaluate(z))
-    return out
+    return [one(sos.mode)] + sos.stack.evaluate(z)
 
 
 def curvature_at_origin(sos: SignedSOS, alpha: Sequence) -> float:
@@ -258,19 +263,17 @@ def curvature_at_origin(sos: SignedSOS, alpha: Sequence) -> float:
     the |t|^4 coefficient of log h, 4 Re(c2 - c1^2 / 2).  Always in
     [-2, -2/rank].
     """
-    alpha = [Exact.of(a) if mode_of(a) == "exact" and not isinstance(a, Exact)
-             else a for a in alpha]
+    alpha = [Exact.of(a) if isinstance(a, (int, Fraction)) else a
+             for a in alpha]
     norm2 = sum(abs(x) * abs(x) for x in map(as_complex, alpha))
     if not abs(norm2 - 1.0) <= 1e-9:  # NaN is not unit either
         raise ValueError(f"direction must be Euclidean-unit, got |alpha|^2 = {norm2}")
-    mode = "exact" if sos.mode == "exact" and all(
-        mode_of(a) == "exact" for a in alpha) else "float"
-    c = {1: zero(mode), 2: zero(mode)}
-    for sign, g in sos.signed_generators():
+    # exact sums while the values are exact, as in kernel_polarized
+    c = {1: EXACT_ZERO, 2: EXACT_ZERO}
+    for sign, g, val in zip(sos.signs, sos.stack.components,
+                            sos.stack.evaluate(alpha)):
         if g.degree in c:
-            val = g.evaluate(alpha)
-            mag = val * val.conjugate()
-            c[g.degree] = c[g.degree] + mag * sign
+            c[g.degree] = c[g.degree] + val * val.conjugate() * sign
     return 4.0 * as_complex(c[2] - c[1] * c[1] / 2).real
 
 

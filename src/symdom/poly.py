@@ -129,8 +129,7 @@ class HoloPoly:
 
     @staticmethod
     def var(nvars: int, j: int, mode: str = "exact") -> "HoloPoly":
-        exp = tuple(1 if i == j else 0 for i in range(nvars))
-        return HoloPoly(nvars, {exp: one(mode)}, mode)
+        return HoloPoly(nvars, {_units(nvars)[j]: one(mode)}, mode)
 
     @staticmethod
     def monomial(nvars: int, exp: Exponent, c, mode: Optional[str] = None) -> "HoloPoly":
@@ -342,14 +341,8 @@ class JetMap:
         """Linear jet with components (matrix @ z)_i."""
         rows = [list(r) for r in matrix]
         n = len(rows[0])
-        comps = []
-        for r in rows:
-            terms = {}
-            for j, c in enumerate(r):
-                exp = tuple(1 if i == j else 0 for i in range(n))
-                terms[exp] = c
-            comps.append(HoloPoly(n, terms))
-        return JetMap(comps, degree)
+        return JetMap([HoloPoly(n, dict(zip(_units(n), r))) for r in rows],
+                      degree)
 
     def constant_free(self) -> bool:
         return all(_is_zero(c.constant_term()) for c in self.components)
@@ -388,14 +381,8 @@ class JetMap:
 
     def jacobian0(self) -> List[List[Scalar]]:
         """Degree-1 coefficient matrix, target_dim x source_dim."""
-        out = []
-        for comp in self.components:
-            row = []
-            for j in range(self.source_dim):
-                exp = tuple(1 if i == j else 0 for i in range(self.source_dim))
-                row.append(comp.coeff(exp))
-            out.append(row)
-        return out
+        units = _units(self.source_dim)
+        return [[comp.coeff(e) for e in units] for comp in self.components]
 
     def truncate(self, d: int) -> "JetMap":
         return JetMap([c.truncate(d) for c in self.components], min(d, self.degree),

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from symdom import contains, make_sos, make_spec
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 
 
@@ -30,8 +32,9 @@ def test_grid_is_204_commands():
 
 
 def test_kernel_directions_follow_the_grid():
-    # each of the grid's 5 families, in both modes, along the two unit
-    # directions, after the 204 grid commands
+    # each of the grid's 5 families, in both modes, at one interior point
+    # of the family's dimension and along the two unit directions, after
+    # the 204 grid commands
     tool = _tool()
     labelled = tool.commands()
     kernel = labelled[204:]
@@ -47,6 +50,13 @@ def test_kernel_directions_follow_the_grid():
             ["exact", "exact", "float", "float"]
         assert len({argv[argv.index("--direction") + 1]
                     for argv in runs}) == 2
+        spec = make_spec(family[1], **{k[2:]: int(v) for k, v in
+                                       zip(family[2::2], family[3::2])})
+        for argv in runs:
+            pt = [complex(*c) if isinstance(c, list) else c
+                  for c in json.loads(argv[argv.index("--point") + 1])]
+            assert len(pt) == spec.dim
+            assert contains(make_sos(spec, "float"), pt)
     for dim in (4, 6, 8):
         for _, direction in tool.directions(dim):
             coords = [complex(*c) if isinstance(c, list) else c

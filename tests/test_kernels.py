@@ -216,6 +216,62 @@ def test_minimal_embedding_layout():
                for c in emb[4:])
 
 
+STACK_SPECS = ([make_spec("polydisk", p=p) for p in (1, 2, 3)]
+               + [make_spec("IV", n=n) for n in (3, 4, 5, 6)]
+               + [make_spec("I", p=p, q=q)
+                  for p, q in ((1, 3), (2, 2), (2, 3), (2, 4), (3, 3))])
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda s: s.label)
+def test_signed_stack_is_the_minimal_embedding(spec, mode):
+    # the stack is [odd, even] with signs -1, +1; the kernel is its
+    # signature form, typed Exact exactly when the expansion and the
+    # points are exact.  Dyadic Gaussian-rational points keep the float
+    # sums exact too.
+    sos = make_sos(spec, mode)
+    n, exact = spec.dim, mode == "exact"
+    assert sos.stack.components == sos.odd + sos.even
+    assert sos.signs == (-1,) * len(sos.odd) + (1,) * len(sos.even)
+    r = random.Random(n)
+
+    def gaussian():
+        return Exact(Fraction(r.randint(-2, 2), 4),
+                     Fraction(r.randint(-2, 2), 4))
+
+    z, xi = [gaussian() for _ in range(n)], [gaussian() for _ in range(n)]
+    want = 1
+    for g in sos.odd:
+        want = want - g.evaluate(z) * g.evaluate(xi).conjugate()
+    for g in sos.even:
+        want = want + g.evaluate(z) * g.evaluate(xi).conjugate()
+    got = kernel_polarized(sos, z, xi)
+    assert got == want and type(got) is (Exact if exact else complex)
+    points = {"Exact": z, "Fraction": [Fraction(r.randint(-2, 2), 4)
+                                       for _ in range(n)],
+              "int": [r.randint(-1, 1) for _ in range(n)],
+              "float": [complex(c) for c in z]}
+    for name, pt in points.items():
+        kind = Exact if exact and name != "float" else complex
+        value = kernel_value(sos, pt)
+        assert type(value) is kind
+        same = z if name in ("Exact", "float") else list(map(Exact.of, pt))
+        assert value == kernel_value(sos, same)
+        emb = minimal_embedding(sos, pt)
+        assert emb == [one(mode)] + sos.stack.evaluate(pt)
+        assert type(emb[0]) is type(one(mode))
+        assert all(type(c) is kind for c in emb[1:])
+    assert type(kernel_polarized(sos, z, points["float"])) is complex
+    axis = [1] + [0] * (n - 1)
+    dirs = [axis] + ([[Fraction(3, 5)] + [0] * (n - 2) + [Fraction(4, 5)]]
+                     if n > 1 else [])
+    for d in dirs:
+        k = curvature_at_origin(sos, d)
+        assert type(k) is float
+        assert curvature_at_origin(sos, [Fraction(a) for a in d]) == k
+        assert curvature_at_origin(sos, [Exact.of(a) for a in d]) == k
+
+
 def _curvature_anchors():
     """(expansion, exact unit direction, curvature) at known values."""
     half = Exact(Fraction(1, 2))

@@ -6,12 +6,13 @@ Runs ``construct --variety``, then ``verify`` and ``extend`` on its output,
 through ``symdom.cli.main`` on the benchmark's construct grid
 (``bench/workloads.py``: 17 cases), in exact and float mode, at seed 9 with
 degree 6 and at seed 901 with degree 4: 204 commands.  Then ``kernel
---direction`` on each of the grid's 5 families, in both modes, along a
-coordinate axis and along one direction off the axes: 20 commands, whose
-documents hold the curvature at the origin; 224 commands in all.  Each
-checkout runs
-them in one process of its own, importing symdom from its ``src/``.  For
-every command the exit code, the lines written to stderr and the sha256 of
+--point --direction`` on each of the grid's 5 families, in both modes, at
+one interior point and along a coordinate axis or along one direction off
+the axes: 20 commands, whose documents hold the kernel value, the minimal
+embedding and the membership at the point, and the curvature at the
+origin; 224 commands in all.  Each checkout runs them in one process of
+its own, importing symdom from its ``src/``.  For every command the exit
+code, the lines written to stderr and the sha256 of
 the output document are compared; every difference is printed, and the
 exit status is 1 if there is any, else 0.  For a document whose sha256
 differs, the JSON paths at which the two documents differ are printed
@@ -81,7 +82,8 @@ def commands() -> list:
         for mode in MODES:
             for name, direction in directions(dim):
                 out.append((f"kernel {family}({vals}) {mode} {name}", [
-                    "kernel", *fam, "--mode", mode, "--direction",
+                    "kernel", *fam, "--mode", mode, "--point",
+                    json.dumps(point(dim)), "--direction",
                     json.dumps(direction), "--out",
                     f"{len(out)}.kernel.json"]))
     return out
@@ -94,6 +96,12 @@ def _family(family: str, params: dict) -> tuple:
     for name, val in items:
         fam += [f"--{name}", str(val)]
     return fam, ",".join(str(v) for _, v in items)
+
+
+def point(dim: int) -> list:
+    """The interior point the kernel value, the embedding and the
+    membership are taken at: 0.1 e_1 + (0.05 - 0.2i) e_dim."""
+    return [0.1] + [0.0] * (dim - 2) + [[0.05, -0.2]]
 
 
 def directions(dim: int) -> list:
