@@ -62,10 +62,11 @@ def _float_match(fmat: np.ndarray, gmat: np.ndarray,
 def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
     """Find a constant unitary u with u @ source-components = target.
 
-    Returns (u, mode).  When both jets are exact and the source coefficient
-    matrix has full row rank, u is exact and the identity u @ G = F is
-    verified exactly; otherwise u is the polar factor of
-    F conj(G)^T, F and G the float coefficient matrices (one SVD).
+    Returns (u, mode).  When both jets are exact with no zero component
+    (a zero row i of F = u G puts row i of u in G's left kernel) and the
+    source coefficient matrix G has full row rank, u is exact and u @ G = F
+    is verified exactly; otherwise u is the polar factor of F conj(G)^T
+    over the float coefficient matrices (one SVD).
 
     Raises UnitaryMatchError when no unitary can exist (coefficient Grams
     differ beyond tol) or when verification of the candidate fails.
@@ -77,7 +78,8 @@ def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
     basis = _monomial_basis([target, source])
     n = target.target_dim
     u = None
-    if target.mode == "exact" and source.mode == "exact":
+    if target.mode == source.mode == "exact" and not any(
+            c.is_zero for c in target.components + source.components):
         fmat, _ = coefficient_matrix(target, basis)
         gmat, _ = coefficient_matrix(source, basis)
         if ex_rank(gmat) == n:

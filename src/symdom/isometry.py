@@ -33,6 +33,7 @@ conj(J)^T J = k I off that residual's (1, 1) block.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -357,10 +358,10 @@ def _kernel_sides(iso: IsometryJet) -> Tuple[JetMap, JetMap]:
     Each side holds the monomials w^alpha, 1 <= |alpha| <= k, weighted by
     the square roots of ``_ball_kernel_diagonal`` (odd |alpha| on the plus
     side), then the generator composites of its sign.  Both are padded
-    with zeros to one length and, once padded, converted to floating
-    point.  For k = 1 the sides are (w, z^#(f), 0) and f; for k = 2 they
-    are (sqrt2 w, z^#(f), 0) and (the degree-2 monomials weighted by 1 or
-    sqrt2, f, 0)."""
+    with zeros to one length (``match_unitary`` matches padded sides in
+    floating point).  For k = 1 the sides are (w, z^#(f), 0) and f; for
+    k = 2 they are (sqrt2 w, z^#(f), 0) and (the degree-2 monomials
+    weighted by 1 or sqrt2, f, 0)."""
     n, d, m1 = iso.source_dim, iso.jet.degree, len(iso.sos.odd)
     stack = iso.composites(d)
     basis = _graded(n, iso.k)[0][1:]  # 1 <= |alpha| <= k
@@ -371,11 +372,8 @@ def _kernel_sides(iso: IsometryJet) -> Tuple[JetMap, JetMap]:
     sides[0].extend(stack.components[m1:])
     sides[1].extend(stack.components[:m1])
     size = max(map(len, sides))
-    jets = [JetMap(side + [HoloPoly.zero(n, stack.mode)] * (size - len(side)),
-                   d, n) for side in sides]
-    if len(sides[0]) != len(sides[1]):
-        jets = [jet.to_float() for jet in jets]
-    return jets[0], jets[1]
+    return tuple(JetMap(side + [HoloPoly.zero(n, stack.mode)] *
+                        (size - len(side)), d, n) for side in sides)
 
 
 @dataclass(frozen=True)
@@ -486,7 +484,7 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
     completion, as the check refuses it.  Rows that are not orthonormal
     are refused by ``complete_to_unitary`` (exactly for exact rows).
     Exact rows stay exact when the completion stays in the field;
-    otherwise the computation restarts in floating point from them.
+    otherwise their float copy is completed, and the jet solved from it.
     """
     _require_coordinate_minus_block(sos, u_rows)
     if degree < 2:
@@ -496,8 +494,7 @@ def solve_component_jet(u_rows, sos: SignedSOS, degree: int = 6,
     try:
         full = complete_to_unitary(u_rows)
     except ExactCompletionError:  # raised for exact rows only
-        return solve_component_jet(to_complex_matrix(u_rows), sos,
-                                   degree, tol)
+        full = complete_to_unitary(to_complex_matrix(u_rows))
     return _solve_from_unitary(full, sos, sos.nvars - len(u_rows), degree,
                                tol)
 
@@ -590,34 +587,32 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
     completed by ``row_complement``, so that F(w, 0) = f and the linear
     slice rho = conj(JF)^T Jf is the coordinate inclusion; F's FE check
     and the checks of rho and of f = F o rho decide.  Exact input is
-    extended exactly when the plus-composites vanish and the relation rows
-    orthonormalize and complete inside the field.
+    extended exactly when the plus-composites vanish and the first m2
+    relation rows orthonormalize and complete inside the field.
     """
     _require_rank2_jet(iso, 1, "extension", tol, extending=True)
     n = iso.source_dim
     m2 = len(iso.sos.even)
     n_ext = iso.sos.nvars - m2  # F's source dimension
     d = iso.jet.degree
-    ext: Optional[IsometryJet] = None
+    full = None
     plus_composites = iso.composites(d).components[len(iso.sos.odd):]
     if iso.mode == "exact" and all(c.is_zero for c in plus_composites):
         # the plus rows are orthonormal relations among f's components; a
         # norm outside the field, in either step, takes the float route
         fmat, _ = coefficient_matrix(iso.jet)
-        try:
-            rows = ex_gs_orthonormal(ex_nullspace(ex_transpose(fmat)))[:m2]
-            if len(rows) == m2:
+        rows = ex_nullspace(ex_transpose(fmat))[:m2]
+        if len(rows) == m2:
+            with suppress(ExactCompletionError):
+                rows = ex_gs_orthonormal(rows)
                 full = ex_complete_orthonormal(rows) + rows
-                ext = _solve_from_unitary(full, iso.sos, n_ext, d, tol)
-        except ExactCompletionError:
-            pass
-    if ext is None:
+    if full is None:
         # Completing U's rows that meet (w, z^#(f)) and moving the plus rows
         # last gives full f = ((w, 0), z^#(f)), so F solved from full has
         # F(w, 0) = f: rho is the inclusion
         u, _ = match_unitary(*_kernel_sides(iso), tol)
         full = np.vstack([u[:n], row_complement(u[:n + m2]), u[n:n + m2]])
-        ext = _solve_from_unitary(full, iso.sos, n_ext, d, tol)
+    ext = _solve_from_unitary(full, iso.sos, n_ext, d, tol)
     jf, jbig = iso.jet.jacobian0(), ext.jet.jacobian0()
     # an exact F comes from an exact input, so both jacobians are exact
     if ext.mode == "exact":

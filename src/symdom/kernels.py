@@ -248,9 +248,10 @@ def _pullback_products(signs, stack):
 
 
 def minimal_embedding(sos: SignedSOS, z: Sequence) -> List[Scalar]:
-    """Projective coordinates [1, odd generators, even generators] at z;
-    never the zero vector."""
-    return [one(sos.mode)] + sos.stack.evaluate(z)
+    """Projective coordinates [1, odd generators, even generators] at z,
+    never zero; ``Exact`` exactly when the expansion and z are exact."""
+    return [HoloPoly.const(sos.nvars, 1, sos.mode).evaluate(z)] + \
+        sos.stack.evaluate(z)
 
 
 def curvature_at_origin(sos: SignedSOS, alpha: Sequence) -> float:

@@ -317,8 +317,6 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """Square root of a nonnegative rational, or None if irrational."""
     if x < 0:
         return None
-    if x == 0:
-        return Fraction(0)
     num, den = x.numerator, x.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
@@ -329,13 +327,12 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
 def field_sqrt(x: Exact) -> Optional[Exact]:
     """Positive square root of a real x = p + q*sqrt2 within Q(sqrt2), else None.
 
-    Solves (u + v*sqrt2)^2 = p + q*sqrt2, i.e. u^2 + 2 v^2 = p and 2 u v = q.
+    Solves (u + v*sqrt2)^2 = p + q*sqrt2, i.e. u^2 + 2 v^2 = p and 2 u v = q:
+    for q != 0, {u^2, 2 v^2} = {(p + s)/2, (p - s)/2}, s^2 = p^2 - 2 q^2.
     """
     if not x.is_real:
         raise ValueError("field_sqrt takes a real field element")
     p, q = x.ar, x.br
-    if p == 0 and q == 0:
-        return EXACT_ZERO
     if q == 0:
         u = rational_sqrt(p)
         if u is not None:
@@ -344,21 +341,16 @@ def field_sqrt(x: Exact) -> Optional[Exact]:
         if v2 is not None:
             return Exact(0, 0, v2)
         return None
-    # u = q / (2v); substitute: 8 v^4 - 4 p v^2 + q^2 = 0.
-    disc = rational_sqrt(p * p - 2 * q * q)
-    if disc is None:
+    s = rational_sqrt(p * p - 2 * q * q)
+    if s is None:
         return None
-    for branch in (p + disc, p - disc):
-        v2 = branch / 4
-        v = rational_sqrt(v2)
-        if v is None or v == 0:
-            continue
-        for sv in (v, -v):
-            u = q / (2 * sv)
-            cand = Exact(u, 0, sv, 0)
-            if cand * cand == x and float(u) + float(sv) * math.sqrt(2) > 0:
-                return cand
-    return None
+    u = rational_sqrt((p + s) / 2) or rational_sqrt((p - s) / 2)  # u != 0
+    if u is None:
+        return None
+    v = q / (2 * u)
+    root = Exact(u, 0, v, 0)
+    # u + v sqrt2 > 0 when u > |v| sqrt2, else it has the sign of v
+    return root if v > 0 or u * u > 2 * v * v else -root
 
 
 # -- generic coefficient helpers (Exact | complex) --------------------------

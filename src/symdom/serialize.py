@@ -163,7 +163,7 @@ def jet_to_json(jet: JetMap) -> dict:
 
 
 def jet_from_json(obj: dict) -> JetMap:
-    """Decode a jet; its header must agree with its components."""
+    """Decode a jet; its header must agree with its components' terms."""
     n, target, degree = (_field(obj, key, int)
                          for key in ("source_dim", "target_dim", "degree"))
     mode = _field(obj, "mode", str)
@@ -174,6 +174,10 @@ def jet_from_json(obj: dict) -> JetMap:
         raise ValueError(f"jet header (source_dim {n}, target_dim {target}, "
                          f"degree {degree}, mode {mode!r:.20}) disagrees "
                          "with its components")
+    # JetMap keeps each component that truncation leaves whole
+    if any(t is not c for t, c in zip(jet.components, comps)):
+        top = max(c.degree for c in comps)
+        raise ValueError(f"jet of degree {degree} holds a term of degree {top}")
     return jet
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from symdom import (
     Exact,
+    ExactCompletionError,
     UnitaryMatchError,
     coefficient_matrix,
     complete_to_unitary,
@@ -19,11 +20,13 @@ from symdom import (
     random_exact_unitary,
     sos_signature_bound,
 )
+from symdom import calabi
 from symdom.linalg import (
     coisometry_residual,
+    ex_gs_orthonormal,
     ex_matmul,
 )
-from symdom.scalars import SQRT2
+from symdom.scalars import HALF_SQRT2, SQRT2
 from symdom.poly import HoloPoly, JetMap
 
 
@@ -191,6 +194,46 @@ def test_match_unitary_rejects_inconsistent_exact_target():
     with pytest.raises(UnitaryMatchError,
                        match="exact solve left a nonzero matching residual"):
         match_unitary(f, g)
+
+
+@pytest.mark.parametrize("zero_in", ["target", "source"])
+def test_match_unitary_zero_component_skips_the_exact_solve(monkeypatch,
+                                                            zero_in):
+    # a zero row of the target or the source rules an exact unitary out:
+    # the match is the float one, and no elimination is run
+    def refuse(*args, **kwargs):
+        raise AssertionError("eliminated")
+
+    for name in ("ex_rank", "ex_rref"):
+        monkeypatch.setattr(calabi, name, refuse)
+    w = HoloPoly.var(1, 0)
+    f1 = w + w.mul_trunc(w)
+    h = HALF_SQRT2
+    f = JetMap([f1, HoloPoly.zero(1)], 2)
+    g = JetMap([f1.scale(h), f1.scale(h)], 2)
+    target, source = (f, g) if zero_in == "target" else (g, f)
+    u, mode = match_unitary(target, source)
+    assert mode == "float"
+    fm, basis = coefficient_matrix(target.to_float())
+    gm, _ = coefficient_matrix(source.to_float(), basis)
+    assert np.max(np.abs(u @ gm - fm)) < 1e-12
+    assert coisometry_residual(u) < 1e-12
+
+
+def test_gram_schmidt_projects_and_skips_dependent_rows():
+    def row(*xs):
+        return [Exact(x) for x in xs]
+
+    h, zero = HALF_SQRT2, Exact(0)
+    # the repeated row projects to zero and is skipped
+    assert ex_gs_orthonormal([row(1, 1, 0), row(1, 1, 0), row(1, -1, 0)]) \
+        == [[h, h, zero], [h, -h, zero]]
+    # (1, 0, 0) projects to (1/2, -1/2, 0), of norm sqrt2/2
+    assert ex_gs_orthonormal([row(1, 1, 0), row(1, 0, 0)]) == \
+        [[h, h, zero], [h, -h, zero]]
+    # (1, 0, 1) projects to (1/2, -1/2, 1), of squared norm 3/2
+    with pytest.raises(ExactCompletionError, match="no square root"):
+        ex_gs_orthonormal([row(1, 1, 0), row(1, 0, 1)])
 
 
 def test_random_coisometry_modes():

@@ -783,6 +783,22 @@ def test_verify_degree_above_jet_exits_2(tmp_path, capsys, iv4_jet_doc,
         assert report["functional-equation"]["max_residual"] == 0.0
 
 
+@pytest.mark.parametrize("command", ["verify", "extend"])
+def test_term_above_the_jet_degree_exits_2(tmp_path, capsys, iv4_jet_doc,
+                                           command):
+    # a term above the header degree would be truncated away unread
+    doc = copy.deepcopy(iv4_jet_doc)
+    doc["jet"]["components"][0]["terms"].append(
+        {"exp": [9], "coeff": {"ar": "1000", "ai": "0", "br": "0",
+                               "bi": "0"}})
+    jet_file, out = tmp_path / "jet.json", tmp_path / "out.json"
+    jet_file.write_text(json.dumps(doc))
+    assert main([command, "--in", str(jet_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: jet of degree 4 holds a term of degree 9\n"
+    assert not out.exists()
+
+
 def test_verify_garbage_schema_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "isometry-jet/999"}))

@@ -20,8 +20,7 @@ def _tool():
 
 
 def test_grid_is_204_commands():
-    labelled = [(label, argv) for label, argv in _tool().commands()
-                if argv[0] != "kernel"]
+    labelled = _tool().commands()[:204]
     names = [argv[0] for _, argv in labelled]
     assert len(labelled) == 204
     assert names[:3] == ["construct", "verify", "extend"]
@@ -37,9 +36,9 @@ def test_kernel_directions_follow_the_grid():
     # the 204 grid commands
     tool = _tool()
     labelled = tool.commands()
-    kernel = labelled[204:]
-    assert len(labelled) == 224
-    assert len({label for label, _ in labelled}) == 224
+    kernel = labelled[204:224]
+    assert len(labelled) == 256
+    assert len({label for label, _ in labelled}) == 256
     assert [argv[0] for _, argv in kernel] == ["kernel"] * 20
     families = {tuple(argv[1:argv.index("--mode")]) for _, argv in kernel}
     assert len(families) == 5
@@ -65,6 +64,30 @@ def test_kernel_directions_follow_the_grid():
             assert abs(sum(abs(c) ** 2 for c in coords) - 1.0) < 1e-15
         axis, off = (d for _, d in tool.directions(dim))
         assert sum(c != 0 for c in axis) == 1 and sum(c != 0 for c in off) == 2
+
+
+def test_exact_extensions_close_the_grid(tmp_path, monkeypatch):
+    # exact construct --variety and extend for I(2,3) and I(2,4) at source
+    # dimension 1, seeds 1-8, degree 4; at least 10 of the extensions stay
+    # exact (their plus composites vanish)
+    tool = _tool()
+    tail = tool.commands()[224:]
+    assert len(tail) == 32
+    want = []
+    for p, q in ((2, 3), (2, 4)):
+        for seed in range(1, 9):
+            jet = f"{len(want) + 224}.jet.json"
+            want += [["construct", "--family", "I", "--p", str(p), "--q",
+                      str(q), "--dim", "1", "--seed", str(seed), "--mode",
+                      "exact", "--degree", "4", "--variety", "--out", jet],
+                     ["extend", "--in", jet, "--out", f"{jet}.extend"]]
+    assert [argv for _, argv in tail] == want
+    monkeypatch.chdir(tmp_path)
+    results = tool.collect(want)
+    assert all(code == 0 for code, _, _ in results)
+    modes = [json.loads((tmp_path / argv[-1]).read_text())["mode"]
+             for argv in want if argv[0] == "extend"]
+    assert modes.count("exact") >= 10
 
 
 def test_worker_records_exit_stderr_and_digest(tmp_path, monkeypatch):

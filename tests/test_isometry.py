@@ -45,8 +45,9 @@ from symdom import (
 from symdom import calabi, isometry, kernels, serialize
 from symdom.kernels import generator_composites
 from symdom.calabi import complete_to_unitary, match_unitary
-from symdom.linalg import (coisometry_residual, ex_conj_t, ex_matmul,
-                           principal_angles, to_complex_matrix)
+from symdom.linalg import (coisometry_residual, ex_conj_t,
+                           ex_gs_orthonormal, ex_matmul, ex_nullspace,
+                           ex_transpose, principal_angles, to_complex_matrix)
 from symdom.poly import _graded, _monomial_basis
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -238,6 +239,32 @@ def test_solve_component_jet_float():
     rep = check_functional_eq(iso)
     assert rep.passed
     assert rep.max_residual < 1e-9
+
+
+def test_solve_component_jet_completes_outside_the_field_in_float(
+        monkeypatch):
+    # (1/3, 2/3, 2/3, 0) is an exact unit row whose completion needs sqrt5:
+    # the solve completes the row's float copy once, without entering itself
+    # again, and gives the jet of the float row
+    sos = make_sos(make_spec("IV", n=4))
+    rows = [[Exact(Fraction(c, 3)) for c in (1, 2, 2, 0)]]
+    with pytest.raises(ExactCompletionError):
+        complete_to_unitary(rows)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    solve = isometry.solve_component_jet
+    monkeypatch.setattr(isometry, "solve_component_jet", counted)
+    iso = isometry.solve_component_jet(rows, sos, degree=DEG)
+    assert len(calls) == 1
+    assert iso.mode == "float" and iso.source_dim == 3
+    assert check_functional_eq(iso).max_residual <= 1e-15
+    want = solve(to_complex_matrix(rows), sos, degree=DEG)
+    assert serialize.dumps(serialize.iso_to_json(iso)) == \
+        serialize.dumps(serialize.iso_to_json(want))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -746,6 +773,34 @@ def test_extend_null_disk_leaves_the_field_for_the_float_route(monkeypatch):
     assert res.composition_residual <= 1e-12
 
 
+def test_extend_null_disk_orthonormalizes_only_the_rows_it_uses(
+        monkeypatch):
+    # f = v w with v = (-1-i, -1-i, -1+i, -1+i)/(2 sqrt2), v.v = 0: the
+    # relation rows of f are (-1, 1, 0, 0), (i, 0, 1, 0) and (i, 0, 0, 1).
+    # IV(4) uses m2 = 1 of them; the second projects to (i/2, i/2, 1, 0),
+    # of squared norm 3/2, which no longer sends the input to the float route
+    q = HALF_SQRT2 / 2
+    v = [Exact(-1, -1) * q] * 2 + [Exact(-1, 1) * q] * 2
+    w = disk_var()
+    iso = IsometryJet(JetMap([w.scale(c) for c in v], DEG, 1), 1,
+                      sos_type_iv(4))
+    fmat, _ = calabi.coefficient_matrix(iso.jet)
+    with pytest.raises(ExactCompletionError):
+        ex_gs_orthonormal(ex_nullspace(ex_transpose(fmat)))
+    sizes = []
+
+    def counted(rows):
+        sizes.append(len(rows))
+        return ex_gs_orthonormal(rows)
+
+    monkeypatch.setattr(isometry, "ex_gs_orthonormal", counted)
+    res = extend_isometry(iso)
+    assert sizes[0] == 1
+    assert res.mode == "exact"
+    assert res.composition_residual == 0.0
+    assert check_functional_eq(res.extended).max_residual == 0.0
+
+
 def test_extend_sliced_construction():
     spec = make_spec("IV", n=4)
     sos = make_sos(spec)
@@ -844,7 +899,7 @@ SIDE_JETS = {
 @pytest.mark.parametrize("name", list(SIDE_JETS))
 def test_kernel_sides_state_the_pullback_identity(name):
     # |plus|^2 = |minus|^2 holds coefficientwise on the truncated sides:
-    # exactly when they are exact (unpadded), to rounding otherwise; 1/10
+    # exactly when they are exact, to rounding otherwise; 1/10
     # on a degree-2 coefficient of f breaks it
     iso = SIDE_JETS[name]()
     mode, gap = _side_gap(iso)

@@ -107,6 +107,43 @@ def test_field_sqrt_roundtrip_on_squares():
     assert hits > 80
 
 
+def _positive(r):
+    """u + v sqrt2 > 0 for r = u + v sqrt2, decided in the rationals."""
+    u, v = r.ar, r.br
+    if u >= 0 and v >= 0:
+        return u > 0 or v > 0
+    if u <= 0 and v <= 0:
+        return False
+    return (u > 0) == (u * u > 2 * v * v)
+
+
+def test_field_sqrt_of_unit_powers():
+    # sqrt2 - 1 and 1 + sqrt2 are units: the coefficients of their powers
+    # grow while the value of (sqrt2 - 1)^k falls below float resolution of
+    # its parts, so no sign may be read off a float
+    for unit in (SQRT2 - 1, SQRT2 + 1):
+        for k in range(1, 81):
+            assert field_sqrt(unit ** (2 * k)) == unit ** k
+            assert field_sqrt(2 * unit ** (2 * k)) == SQRT2 * unit ** k
+            # the units have norm -1, so no odd power is a square
+            assert field_sqrt(unit ** (2 * k - 1)) is None
+
+
+def test_field_sqrt_is_the_positive_root_of_random_squares():
+    r = random.Random(26)
+    for _ in range(400):
+        big = r.choice((5, 10 ** 12))
+        u = Fraction(r.randint(-big, big), r.randint(1, big))
+        v = Fraction(r.randint(-big, big), r.randint(1, big))
+        x = Exact(u, 0, v, 0)
+        if x.is_zero:
+            continue
+        root = field_sqrt(x * x)
+        assert root * root == x * x
+        assert _positive(root)
+        assert root == (x if _positive(x) else -x)
+
+
 def test_field_sqrt_rejects_nonreal():
     with pytest.raises(ValueError):
         field_sqrt(EXACT_I)

@@ -298,3 +298,15 @@ def test_repeated_exponent_is_refused(mode):
     doc["terms"].append(copy.deepcopy(doc["terms"][-1]))
     with pytest.raises(ValueError, match="repeats"):
         poly_from_json(doc)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_term_above_the_jet_degree_is_refused(mode):
+    jet = random_exact_jet(2, 2, 3, rng=random.Random(8))
+    jet = jet if mode == "exact" else jet.to_float()
+    doc = jet_to_json(jet)
+    assert jet_from_json(doc) == jet
+    doc["degree"] = 2
+    with pytest.raises(ValueError, match="^jet of degree 2 holds a term of "
+                                         "degree 3$"):
+        jet_from_json(doc)

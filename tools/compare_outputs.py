@@ -10,8 +10,11 @@ degree 6 and at seed 901 with degree 4: 204 commands.  Then ``kernel
 one interior point and along a coordinate axis or along one direction off
 the axes: 20 commands, whose documents hold the kernel value, the minimal
 embedding and the membership at the point, and the curvature at the
-origin; 224 commands in all.  Each checkout runs them in one process of
-its own, importing symdom from its ``src/``.  For every command the exit
+origin.  Last, exact ``construct --variety`` and ``extend`` for I(2,3) and
+I(2,4) at source dimension 1, seeds 1-8, degree 4: 32 commands, whose
+extensions take the exact route (plus composites that vanish) for 10 of
+the 16 jets; 256 commands in all.  Each checkout runs them in one process
+of its own, importing symdom from its ``src/``.  For every command the exit
 code, the lines written to stderr and the sha256 of
 the output document are compared; every difference is printed, and the
 exit status is 1 if there is any, else 0.  For a document whose sha256
@@ -50,6 +53,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = ((9, 6), (901, 4))  # (seed, degree)
+EXACT_EXTEND = (("I", {"p": 2, "q": 3}), ("I", {"p": 2, "q": 4}))  # dim 1
+EXACT_EXTEND_SEEDS = range(1, 9)  # at degree 4
 MODES = ("exact", "float")
 SHOWN_PATHS = 10  # paths listed per differing document
 
@@ -86,6 +91,17 @@ def commands() -> list:
                     json.dumps(point(dim)), "--direction",
                     json.dumps(direction), "--out",
                     f"{len(out)}.kernel.json"]))
+    for family, params in EXACT_EXTEND:
+        fam, vals = _family(family, params)
+        for seed in EXACT_EXTEND_SEEDS:
+            case = f"{family}({vals}) dim 1 exact seed {seed} degree 4"
+            jet = f"{len(out)}.jet.json"
+            out.append((f"construct {case}", [
+                "construct", *fam, "--dim", "1", "--seed", str(seed),
+                "--mode", "exact", "--degree", "4", "--variety", "--out",
+                jet]))
+            out.append((f"extend {case}", [
+                "extend", "--in", jet, "--out", f"{jet}.extend"]))
     return out
 
 
