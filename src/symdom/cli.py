@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import json
 import math
@@ -41,9 +42,16 @@ def _write_out(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        # the temporary copy of the document goes with the failed write
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _emit(doc: dict, args) -> None:

@@ -521,7 +521,8 @@ def _solve_from_unitary(full, sos: SignedSOS, n: int, degree: int,
         linear, back = adjoint[:, :n], adjoint[:, n:n + m2]
     jet, plus = solve_graded(linear, even, back, degree)
     iso = IsometryJet(jet, 1, sos)
-    iso._stack[degree] = JetMap(jet.components + plus.components, degree, n)
+    iso._stack[degree] = JetMap._from_graded(
+        jet.components + plus.components, degree, n)
     fe = check_functional_eq(iso, tol=tol)
     if iso.mode == "exact" and fe.max_residual != 0.0:
         raise VerificationError(

@@ -325,12 +325,23 @@ class JetMap:
         for c in comps:
             if c.nvars != n:
                 raise ValueError("jet components disagree on variables")
-        mode = "exact" if all(c.mode == "exact" for c in comps) else "float"
+        self._set(tuple(c.truncate(degree) for c in comps), degree, n)
+
+    def _set(self, comps: tuple, degree: int, n: int) -> None:
         self.source_dim = n
         self.target_dim = len(comps)
         self.degree = degree
-        self.components = tuple(c.truncate(degree) for c in comps)
-        self.mode = mode
+        self.components = comps
+        self.mode = "exact" if all(c.mode == "exact" for c in comps) else "float"
+
+    @classmethod
+    def _from_graded(cls, components: Sequence[HoloPoly], degree: int,
+                     n: int) -> "JetMap":
+        """The jet of components in n variables that hold no term above
+        degree by construction: no truncation scan."""
+        self = object.__new__(cls)
+        self._set(tuple(components), degree, n)
+        return self
 
     @staticmethod
     def identity(n: int, degree: int, mode: str = "exact") -> "JetMap":
@@ -389,8 +400,8 @@ class JetMap:
                       self.source_dim)
 
     def to_float(self) -> "JetMap":
-        return JetMap([c.to_float() for c in self.components], self.degree,
-                      self.source_dim)
+        return JetMap._from_graded([c.to_float() for c in self.components],
+                                   self.degree, self.source_dim)
 
     def __eq__(self, other):
         return (isinstance(other, JetMap)
@@ -576,8 +587,9 @@ def _graded_pass(z: np.ndarray, outer: JetMap, n: int, d: int,
 def _rows_jet(rows: np.ndarray, basis: Sequence[Exponent], n: int,
               d: int) -> JetMap:
     # from_field keeps the entries != 0, a NaN among them
-    return JetMap([HoloPoly.from_field(n, dict(zip(basis, row)), "float")
-                   for row in rows.tolist()], d, n)
+    return JetMap._from_graded([HoloPoly.from_field(n, dict(zip(basis, row)),
+                                                    "float")
+                                for row in rows.tolist()], d, n)
 
 
 def _sparse_pass(z: List[Parts], outer: JetMap, n: int, d: int,
@@ -629,7 +641,7 @@ def _parts_jet(rows: List[Parts], n: int, d: int) -> JetMap:
     for comp, parts in zip(comps, rows):
         for part in parts:
             comp.terms.update(part)
-    return JetMap(comps, d, n)
+    return JetMap._from_graded(comps, d, n)
 
 
 def _compose_float(outer: JetMap, inner: JetMap, d: int) -> JetMap:

@@ -11,6 +11,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -280,6 +281,62 @@ def _json_type(obj) -> type:
     raise TypeError(f"{type(obj).__name__} is not written by dumps")
 
 
+_INT = frozenset((int,))
+_STR = frozenset((str,))
+
+
+@lru_cache(maxsize=64)
+def _term_template(indent: str, size: int) -> tuple:
+    """The %-templates of one float and one exact term {"coeff": {...},
+    "exp": [...]} with size exponents, whose closing brace follows indent:
+    %r for each float part, %s for each exact part's JSON string, %d for
+    each exponent."""
+    i2 = indent + "  "
+    i3 = i2 + "  "
+    head = "{" + i2 + '"coeff": {' + i3
+    tail = (i2 + "}," + i2 + '"exp": [' + i3 + f",{i3}".join(["%d"] * size)
+            + i2 + "]" + indent + "}")
+    return (head + '"im": %r,' + i3 + '"re": %r' + tail,
+            head + f",{i3}".join(f'"{k}": %s' for k in sorted(_EXACT_PARTS))
+            + tail)
+
+
+def _terms_text(terms: list, indent: str):
+    """The text of a list of polynomial terms, indent being the newline and
+    spaces before its closing bracket, each term written from one
+    template; None unless every term is {"coeff": c, "exp": e} with e a
+    nonempty list of ints and c either finite floats {"im", "re"} or
+    strings {"ai", "ar", "bi", "br"}."""
+    inner = indent + "  "
+    size = 0
+    texts = []
+    for term in terms:
+        if type(term) is not dict or len(term) != 2:
+            return None
+        c, e = term.get("coeff"), term.get("exp")
+        if not (type(c) is dict and type(e) is list and e
+                and _INT.issuperset(map(type, e))):
+            return None
+        if len(e) != size:
+            size = len(e)
+            float_term, exact_term = _term_template(inner, size)
+        if len(c) == 2:
+            im, re_ = c.get("im"), c.get("re")
+            if not (type(im) is float and type(re_) is float
+                    and -math.inf < im < math.inf
+                    and -math.inf < re_ < math.inf):
+                return None
+            texts.append(float_term % (im, re_, *e))
+        elif len(c) == 4:
+            parts = (c.get("ai"), c.get("ar"), c.get("bi"), c.get("br"))
+            if not _STR.issuperset(map(type, parts)):
+                return None
+            texts.append(exact_term % (*map(_str_json, parts), *e))
+        else:
+            return None
+    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+
+
 def _write(obj, out: list, indent: str) -> None:
     """Append obj's document text to out, in pieces; indent is the newline
     and spaces before obj's closing bracket.  TypeError for a key that is
@@ -287,7 +344,8 @@ def _write(obj, out: list, indent: str) -> None:
     tuple or dict.
 
     Dispatch is on the exact type first; subclasses, None, bools and
-    tuples go through _json_type."""
+    tuples go through _json_type.  A list of polynomial terms is written
+    by _terms_text, any other list item by item."""
     kind = type(obj)
     if kind not in _PLAIN:
         kind = _json_type(obj)
@@ -300,6 +358,11 @@ def _write(obj, out: list, indent: str) -> None:
         if not obj:
             out.append("[]")
             return
+        if type(obj[0]) is dict and "coeff" in obj[0]:
+            text = _terms_text(obj, indent)
+            if text is not None:
+                out.append(text)
+                return
         inner = indent + "  "
         sep = "[" + inner
         for value in obj:

@@ -317,6 +317,19 @@ def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, iv4_jet_doc,
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    # the document cannot replace a directory: exit 2 with the OS message,
+    # and its temporary copy is removed
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["construct", "--family", "IV", "--n", "4", "--dim", "1",
+                 "--degree", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 21] Is a directory: '{out}.tmp' -> '{out}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_without_samples_exits_2(tmp_path, samples):
     jet_file = tmp_path / "jet.json"

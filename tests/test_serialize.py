@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symdom import Exact, IsometryJet, make_sos, make_spec, random_exact_jet
 from symdom import build_k2_variety, solve_component_jet, random_coisometry
+from symdom.cli import main
 from symdom.poly import HoloPoly, JetMap
 from symdom.serialize import (
     dumps,
@@ -146,10 +147,52 @@ def reference_dumps(value) -> str:
 
 _floats = st.one_of(st.floats(), st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -5e-324]))
+# polynomial terms {"coeff": ..., "exp": [...]}, which dumps writes from
+# one template each, and near misses, which it writes item by item: an
+# exponent list that is empty, a tuple or holds a bool or a float; a float
+# part that is np.float64, non-finite or an int; an exact part that is not
+# a str; a missing or an extra key
+_exps = st.lists(st.integers(min_value=0, max_value=12), min_size=1,
+                 max_size=4)
+_odd_exps = st.one_of(
+    st.lists(st.sampled_from([0, 3, True, False, 1.0, -2, 10 ** 30]),
+             max_size=3), _exps.map(tuple))
+_float_parts = st.one_of(_floats, _floats.map(np.float64), st.integers())
+_exact_texts = st.one_of(st.fractions().map(str), st.text(max_size=3),
+                         st.integers())
+
+
+def _with_odd_keys(objs):
+    """objs, and objs with one key dropped or an extra key "x"."""
+    return objs | objs.flatmap(lambda obj: st.sampled_from(
+        [{**obj, "x": 1}] + [{k: v for k, v in obj.items() if k != drop}
+                             for drop in obj]))
+
+
+def _coeffs(float_parts, exact_parts):
+    return st.one_of(
+        st.fixed_dictionaries({"im": float_parts, "re": float_parts}),
+        st.fixed_dictionaries({k: exact_parts
+                               for k in ("ai", "ar", "bi", "br")}))
+
+
+_good_terms = st.fixed_dictionaries({
+    "coeff": _coeffs(st.floats(allow_nan=False, allow_infinity=False),
+                     st.fractions().map(str)),
+    "exp": _exps})
+_odd_terms = _with_odd_keys(st.fixed_dictionaries({
+    "coeff": _with_odd_keys(_coeffs(_float_parts, _exact_texts)),
+    "exp": st.one_of(_exps, _odd_exps)}))
+# terms that match, with at most one other term at any place among them
+_term_lists = st.builds(
+    lambda terms, odd, at: terms[:at] + odd + terms[at:],
+    st.lists(_good_terms, min_size=1, max_size=4),
+    st.lists(_odd_terms, max_size=1), st.integers(0, 4))
+_term_lists = _term_lists | _term_lists.map(tuple)
 _leaves = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.integers(min_value=-10 ** 60, max_value=10 ** 60),
-    _floats, _floats.map(np.float64), st.text())
+    _floats, _floats.map(np.float64), st.text(), _term_lists)
 _values = st.recursive(
     _leaves,
     lambda inner: st.one_of(st.lists(inner, max_size=4),
@@ -157,11 +200,42 @@ _values = st.recursive(
                             st.dictionaries(st.text(), inner, max_size=4)),
     max_leaves=25)
 
+_FLOAT_TERM = {"coeff": {"im": -0.0, "re": 1e-300}, "exp": [0, 2]}
+_EXACT_TERM = {"coeff": {"ai": "0", "ar": "-1/3", "bi": "7", "br": "\u00e9"},
+               "exp": [1]}
+_NEAR_MISSES = [
+    {**_FLOAT_TERM, "exp": [True, 0]}, {**_FLOAT_TERM, "exp": [1.0]},
+    {**_FLOAT_TERM, "exp": []},
+    {**_FLOAT_TERM, "coeff": {"im": np.float64(0.5), "re": 1.0}},
+    {**_FLOAT_TERM, "coeff": {"im": math.nan, "re": 1.0}},
+    {**_FLOAT_TERM, "coeff": {"im": 0.0, "re": -math.inf}},
+    {**_FLOAT_TERM, "x": None},
+    {**_EXACT_TERM, "coeff": {**_EXACT_TERM["coeff"], "x": "1"}},
+    {**_EXACT_TERM, "coeff": {**_EXACT_TERM["coeff"], "ai": 0}}]
+
 
 @settings(max_examples=300, deadline=None)
 @given(_values)
+# each near miss after terms that match, and before one
+@example({"terms": [[_FLOAT_TERM, _EXACT_TERM, miss] for miss in _NEAR_MISSES]
+          + [[miss, _FLOAT_TERM] for miss in _NEAR_MISSES]})
 def test_dumps_matches_json_reference(value):
     assert dumps(value) == reference_dumps(value)
+
+
+def test_documents_match_json_reference(tmp_path):
+    jet = {mode: tmp_path / f"{mode}.json" for mode in ("exact", "float")}
+    for mode, path in jet.items():
+        assert main(["construct", "--family", "IV", "--n", "4", "--dim", "1",
+                     "--seed", "3", "--mode", mode, "--degree", "4",
+                     "--out", str(path)]) == 0
+    ext = tmp_path / "ext.json"
+    assert main(["extend", "--in", str(jet["exact"]),
+                 "--out", str(ext)]) == 0
+    for path in (*jet.values(), ext):
+        text = path.read_text()
+        assert '"coeff": {' in text
+        assert text == reference_dumps(json.loads(text))
 
 
 def test_dumps_leaves_other_values_to_json():
