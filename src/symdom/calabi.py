@@ -21,8 +21,10 @@ from .linalg import (ExactMatrix, coisometry_residual,
 from .poly import JetMap, _monomial_basis
 from .scalars import EXACT_ZERO
 
+# ex_rank is re-exported for the callers that read calabi.ex_rank
+# (bench/tests/test_harness.py)
 __all__ = ["coefficient_matrix", "match_unitary", "complete_to_unitary",
-           "sos_signature_bound"]
+           "sos_signature_bound", "ex_rank"]
 
 COISOMETRY_TOL = 1e-10  # max |rows conj(rows)^T - I| of float rows to complete
 
@@ -82,11 +84,12 @@ def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
             c.is_zero for c in target.components + source.components):
         fmat, _ = coefficient_matrix(target, basis)
         gmat, _ = coefficient_matrix(source, basis)
-        if ex_rank(gmat) == n:
-            # u g = f is g^T u^T = f^T; with g^T of full column rank, the
-            # first n rows of the rref of [g^T | f^T] are [I | u^T]
-            rref, _ = ex_rref([gc + fc for gc, fc in
-                               zip(ex_transpose(gmat), ex_transpose(fmat))])
+        # u g = f is g^T u^T = f^T: g has rank n exactly when the first n
+        # pivots of the rref of [g^T | f^T] are its first n columns, and
+        # then the first n rows of the rref are [I | u^T]
+        rref, pivots = ex_rref([gc + fc for gc, fc in
+                                zip(ex_transpose(gmat), ex_transpose(fmat))])
+        if pivots[:n] == list(range(n)):
             u = ex_transpose([row[n:] for row in rref[:n]])
             if ex_matmul(u, gmat) != fmat:
                 raise UnitaryMatchError(

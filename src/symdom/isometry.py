@@ -32,6 +32,7 @@ conj(J)^T J = k I off that residual's (1, 1) block.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -248,30 +249,40 @@ def check_polarized_eq(iso: IsometryJet, samples: int = 25,
     ``default_rng(seed)``, each as one standard normal draw of the rows
     (re w, im w, re v, im v) and one draw of two uniforms u, the radii
     0.3 + 0.7 u: bit for bit the points of ``normal(size=(4, n))`` and
-    ``uniform(0.3, 1.0, size=2)``.  The draws are stacked once, and the
-    jet and the kernel generators are evaluated in floating point at all
-    of them at once (one numpy batch).
+    ``uniform(0.3, 1.0, size=2)``.  The draws are stacked once (and kept
+    for each int ``seed``, see ``_sample_pairs``), and the jet and the
+    kernel generators are evaluated in floating point at all of them at
+    once (one numpy batch).
     """
     if samples < 1:
         raise ValueError(f"need at least 1 polarized sample, got {samples}")
     n = iso.jet.source_dim
-    g = np.random.default_rng(seed)
-    normals, uniforms = [], []
-    for _ in range(samples):
-        normals.append(g.standard_normal((4, n)))
-        uniforms.append(g.random(2))
-    x = np.stack(normals, axis=1)
-    pts = x[0::2] + 1j * x[1::2]  # rows w_s, then v_s
-    scale = 0.3 + (1.0 - 0.3) * np.stack(uniforms, axis=1)
-    nrm = np.linalg.norm(pts, axis=2)
     radius = sample_radius(iso.jet.degree)
-    pts *= (radius * scale / nrm)[:, :, None]
+    pts = _sample_pairs(n, samples, seed, iso.jet.degree)
     f = iso.jet.evaluate_many(pts.reshape(2 * samples, n))
     lhs = kernel_polarized_many(iso.sos, f[:samples], f[samples:])
     rhs = (1.0 - np.sum(pts[1].conj() * pts[0], axis=1)) ** iso.k
     worst = float(np.max(np.abs(lhs - rhs)))  # NaN propagates
     return PolarizedReport(max_residual=worst, samples=samples,
                            radius=radius, passed=worst <= SAMPLE_TOL)
+
+
+@functools.lru_cache(maxsize=32)
+def _sample_pairs(n: int, samples: int, seed: int, degree: int) -> np.ndarray:
+    """``check_polarized_eq``'s points, 2 x samples x n (rows w_s, then
+    v_s), drawn once per process for each key and read-only."""
+    g = np.random.default_rng(seed)
+    normals, uniforms = [], []
+    for _ in range(samples):
+        normals.append(g.standard_normal((4, n)))
+        uniforms.append(g.random(2))
+    x = np.stack(normals, axis=1)
+    pts = x[0::2] + 1j * x[1::2]
+    scale = 0.3 + (1.0 - 0.3) * np.stack(uniforms, axis=1)
+    nrm = np.linalg.norm(pts, axis=2)
+    pts *= (sample_radius(degree) * scale / nrm)[:, :, None]
+    pts.flags.writeable = False
+    return pts
 
 
 def full_verification_report(iso: IsometryJet, d: Optional[int] = None,

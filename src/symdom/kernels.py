@@ -25,6 +25,7 @@ their coefficient matrix (`signed_gram`, the float check's route).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -148,6 +149,13 @@ def sos_type_i(p: int, q: int, mode: str = "exact") -> SignedSOS:
 
 
 def make_sos(spec: DomainSpec, mode: str = "exact") -> SignedSOS:
+    """The expansion of spec's kernel in mode, built once per process and
+    shared: a ``SignedSOS`` is frozen, and nothing changes its generators."""
+    return _shared_sos(spec, mode)
+
+
+@functools.lru_cache(maxsize=32)  # keyed (spec, mode) however make_sos is called
+def _shared_sos(spec: DomainSpec, mode: str) -> SignedSOS:
     if spec.family == "polydisk":
         return sos_polydisk(spec.params[0], mode)
     if spec.family == "IV":

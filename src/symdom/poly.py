@@ -314,7 +314,8 @@ class BidegPoly(HoloPoly):
 class JetMap:
     """Degree-d polynomial jet of a holomorphic map C^n -> C^N."""
 
-    __slots__ = ("source_dim", "target_dim", "degree", "components", "mode")
+    __slots__ = ("source_dim", "target_dim", "degree", "components", "mode",
+                 "_plan")
 
     def __init__(self, components: Sequence[HoloPoly], degree: int,
                  source_dim: Optional[int] = None):
@@ -333,6 +334,7 @@ class JetMap:
         self.degree = degree
         self.components = comps
         self.mode = "exact" if all(c.mode == "exact" for c in comps) else "float"
+        self._plan = None  # evaluate_many's exponents and coefficients
 
     @classmethod
     def _from_graded(cls, components: Sequence[HoloPoly], degree: int,
@@ -374,10 +376,14 @@ class JetMap:
     def evaluate_many(self, points) -> np.ndarray:
         """Float values at the rows of an S x source_dim array (S x target_dim):
         the sorted ``_monomial_basis`` (term order does not matter) from a
-        table of powers, times the stacked coefficients."""
+        table of powers, times the stacked coefficients.  The exponents and
+        the coefficients are built on the first call and kept."""
         pts = np.asarray(points, dtype=complex)
-        basis = _monomial_basis([self])
-        exps = np.array(basis, dtype=int).reshape(len(basis), self.source_dim)
+        if self._plan is None:
+            basis = _monomial_basis([self])
+            self._plan = (np.array(basis, dtype=int).reshape(
+                len(basis), self.source_dim), self.float_coefficients(basis).T)
+        exps, coeffs = self._plan
         powers = np.ones((int(exps.max(initial=0)) + 1,) + pts.shape,
                          dtype=complex)
         # a value beyond float range reads as inf / nan, which the checks
@@ -385,10 +391,10 @@ class JetMap:
         with np.errstate(over="ignore", invalid="ignore"):
             for e in range(1, len(powers)):
                 powers[e] = powers[e - 1] * pts
-            monomials = np.ones((len(pts), len(basis)), dtype=complex)
+            monomials = np.ones((len(pts), len(exps)), dtype=complex)
             for j in range(self.source_dim):
                 monomials *= powers[exps[:, j], :, j].T
-            return monomials @ self.float_coefficients(basis).T
+            return monomials @ coeffs
 
     def jacobian0(self) -> List[List[Scalar]]:
         """Degree-1 coefficient matrix, target_dim x source_dim."""

@@ -14,17 +14,20 @@ from symdom import (
     coefficient_matrix,
     complete_to_unitary,
     match_unitary,
+    make_sos,
     make_spec,
     random_coisometry,
     random_exact_jet,
     random_exact_unitary,
+    solve_component_jet,
     sos_signature_bound,
 )
-from symdom import calabi
+from symdom import calabi, linalg
 from symdom.linalg import (
     coisometry_residual,
     ex_gs_orthonormal,
     ex_matmul,
+    ex_rref,
 )
 from symdom.scalars import HALF_SQRT2, SQRT2
 from symdom.poly import HoloPoly, JetMap
@@ -196,6 +199,32 @@ def test_match_unitary_rejects_inconsistent_exact_target():
         match_unitary(f, g)
 
 
+@pytest.mark.parametrize("family, params", [("IV", {"n": 5}),
+                                             ("I", {"p": 2, "q": 3})])
+def test_exact_match_of_a_maximal_source_eliminates_once(monkeypatch,
+                                                         family, params):
+    # one rref of [g^T | f^T] both decides that g has full row rank and
+    # gives the unitary: the rotation that made the target
+    spec = make_spec(family, **params)
+    rows = random_coisometry(spec.dim - spec.ball_dim_bound, spec.dim, 3,
+                             "exact")
+    g = solve_component_jet(rows, make_sos(spec), degree=4).jet
+    v = random_exact_unitary(g.target_dim, 2)
+    shapes = []
+
+    def counted(a):
+        shapes.append((len(a), len(a[0])))
+        return ex_rref(a)
+
+    # linalg's own name too, which ex_rank would reach
+    monkeypatch.setattr(calabi, "ex_rref", counted)
+    monkeypatch.setattr(linalg, "ex_rref", counted)
+    u, mode = match_unitary(apply_matrix(v, g), g)
+    assert (mode, u) == ("exact", v)
+    basis_size = len(coefficient_matrix(g)[1])
+    assert shapes == [(basis_size, 2 * g.target_dim)]
+
+
 @pytest.mark.parametrize("zero_in", ["target", "source"])
 def test_match_unitary_zero_component_skips_the_exact_solve(monkeypatch,
                                                             zero_in):
@@ -204,8 +233,7 @@ def test_match_unitary_zero_component_skips_the_exact_solve(monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("eliminated")
 
-    for name in ("ex_rank", "ex_rref"):
-        monkeypatch.setattr(calabi, name, refuse)
+    monkeypatch.setattr(calabi, "ex_rref", refuse)
     w = HoloPoly.var(1, 0)
     f1 = w + w.mul_trunc(w)
     h = HALF_SQRT2

@@ -37,8 +37,8 @@ def test_kernel_directions_follow_the_grid():
     tool = _tool()
     labelled = tool.commands()
     kernel = labelled[204:224]
-    assert len(labelled) == 256
-    assert len({label for label, _ in labelled}) == 256
+    assert len(labelled) == 276
+    assert len({label for label, _ in labelled}) == 276
     assert [argv[0] for _, argv in kernel] == ["kernel"] * 20
     families = {tuple(argv[1:argv.index("--mode")]) for _, argv in kernel}
     assert len(families) == 5
@@ -71,7 +71,7 @@ def test_exact_extensions_close_the_grid(tmp_path, monkeypatch):
     # dimension 1, seeds 1-8, degree 4; at least 10 of the extensions stay
     # exact (their plus composites vanish)
     tool = _tool()
-    tail = tool.commands()[224:]
+    tail = tool.commands()[224:256]
     assert len(tail) == 32
     want = []
     for p, q in ((2, 3), (2, 4)):
@@ -88,6 +88,36 @@ def test_exact_extensions_close_the_grid(tmp_path, monkeypatch):
     modes = [json.loads((tmp_path / argv[-1]).read_text())["mode"]
              for argv in want if argv[0] == "extend"]
     assert modes.count("exact") >= 10
+
+
+def test_repeated_sample_verifies_close_the_commands(tmp_path, monkeypatch):
+    # verify --seed 5 --samples 40, twice in a row, on each seed-901
+    # construct document at source dimension 2: one per family and mode
+    tool = _tool()
+    labelled = tool.commands()
+    tail = labelled[256:]
+    assert len(tail) == 20
+    jets = {argv[argv.index("--out") + 1]: argv for _, argv in labelled
+            if argv[0] == "construct"}
+    inputs = []
+    for (_, first), (_, second) in zip(tail[::2], tail[1::2]):
+        jet = first[first.index("--in") + 1]
+        assert first == ["verify", "--in", jet, "--seed", "5", "--samples",
+                         "40", "--out", f"{jet}.sampled1"]
+        assert second == first[:-1] + [f"{jet}.sampled2"]
+        construct = jets[jet]
+        assert construct[construct.index("--seed") + 1] == "901"
+        assert construct[construct.index("--dim") + 1] == "2"
+        inputs.append(jet)
+    assert len(set(inputs)) == 10
+    # the warm second run writes the same document as the cold first one
+    monkeypatch.chdir(tmp_path)
+    construct = jets[inputs[0]]
+    results = tool.collect([construct] + [argv for _, argv in tail[:2]])
+    assert [code for code, _, _ in results] == [0, 0, 0]
+    assert results[1][2] == results[2][2]
+    doc = json.loads((tmp_path / f"{inputs[0]}.sampled1").read_text())
+    assert doc["polarized-sample"]["samples"] == 40
 
 
 def test_worker_records_exit_stderr_and_digest(tmp_path, monkeypatch):

@@ -150,6 +150,42 @@ def test_polarized_check_matches_scalar_reference(family, params, mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
+def test_polarized_report_is_the_same_with_cold_and_warm_caches(mode):
+    # cold: no kept sample points, and a fresh expansion and jet, neither
+    # holding an evaluation plan; warm: the same check once more
+    spec = make_spec("IV", n=5)
+    for dim, degree in ((2, 4), (3, 3)):
+        rows = random_coisometry(spec.dim - dim, spec.dim, 5, mode)
+        iso = solve_component_jet(rows, make_sos(spec, mode), degree=degree)
+        for samples, seed in ((25, 0), (7, 3), (1, 11)):
+            isometry._sample_pairs.cache_clear()
+            fresh = IsometryJet(JetMap(iso.jet.components, degree), iso.k,
+                                kernels._shared_sos.__wrapped__(spec, mode))
+            cold = check_polarized_eq(fresh, samples=samples, seed=seed)
+            assert cold.samples == samples and cold.passed
+            for _ in range(2):
+                assert check_polarized_eq(iso, samples=samples,
+                                          seed=seed) == cold
+                assert check_polarized_eq(fresh, samples=samples,
+                                          seed=seed) == cold
+
+
+def test_polarized_sample_points_are_drawn_once_and_read_only():
+    pts = isometry._sample_pairs(3, 5, 0, 4)
+    assert pts.shape == (2, 5, 3)
+    assert isometry._sample_pairs(3, 5, 0, 4) is pts
+    assert isometry._sample_pairs(3, 5, 1, 4) is not pts
+    with pytest.raises(ValueError, match="read-only"):
+        pts[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        pts *= 2.0
+    # the radii 0.3 r .. r of the degree's sampling radius r
+    norms = np.linalg.norm(pts, axis=2)
+    radius = isometry.sample_radius(4)
+    assert np.all((0.3 * radius <= norms) & (norms <= radius * (1 + 1e-15)))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize(
     "family, params, dims", CONSTRUCT_GRID,
     ids=[f"{f}({','.join(map(str, p.values()))})" for f, p, _ in CONSTRUCT_GRID])
@@ -828,7 +864,7 @@ def test_extend_sliced_construction():
 
 def test_exact_extend_matches_once_in_floating_point(monkeypatch):
     # the guards run once, in extend itself, and the padded target is
-    # matched in floating point without an exact rank test
+    # matched in floating point without an exact elimination
     spec = make_spec("IV", n=5)
     rows = random_coisometry(spec.dim - 2, spec.dim, 1, "exact")
     iso = solve_component_jet(rows, make_sos(spec), degree=4)
@@ -837,7 +873,7 @@ def test_exact_extend_matches_once_in_floating_point(monkeypatch):
         raise AssertionError("called")
 
     monkeypatch.setattr(isometry, "recover_matching_unitary", refuse)
-    monkeypatch.setattr(calabi, "ex_rank", refuse)
+    monkeypatch.setattr(calabi, "ex_rref", refuse)
     res = extend_isometry(iso)
     assert res.extended.jet.source_dim == spec.ball_dim_bound
     assert res.composition_residual < 1e-10

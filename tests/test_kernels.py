@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symdom import cli, kernels
 from symdom import (
     BidegPoly,
     Exact,
@@ -194,15 +195,45 @@ def test_polarized_hermitian_symmetry():
                                   make_spec("I", p=2, q=3)],
                          ids=lambda s: s.label)
 def test_batched_kernel_matches_scalar(spec):
+    # on a fresh expansion in each mode, before and after its stack keeps
+    # the plan of evaluate_many, with the same values both times
     r = random.Random(5)
-    sos = make_sos(spec, mode="float")
     z = np.array([rand_interior(spec, r) for _ in range(8)])
     xi = np.array([rand_interior(spec, r) for _ in range(8)])
-    batched = kernel_polarized_many(sos, z, xi)
-    assert batched.shape == (8,)
-    for s in range(8):
-        want = complex(kernel_polarized(sos, list(z[s]), list(xi[s])))
-        assert abs(batched[s] - want) < 1e-14
+    for mode in ("float", "exact"):
+        sos = kernels._shared_sos.__wrapped__(spec, mode)
+        assert sos.stack._plan is None
+        batched = kernel_polarized_many(sos, z, xi)
+        assert sos.stack._plan is not None
+        again = kernel_polarized_many(sos, z, xi)
+        assert batched.shape == again.shape == (8,)
+        assert np.array_equal(batched, again)
+        for s in range(8):
+            want = complex(kernel_polarized(sos, list(z[s]), list(xi[s])))
+            assert abs(batched[s] - want) < 1e-14
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_make_sos_is_shared_and_left_unchanged(tmp_path, mode):
+    # one expansion per (spec, mode) in a process; a construct -> verify
+    # -> extend round through the command line leaves its generators alone
+    spec = make_spec("IV", n=4)
+    sos = make_sos(spec, mode)
+    assert make_sos(spec, mode) is sos
+    assert make_sos(spec, mode=mode) is sos
+    assert (make_sos(spec) is sos) == (mode == "exact")
+    before = [dict(g.terms) for g in sos.odd + sos.even]
+    jet = tmp_path / "jet.json"
+    assert cli.main(["construct", "--family", "IV", "--n", "4", "--dim",
+                     "1", "--degree", "4", "--mode", mode, "--out",
+                     str(jet)]) == 0
+    assert cli.main(["verify", "--in", str(jet), "--out",
+                     str(tmp_path / "verify.json")]) == 0
+    assert cli.main(["extend", "--in", str(jet), "--out",
+                     str(tmp_path / "extend.json")]) == 0
+    assert make_sos(spec, mode) is sos
+    assert sos.stack.components == sos.odd + sos.even
+    assert [g.terms for g in sos.odd + sos.even] == before
 
 
 def test_minimal_embedding_layout():

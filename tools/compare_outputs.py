@@ -13,8 +13,11 @@ embedding and the membership at the point, and the curvature at the
 origin.  Last, exact ``construct --variety`` and ``extend`` for I(2,3) and
 I(2,4) at source dimension 1, seeds 1-8, degree 4: 32 commands, whose
 extensions take the exact route (plus composites that vanish) for 10 of
-the 16 jets; 256 commands in all.  Each checkout runs them in one process
-of its own, importing symdom from its ``src/``.  For every command the exit
+the 16 jets.  Last, ``verify --seed 5 --samples 40`` on the seed-901
+documents at source dimension 2, in both modes, each twice: 20
+commands, whose second runs read the polarized sample points and the
+expansions that the process keeps; 276 commands in all.  Each checkout
+runs them in one process of its own, importing symdom from its ``src/``.  For every command the exit
 code, the lines written to stderr and the sha256 of
 the output document are compared; every difference is printed, and the
 exit status is 1 if there is any, else 0.  For a document whose sha256
@@ -55,6 +58,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = ((9, 6), (901, 4))  # (seed, degree)
 EXACT_EXTEND = (("I", {"p": 2, "q": 3}), ("I", {"p": 2, "q": 4}))  # dim 1
 EXACT_EXTEND_SEEDS = range(1, 9)  # at degree 4
+SAMPLE_KEY = (5, 40)  # (--seed, --samples) of the repeated verify runs
+SAMPLE_INPUTS = (901, 2)  # on the construct documents of this seed and dim
 MODES = ("exact", "float")
 SHOWN_PATHS = 10  # paths listed per differing document
 
@@ -65,7 +70,7 @@ def commands() -> list:
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import CONSTRUCT_GRID
 
-    out = []
+    out, sampled = [], []
     for seed, degree in RUNS:
         for mode in MODES:
             for family, params, dims in CONSTRUCT_GRID:
@@ -78,6 +83,8 @@ def commands() -> list:
                         "construct", *fam, "--dim", str(dim), "--seed",
                         str(seed), "--mode", mode, "--degree", str(degree),
                         "--variety", "--out", jet]))
+                    if (seed, dim) == SAMPLE_INPUTS:
+                        sampled.append((case, jet))
                     for name in ("verify", "extend"):
                         out.append((f"{name} {case}", [
                             name, "--in", jet, "--out", f"{jet}.{name}"]))
@@ -102,6 +109,14 @@ def commands() -> list:
                 jet]))
             out.append((f"extend {case}", [
                 "extend", "--in", jet, "--out", f"{jet}.extend"]))
+    seed, samples = SAMPLE_KEY
+    for case, jet in sampled:
+        for run in (1, 2):
+            out.append((f"verify {case} sample seed {seed} samples "
+                        f"{samples} run {run}", [
+                            "verify", "--in", jet, "--seed", str(seed),
+                            "--samples", str(samples), "--out",
+                            f"{jet}.sampled{run}"]))
     return out
 
 
