@@ -18,6 +18,7 @@ import argparse
 import cmath
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -34,7 +35,6 @@ from .isometry import (build_k1_variety, extend_isometry,
 from .kernels import (contains, curvature_at_origin, kernel_value, make_sos,
                       minimal_embedding)
 from .randmat import random_coisometry
-from .scalars import as_complex
 from . import serialize
 
 def _write_out(text: str, path: Optional[str]) -> None:
@@ -135,20 +135,20 @@ def cmd_invariants(args) -> int:
 
 
 def _threshold_rows(families: List[str], limit: int):
+    """The specs of families, parameters 1..limit in catalog order, that
+    have a closed-form threshold."""
     rows = []
-    if "I" in families:
-        for p in range(3, limit + 1):
-            for q in range(p, limit + 1):
-                if (p, q) == (3, 3):
-                    continue
-                spec = make_spec("I", p=p, q=q)
+    for family, (_, names) in FAMILIES.items():
+        if family not in families:
+            continue
+        for params in itertools.product(range(1, limit + 1),
+                                        repeat=len(names)):
+            try:
+                spec = make_spec(family, **dict(zip(names, params)))
+            except ParameterError:  # below the family's least parameters
+                continue
+            if closed_form_null_threshold(spec) is not None:
                 rows.append(spec)
-    if "II" in families:
-        for m in range(8, limit + 1):
-            rows.append(make_spec("II", m=m))
-    if "III" in families:
-        for m in range(3, limit + 1):
-            rows.append(make_spec("III", m=m))
     return rows
 
 
@@ -196,10 +196,9 @@ def cmd_kernel(args) -> int:
         value = kernel_value(sos, pt)
         emb = minimal_embedding(sos, pt)
         doc["point"] = [[z.real, z.imag] for z in map(complex, pt)]
-        doc["kernel_value"] = [as_complex(value).real, as_complex(value).imag]
+        doc["kernel_value"] = [complex(value).real, complex(value).imag]
         doc["inside_domain"] = contains(sos, pt)
-        doc["embedding"] = [[as_complex(x).real, as_complex(x).imag]
-                            for x in emb]
+        doc["embedding"] = [[complex(x).real, complex(x).imag] for x in emb]
     if args.direction is not None:
         direction = _parse_point(args.direction, spec.dim)
         doc["curvature"] = curvature_at_origin(sos, direction)

@@ -52,7 +52,7 @@ from .linalg import (coisometry_residual, ex_complete_orthonormal, ex_conj_t,
                      row_complement, to_complex_matrix)
 from .poly import (HoloPoly, JetMap, _graded, _units, compose_truncate,
                    solve_graded)
-from .scalars import EXACT_ZERO, Exact, as_complex, field_sqrt, one, zero
+from .scalars import EXACT_ZERO, Exact, field_sqrt, one, zero
 
 __all__ = [
     "IsometryJet", "FEReport", "PolarizedReport", "RecoveredUnitary",
@@ -189,7 +189,7 @@ def _exact_residual(iso: IsometryJet, d: int) -> tuple:
         if c.is_zero:
             continue
         key = (sum(alpha), sum(beta))
-        mag = max(abs(as_complex(c)), math.ulp(0.0))  # c != 0 never reads 0.0
+        mag = max(abs(complex(c)), math.ulp(0.0))  # c != 0 never reads 0.0
         per[key] = _nan_max(per.get(key, 0.0), mag)
         worst = _nan_max(worst, mag)
     return worst, per, "exact"
@@ -331,7 +331,7 @@ def _require_coordinate_minus_block(sos: SignedSOS, u_rows=None) -> None:
         raise ParameterError(
             f"{label}: minus block must consist of the {n} coordinates")
     for j, (g, exp) in enumerate(zip(sos.odd, _units(n))):
-        if set(g.terms) != {exp} or as_complex(g.coeff(exp)) != 1:
+        if set(g.terms) != {exp} or complex(g.coeff(exp)) != 1:
             raise ParameterError(
                 f"{label}: minus generator {j} is not the coordinate z_{j}")
     if u_rows is not None and not m2 <= len(u_rows) < n:

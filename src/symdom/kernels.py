@@ -35,8 +35,7 @@ import numpy as np
 
 from .domains import DomainSpec, ParameterError, make_spec
 from .poly import BidegPoly, HoloPoly, JetMap, compose_truncate
-from .scalars import (EXACT_ONE, EXACT_ZERO, Exact, Scalar, as_complex,
-                      one, sum_products, zero)
+from .scalars import EXACT_ONE, EXACT_ZERO, Scalar, sum_products
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def _squarefree_monomials(p: int, parity: int, mode: str) -> List[HoloPoly]:
             continue
         for subset in itertools.combinations(range(p), k):
             exp = tuple(1 if j in subset else 0 for j in range(p))
-            out.append(HoloPoly.monomial(p, exp, one(mode), mode))
+            out.append(HoloPoly.monomial(p, exp, 1, mode))
     return out
 
 
@@ -107,8 +106,8 @@ def sos_type_iv(n: int, mode: str = "exact") -> SignedSOS:
     """Expansion 1 - sum |z_j|^2 + |(1/2) sum z_j^2|^2."""
     spec = make_spec("IV", n=n)
     odd = tuple(HoloPoly.var(n, j, mode) for j in range(n))
-    half = Fraction(1, 2) if mode == "exact" else 0.5
-    terms = {tuple(2 if i == j else 0 for i in range(n)): half for j in range(n)}
+    terms = {tuple(2 if i == j else 0 for i in range(n)): Fraction(1, 2)
+             for j in range(n)}
     even = (HoloPoly(n, terms, mode),)
     return SignedSOS(spec, odd, even, mode)
 
@@ -129,9 +128,7 @@ def _minor(p: int, q: int, rows: Sequence[int], cols: Sequence[int],
         exp = [0] * n
         for i in range(k):
             exp[rows[i] * q + cols[perm[i]]] += 1
-        key = tuple(exp)
-        c = sign if mode == "exact" else complex(sign)
-        terms[key] = terms.get(key, zero(mode)) + c
+        terms[tuple(exp)] = sign
     return HoloPoly(n, terms, mode)
 
 
@@ -272,9 +269,7 @@ def curvature_at_origin(sos: SignedSOS, alpha: Sequence) -> float:
     the |t|^4 coefficient of log h, 4 Re(c2 - c1^2 / 2).  Always in
     [-2, -2/rank].
     """
-    alpha = [Exact.of(a) if isinstance(a, (int, Fraction)) else a
-             for a in alpha]
-    norm2 = sum(abs(x) * abs(x) for x in map(as_complex, alpha))
+    norm2 = sum(abs(x) * abs(x) for x in map(complex, alpha))
     if not abs(norm2 - 1.0) <= 1e-9:  # NaN is not unit either
         raise ValueError(f"direction must be Euclidean-unit, got |alpha|^2 = {norm2}")
     # exact sums while the values are exact, as in kernel_polarized
@@ -283,7 +278,7 @@ def curvature_at_origin(sos: SignedSOS, alpha: Sequence) -> float:
                             sos.stack.evaluate(alpha)):
         if g.degree in c:
             c[g.degree] = c[g.degree] + val * val.conjugate() * sign
-    return 4.0 * as_complex(c[2] - c[1] * c[1] / 2).real
+    return 4.0 * complex(c[2] - c[1] * c[1] / 2).real
 
 
 # -- interior membership and sampling ---------------------------------------
@@ -294,7 +289,7 @@ def contains(sos: SignedSOS, z: Sequence) -> bool:
     Polydisk and type IV use their defining inequalities; type I checks the
     largest singular value of the matrix point.
     """
-    pt = [as_complex(p) for p in z]
+    pt = [complex(p) for p in z]
     fam = sos.spec.family
     if fam == "polydisk":
         return all(abs(c) < 1.0 for c in pt)

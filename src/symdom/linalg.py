@@ -138,9 +138,7 @@ def ex_complete_orthonormal(rows: ExactMatrix) -> ExactMatrix:
 
 
 def to_complex_matrix(a) -> np.ndarray:
-    if isinstance(a, np.ndarray):
-        return a.astype(complex)
-    return np.array([[complex(x) for x in row] for row in a], dtype=complex)
+    return np.array(a, dtype=complex)
 
 
 def row_complement(a: np.ndarray) -> np.ndarray:

@@ -54,8 +54,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .domains import ParameterError
-from .scalars import (EXACT_ONE, Exact, Scalar, as_complex, cabs, coerce,
-                      mode_of, one, sum_products, zero)
+from .scalars import (EXACT_ONE, Exact, Scalar, coerce, mode_of, one,
+                      sum_products, zero)
 
 Exponent = Tuple[int, ...]
 Parts = List[Dict[Exponent, Exact]]  # homogeneous parts, part s of degree s
@@ -159,12 +159,12 @@ class HoloPoly:
         return self.from_field(self.nvars, kept, self.mode)
 
     def max_abs_coeff(self) -> float:
-        return max((cabs(c) for c in self.terms.values()), default=0.0)
+        return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
 
     def to_float(self) -> "HoloPoly":
         if self.mode == "float":
             return self
-        floats = {e: as_complex(c) for e, c in self.terms.items()}
+        floats = {e: complex(c) for e, c in self.terms.items()}
         return self.from_field(self.nvars, floats, "float")
 
     def sorted_terms(self) -> List[Tuple[Exponent, Scalar]]:

@@ -355,14 +355,6 @@ def field_sqrt(x: Exact) -> Optional[Exact]:
 
 # -- generic coefficient helpers (Exact | complex) --------------------------
 
-def as_complex(c) -> complex:
-    return complex(c)
-
-
-def cabs(c: Scalar) -> float:
-    return abs(as_complex(c))
-
-
 def coerce(c, mode: str) -> Scalar:
     """Normalize a raw coefficient to the requested mode.
 
@@ -375,7 +367,7 @@ def coerce(c, mode: str) -> Scalar:
             return Exact.of(c)
         raise TypeError(f"cannot use {type(c).__name__} coefficient in exact mode")
     if mode == "float":
-        return as_complex(c)
+        return complex(c)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -183,13 +183,9 @@ def jet_from_json(obj: dict) -> JetMap:
 
 
 def matrix_to_json(m) -> dict:
-    if isinstance(m, np.ndarray):
-        rows = [[scalar_to_json(complex(x)) for x in row] for row in m]
-        mode = "float"
-    else:
-        rows = [[scalar_to_json(x) for x in row] for row in m]
-        mode = "exact" if any(isinstance(x, Exact) for row in m
-                              for x in row) else "float"
+    rows = [[scalar_to_json(x) for x in row] for row in m]
+    mode = "exact" if any(isinstance(x, Exact) for row in m
+                          for x in row) else "float"
     return {"rows": len(rows), "cols": len(rows[0]) if rows else 0,
             "mode": mode, "entries": rows}
 
@@ -267,20 +263,6 @@ _int_repr = int.__repr__
 _float_repr = float.__repr__
 
 
-# json's own isinstance order, so that a subclass reads as json reads it
-_JSON_TYPES = (str, type(None), bool, int, float, list, tuple, dict)
-_PLAIN = frozenset((float, int, dict, list, str))
-
-
-def _json_type(obj) -> type:
-    """The type json writes obj as: one of _JSON_TYPES, a tuple being a
-    list; TypeError for a value json does not write."""
-    for kind in _JSON_TYPES:
-        if isinstance(obj, kind):
-            return list if kind is tuple else kind
-    raise TypeError(f"{type(obj).__name__} is not written by dumps")
-
-
 _INT = frozenset((int,))
 _STR = frozenset((str,))
 
@@ -340,15 +322,12 @@ def _terms_text(terms: list, indent: str):
 def _write(obj, out: list, indent: str) -> None:
     """Append obj's document text to out, in pieces; indent is the newline
     and spaces before obj's closing bracket.  TypeError for a key that is
-    not a str, or a value that is not a str, None, bool, int, float, list,
-    tuple or dict.
+    not a str, or a value whose type is not exactly float, int, list, dict,
+    str, bool or None.
 
-    Dispatch is on the exact type first; subclasses, None, bools and
-    tuples go through _json_type.  A list of polynomial terms is written
-    by _terms_text, any other list item by item."""
+    A list of polynomial terms is written by _terms_text, any other list
+    item by item."""
     kind = type(obj)
-    if kind not in _PLAIN:
-        kind = _json_type(obj)
     if kind is float:
         text = _float_repr(obj)
         out.append(text if -math.inf < obj < math.inf else f'"{text}"')
@@ -387,8 +366,10 @@ def _write(obj, out: list, indent: str) -> None:
         out.append(_str_json(obj))
     elif kind is bool:
         out.append("true" if obj else "false")
-    else:
+    elif obj is None:
         out.append("null")
+    else:
+        raise TypeError(f"{kind.__name__} is not written by _write")
 
 
 def dumps(obj: dict) -> str:
@@ -397,7 +378,7 @@ def dumps(obj: dict) -> str:
 
     The text is json.dumps(strict_json_value(obj), sort_keys=True,
     indent=2, allow_nan=False), written in one pass by _write.  What _write
-    does not take (a non-string key, another type, an int too long to
+    does not take (a non-string key, any other type, an int too long to
     print) goes through that call itself, so its text or error is json's."""
     out = []
     try:

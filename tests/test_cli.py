@@ -58,6 +58,38 @@ def test_threshold_table_csv():
     assert all(line.endswith("true") for line in lines[1:])
 
 
+# the (family, params) column of `threshold-table --families I,II,III
+# --max 12`, as literal text: I for 3 <= p <= q but (3, 3), II from m = 8,
+# III from m = 3
+THRESHOLD_ROWS_12 = """
+    I,p=3;q=4 I,p=3;q=5 I,p=3;q=6 I,p=3;q=7 I,p=3;q=8 I,p=3;q=9
+    I,p=3;q=10 I,p=3;q=11 I,p=3;q=12 I,p=4;q=4 I,p=4;q=5 I,p=4;q=6
+    I,p=4;q=7 I,p=4;q=8 I,p=4;q=9 I,p=4;q=10 I,p=4;q=11 I,p=4;q=12
+    I,p=5;q=5 I,p=5;q=6 I,p=5;q=7 I,p=5;q=8 I,p=5;q=9 I,p=5;q=10
+    I,p=5;q=11 I,p=5;q=12 I,p=6;q=6 I,p=6;q=7 I,p=6;q=8 I,p=6;q=9
+    I,p=6;q=10 I,p=6;q=11 I,p=6;q=12 I,p=7;q=7 I,p=7;q=8 I,p=7;q=9
+    I,p=7;q=10 I,p=7;q=11 I,p=7;q=12 I,p=8;q=8 I,p=8;q=9 I,p=8;q=10
+    I,p=8;q=11 I,p=8;q=12 I,p=9;q=9 I,p=9;q=10 I,p=9;q=11 I,p=9;q=12
+    I,p=10;q=10 I,p=10;q=11 I,p=10;q=12 I,p=11;q=11 I,p=11;q=12
+    I,p=12;q=12 II,m=8 II,m=9 II,m=10 II,m=11 II,m=12 III,m=3 III,m=4
+    III,m=5 III,m=6 III,m=7 III,m=8 III,m=9 III,m=10 III,m=11 III,m=12
+""".split()
+
+
+def test_threshold_table_rows_of_every_family(tmp_path):
+    argv = ["threshold-table", "--families", "I,II,III", "--max", "12"]
+    assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert [line.rsplit(",", 3)[0] for line in lines[1:]] == THRESHOLD_ROWS_12
+    assert main(argv + ["--format", "json",
+                        "--out", str(tmp_path / "t.json")]) == 0
+    doc = json.loads((tmp_path / "t.json").read_text())
+    assert doc["mismatches"] == 0
+    assert [r["family"] + "," + ";".join(f"{k}={v}" for k, v in
+                                         sorted(r["params"].items()))
+            for r in doc["rows"]] == THRESHOLD_ROWS_12
+
+
 def test_threshold_table_rejects_quadric_family():
     run_cli("threshold-table", "--families", "IV", expect=2)
 
@@ -294,6 +326,39 @@ def test_commands_need_no_tracer_only_names(tmp_path, monkeypatch, mode):
                  "--out", str(tmp_path / "report.json")]) == 0
     assert main(["extend", "--in", str(jet_file),
                  "--out", str(tmp_path / "ext.json")]) == 0
+
+
+# one valid parameter set per family of domains.FAMILIES
+INVARIANTS_OPTIONS = {"I": ["--p", "3", "--q", "5"], "II": ["--m", "8"],
+                      "III": ["--m", "7"], "IV": ["--n", "5"], "V": [],
+                      "VI": [], "polydisk": ["--p", "3"]}
+
+
+def test_documents_need_no_fallback_writer(tmp_path, monkeypatch):
+    # dumps writes every library document itself: the json.dumps fallback,
+    # the only caller of strict_json_value on this route, is never reached
+    def fallback(obj):
+        raise AssertionError("a document fell back to json.dumps")
+
+    monkeypatch.setattr(serialize, "strict_json_value", fallback)
+    assert set(INVARIANTS_OPTIONS) == set(domains.FAMILIES)
+    argvs = [["invariants", "--family", family, *options]
+             for family, options in INVARIANTS_OPTIONS.items()]
+    argvs.append(["threshold-table", "--format", "json"])
+    for mode in ("exact", "float"):
+        jet = str(tmp_path / f"{mode}.json")
+        argvs += [["construct", "--family", "I", "--p", "2", "--q", "3",
+                   "--dim", "2", "--seed", "3", "--mode", mode, "--degree",
+                   "4", "--variety", "--out", jet],
+                  ["verify", "--in", jet], ["extend", "--in", jet],
+                  ["kernel", "--family", "IV", "--n", "4", "--mode", mode,
+                   "--point", "[0.1, 0, 0, [0.05, -0.2]]",
+                   "--direction", "[0.6, 0, 0, [0, 0.8]]"]]
+    for i, argv in enumerate(argvs):
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / f"{i}.json")]
+        assert main(argv + ["--format", "json"]) == 0, argv
+        assert json.loads(Path(argv[argv.index("--out") + 1]).read_text())
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), MemoryError(

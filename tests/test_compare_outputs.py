@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from symdom import contains, make_sos, make_spec
+from symdom.domains import FAMILIES
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 
@@ -37,8 +38,8 @@ def test_kernel_directions_follow_the_grid():
     tool = _tool()
     labelled = tool.commands()
     kernel = labelled[204:224]
-    assert len(labelled) == 276
-    assert len({label for label, _ in labelled}) == 276
+    assert len(labelled) == 292
+    assert len({label for label, _ in labelled}) == 292
     assert [argv[0] for _, argv in kernel] == ["kernel"] * 20
     families = {tuple(argv[1:argv.index("--mode")]) for _, argv in kernel}
     assert len(families) == 5
@@ -95,7 +96,7 @@ def test_repeated_sample_verifies_close_the_commands(tmp_path, monkeypatch):
     # construct document at source dimension 2: one per family and mode
     tool = _tool()
     labelled = tool.commands()
-    tail = labelled[256:]
+    tail = labelled[256:276]
     assert len(tail) == 20
     jets = {argv[argv.index("--out") + 1]: argv for _, argv in labelled
             if argv[0] == "construct"}
@@ -118,6 +119,41 @@ def test_repeated_sample_verifies_close_the_commands(tmp_path, monkeypatch):
     assert results[1][2] == results[2][2]
     doc = json.loads((tmp_path / f"{inputs[0]}.sampled1").read_text())
     assert doc["polarized-sample"]["samples"] == 40
+
+
+def test_invariants_and_threshold_tables_close_the_commands(tmp_path,
+                                                           monkeypatch):
+    # invariants for one domain per family, in json and text, then the
+    # threshold table of I, II and III up to 12, in csv and json
+    tool = _tool()
+    tail = tool.commands()[276:]
+    assert len(tail) == 16
+    invariants = [argv for _, argv in tail[:14]]
+    assert [argv[0] for argv in invariants] == ["invariants"] * 14
+    assert [argv[argv.index("--format") + 1] for argv in invariants] == \
+        ["json", "text"] * 7
+    assert {argv[2] for argv in invariants} == set(FAMILIES)
+    assert [argv[:-1] for _, argv in tail[14:]] == [
+        ["threshold-table", "--families", "I,II,III", "--max", "12",
+         "--format", fmt, "--out"] for fmt in ("csv", "json")]
+    monkeypatch.chdir(tmp_path)
+    results = tool.collect([argv for _, argv in tail])
+    assert all(code == 0 and not err for code, err, _ in results)
+    # a differing document of a command without a mode counts as "no mode"
+    ours = [[0, [], f"here-{i}"] for i in range(len(tail))]
+    kinds = tool.compare(tail, ours, results, tmp_path, tmp_path)[3]
+    assert kinds == {("invariants", "no mode"): 14,
+                     ("threshold-table", "no mode"): 2}
+    # a text document is explained line by line
+    table = tmp_path / tail[14][1][-1]
+    other = tmp_path / "other.csv"
+    lines = table.read_text().splitlines()
+    other.write_text("\n".join(lines[:2] + ["I,p=3;q=5,2,3,false"]
+                               + lines[3:]) + "\n")
+    assert tool.explain(table, other) == ([
+        f"  2: here {lines[2]!r}, other 'I,p=3;q=5,2,3,false'",
+        "  1 paths differ, largest absolute numeric difference none "
+        "(no numbers differ)"], None)
 
 
 def test_worker_records_exit_stderr_and_digest(tmp_path, monkeypatch):

@@ -86,6 +86,9 @@ def test_field_sqrt_golden():
     assert field_sqrt(EXACT_ZERO) == EXACT_ZERO
     assert field_sqrt(Exact(3)) is None
     assert field_sqrt(Exact(7, 0, 1, 0)) is None
+    # 9 + 6 sqrt2 = 3 (1 + sqrt2)^2: p^2 - 2 q^2 = 9 is a square, but
+    # neither (p + 3)/2 = 6 nor (p - 3)/2 = 3 is, as sqrt3 is not in the field
+    assert field_sqrt(Exact(9, 0, 6, 0)) is None
 
 
 def test_field_sqrt_roundtrip_on_squares():

@@ -2,40 +2,45 @@
 
     python3 tools/compare_outputs.py OTHER_CHECKOUT
 
-Runs ``construct --variety``, then ``verify`` and ``extend`` on its output,
-through ``symdom.cli.main`` on the benchmark's construct grid
-(``bench/workloads.py``: 17 cases), in exact and float mode, at seed 9 with
-degree 6 and at seed 901 with degree 4: 204 commands.  Then ``kernel
---point --direction`` on each of the grid's 5 families, in both modes, at
-one interior point and along a coordinate axis or along one direction off
-the axes: 20 commands, whose documents hold the kernel value, the minimal
-embedding and the membership at the point, and the curvature at the
-origin.  Last, exact ``construct --variety`` and ``extend`` for I(2,3) and
-I(2,4) at source dimension 1, seeds 1-8, degree 4: 32 commands, whose
-extensions take the exact route (plus composites that vanish) for 10 of
-the 16 jets.  Last, ``verify --seed 5 --samples 40`` on the seed-901
-documents at source dimension 2, in both modes, each twice: 20
-commands, whose second runs read the polarized sample points and the
-expansions that the process keeps; 276 commands in all.  Each checkout
-runs them in one process of its own, importing symdom from its ``src/``.  For every command the exit
-code, the lines written to stderr and the sha256 of
-the output document are compared; every difference is printed, and the
-exit status is 1 if there is any, else 0.  For a document whose sha256
+Runs ``construct --variety``, then ``verify`` and ``extend`` on its
+output, through ``symdom.cli.main`` on the benchmark's construct grid
+(``bench/workloads.py``: 17 cases), in exact and float mode, at seed 9
+with degree 6 and at seed 901 with degree 4: 204 commands.  Then
+``kernel --point --direction`` on each of the grid's 5 families, in both
+modes, at one interior point and along a coordinate axis or along one
+direction off the axes: 20 commands, whose documents hold the kernel
+value, the minimal embedding and the membership at the point, and the
+curvature at the origin.  Then exact ``construct --variety`` and
+``extend`` for I(2,3) and I(2,4) at source dimension 1, seeds 1-8,
+degree 4: 32 commands, whose extensions take the exact route (plus
+composites that vanish) for 10 of the 16 jets.  Then ``verify --seed 5
+--samples 40`` on the seed-901 documents at source dimension 2, in both
+modes, each twice: 20 commands, whose second runs read the polarized
+sample points and the expansions that the process keeps.  Last,
+``invariants`` for one domain of each of the 7 families, in json and in
+text, and ``threshold-table --families I,II,III --max 12`` in csv and in
+json: 16 commands; 292 commands in all.  Each checkout runs them in one
+process of its own, importing symdom from its ``src/``.  For every
+command the exit code, the lines written to stderr and the sha256 of the
+output document are compared; every difference is printed, and the exit
+status is 1 if there is any, else 0.  For a document whose sha256
 differs, the JSON paths at which the two documents differ are printed
-too, with the largest absolute difference of the numbers among them.  A
-``verify`` or ``extend`` whose input document (the ``construct`` output)
-differs too is tagged "input differs".  Before the summary, one line per
-JSON leaf path at which any documents differ counts them and gives the
-largest numeric difference there.  The summary gives the largest
-difference separately for documents whose input is identical and for
-those whose input differs: a difference that only propagates from the
-input is told apart from one the command itself makes.  Before it, one
-line per (command, mode) counts the differing documents, e.g.
-"extend float: 46", and the summary counts the differing exact-mode
-documents.  A document's mode is its command's ``--mode`` for ``kernel``,
-the ``construct``'s for ``construct`` and ``verify``, and the ``"mode"``
-an ``extend`` document writes ("exact" when either side wrote it; an
-exact input may extend in floating point).
+too (a text document's paths are its line numbers), with the largest
+absolute difference of the numbers among them.  A ``verify`` or
+``extend`` whose input document (the ``construct`` output) differs too
+is tagged "input differs".  Before the summary, one line per JSON leaf
+path at which any documents differ counts them and gives the largest
+numeric difference there.  The summary gives the largest difference
+separately for documents whose input is identical and for those whose
+input differs: a difference that only propagates from the input is told
+apart from one the command itself makes.  Before it, one line per
+(command, mode) counts the differing documents, e.g. "extend float: 46",
+and the summary counts the differing exact-mode documents.  A document's
+mode is its command's ``--mode`` for ``kernel``, the ``construct``'s for
+``construct`` and ``verify``, and the ``"mode"`` an ``extend`` document
+writes ("exact" when either side wrote it; an exact input may extend in
+floating point); an ``invariants`` or ``threshold-table`` document has
+"no mode".
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ EXACT_EXTEND = (("I", {"p": 2, "q": 3}), ("I", {"p": 2, "q": 4}))  # dim 1
 EXACT_EXTEND_SEEDS = range(1, 9)  # at degree 4
 SAMPLE_KEY = (5, 40)  # (--seed, --samples) of the repeated verify runs
 SAMPLE_INPUTS = (901, 2)  # on the construct documents of this seed and dim
+INVARIANTS = (("I", {"p": 3, "q": 5}), ("II", {"m": 8}), ("III", {"m": 7}),
+              ("IV", {"n": 5}), ("V", {}), ("VI", {}), ("polydisk", {"p": 3}))
 MODES = ("exact", "float")
 SHOWN_PATHS = 10  # paths listed per differing document
 
@@ -117,6 +124,16 @@ def commands() -> list:
                             "verify", "--in", jet, "--seed", str(seed),
                             "--samples", str(samples), "--out",
                             f"{jet}.sampled{run}"]))
+    for family, params in INVARIANTS:
+        fam, vals = _family(family, params)
+        for fmt in ("json", "text"):
+            out.append((f"invariants {family}({vals}) {fmt}", [
+                "invariants", *fam, "--format", fmt, "--out",
+                f"{len(out)}.invariants.{fmt}"]))
+    for fmt in ("csv", "json"):
+        out.append((f"threshold-table {fmt}", [
+            "threshold-table", "--families", "I,II,III", "--max", "12",
+            "--format", fmt, "--out", f"{len(out)}.table.{fmt}"]))
     return out
 
 
@@ -207,12 +224,21 @@ def differences(a, b, path: str = "") -> list:
     return [(path, a, b)]
 
 
+def document(path: Path):
+    """The JSON value of a document, or the list of its lines when it is
+    text (``--format text``, a csv table), whose paths are line numbers."""
+    text = path.read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text.splitlines()
+
+
 def explain(here: Path, other: Path) -> tuple:
     """(lines, largest): lines naming the JSON paths where two documents
     differ, and the largest absolute difference between numbers at those
     paths (None when no numbers differ)."""
-    diffs = differences(json.loads(here.read_text()),
-                        json.loads(other.read_text()))
+    diffs = differences(document(here), document(other))
     gaps = [abs(x - y) for _, x, y in diffs if _is_number(x) and _is_number(y)]
     lines = [f"  {p}: here {x!r}, other {y!r}"
              for p, x, y in diffs[:SHOWN_PATHS]]
@@ -230,8 +256,7 @@ def by_path(pairs: list) -> list:
     largest absolute difference of the numbers among them."""
     paths = {}  # path -> [documents, largest]
     for here, other in pairs:
-        for path, x, y in differences(json.loads(here.read_text()),
-                                      json.loads(other.read_text())):
+        for path, x, y in differences(document(here), document(other)):
             entry = paths.setdefault(path, [0, None])
             entry[0] += 1
             if _is_number(x) and _is_number(y):
@@ -280,7 +305,8 @@ def compare(labelled: list, ours: list, theirs: list, here_dir: Path,
                 if "--mode" in argv else "exact"
         if changed[doc]:
             mode = (_extend_mode(here_dir / doc, other_dir / doc)
-                    if argv[0] == "extend" else modes.get(source or doc))
+                    if argv[0] == "extend"
+                    else modes.get(source or doc, "no mode"))
             kinds[argv[0], mode] += 1
         for field, x, y in zip(("exit", "stderr", "sha256"), a, b):
             if x != y:
