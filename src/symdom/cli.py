@@ -30,7 +30,7 @@ from .domains import (FAMILIES, ParameterError, closed_form_null_threshold,
                       null_threshold, rank2_codim_inequality,
                       vmrt_certificate)
 from .errors import TruncationError, VerificationError
-from .isometry import (build_k1_variety, extend_isometry,
+from .isometry import (DEFAULT_TOL, build_k1_variety, extend_isometry,
                        full_verification_report, solve_component_jet)
 from .kernels import (contains, curvature_at_origin, kernel_value, make_sos,
                       minimal_embedding)
@@ -183,7 +183,7 @@ def cmd_threshold_table(args) -> int:
 
 def cmd_kernel(args) -> int:
     spec = _spec_from_args(args)
-    sos = make_sos(spec, args.mode)
+    sos = make_sos(spec)
     doc = {
         **serialize.spec_to_json(spec),
         "dim": spec.dim,
@@ -235,7 +235,7 @@ def cmd_construct(args) -> int:
         raise ParameterError(
             f"construct needs a domain of rank at most 2; {spec.label} "
             f"has rank {spec.rank}")
-    sos = make_sos(spec, args.mode)
+    sos = make_sos(spec)
     n = args.dim
     nbig = spec.dim
     n0 = spec.ball_dim_bound
@@ -298,13 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ker = sub.add_parser("kernel", help="kernel expansion of a domain")
     _add_family_options(p_ker)
-    p_ker.add_argument("--mode", choices=["exact", "float"], default="exact")
+    p_ker.add_argument("--mode", choices=["exact", "float"], default="exact",
+                       help="accepted; the document is the same in either")
     p_ker.add_argument("--point", default=None,
                        help="JSON list of coordinates, numbers or [re, im]")
     p_ker.add_argument("--direction", default=None,
-                       help="unit direction for curvature, same syntax; "
-                            "read as floats, so the curvature is a float "
-                            "computation in either --mode")
+                       help="unit direction for curvature, same syntax")
     p_ker.add_argument("--format", choices=["json", "text"], default="json")
     p_ker.add_argument("--out", default=None)
     p_ker.set_defaults(func=cmd_kernel)
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--in", dest="infile", required=True,
                        help="jet JSON file, or - for stdin")
     p_ver.add_argument("--degree", type=int, default=None)
-    p_ver.add_argument("--tol", type=float, default=1e-9)
+    p_ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_ver.add_argument("--samples", type=int, default=25)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--format", choices=["json", "text"], default="json")
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--seed", type=int, default=0)
     p_con.add_argument("--mode", choices=["exact", "float"], default="exact")
     p_con.add_argument("--degree", type=int, default=6)
-    p_con.add_argument("--tol", type=float, default=1e-9)
+    p_con.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_con.add_argument("--variety", action="store_true",
                        help="include the cut-out variety in the output")
     p_con.add_argument("--format", choices=["json", "text"], default="json")
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext = sub.add_parser("extend",
                            help="factor a jet through a maximal-source one")
     p_ext.add_argument("--in", dest="infile", required=True)
-    p_ext.add_argument("--tol", type=float, default=1e-9)
+    p_ext.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_ext.add_argument("--format", choices=["json", "text"], default="json")
     p_ext.add_argument("--out", default=None)
     p_ext.set_defaults(func=cmd_extend)
@@ -353,6 +352,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not (math.isfinite(tol) and tol >= 0):
             raise ParameterError(
                 f"--tol must be finite and non-negative, got {tol}")
+        if getattr(args, "seed", 0) < 0:
+            raise ParameterError(
+                f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

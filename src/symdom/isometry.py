@@ -1,8 +1,9 @@
 """Jet-level checks and constructions for holomorphic ball isometries.
 
 An IsometryJet is a constant-free polynomial jet from a small complex ball
-into an ambient domain, together with its isometric constant k.  The
-central identity is the pullback equation
+into an ambient domain, together with its isometric constant k; its mode
+is the jet's own (see `kernels`).  The central identity is the pullback
+equation
 
     h(f(w), conj f(w)) = (1 - |w|^2)^k,
 
@@ -19,11 +20,12 @@ pipeline that checks the same jet at several stages pays for one check,
 and the Calabi matchings split that stack by sign into the two sides of
 the pullback equation (``_kernel_sides``).  A jet rebuilt by
 `solve_component_jet` is handed the stack its solve built, so its check
-composes nothing.  The solve, in either mode, is the degree pass that
-composition runs too (`poly.solve_graded`).  In floating point the
-pullback check is one array identity over the graded basis: the signed
-Gram product of the stack's coefficient matrix (see `kernels.signed_gram`)
-plus 1 minus the diagonal of (1 - |w|^2)^k, read off by bidegree blocks.
+composes nothing.  The solve is the degree pass that composition runs
+too (`poly.solve_graded`), in the mode of the unitary it solves from.  In
+floating point the pullback check is one array identity over the graded
+basis: the signed Gram product of the stack's coefficient matrix (see
+`kernels.signed_gram`) plus 1 minus the diagonal of (1 - |w|^2)^k, read
+off by bidegree blocks.
 Exact jets keep a pullback summed as a bidegree polynomial
 (`kernels.h_pullback`) from whose terms the same diagonal, as integers, is
 subtracted in place.  The report reads the jacobian normalization
@@ -47,9 +49,9 @@ from .errors import (ExactCompletionError, ParameterError, TruncationError,
                      VerificationError)
 from .kernels import (SignedSOS, generator_composites, h_pullback,
                       kernel_polarized_many, signed_gram)
-from .linalg import (coisometry_residual, ex_complete_orthonormal, ex_conj_t,
-                     ex_gs_orthonormal, ex_matmul, ex_nullspace, ex_transpose,
-                     row_complement, to_complex_matrix)
+from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
+                     ex_matmul, ex_nullspace, ex_transpose, row_complement,
+                     to_complex_matrix)
 from .poly import (HoloPoly, JetMap, _graded, _units, compose_truncate,
                    solve_graded)
 from .scalars import EXACT_ZERO, Exact, field_sqrt, one, zero
@@ -111,8 +113,7 @@ class IsometryJet:
 
     @property
     def mode(self) -> str:
-        return "exact" if (self.jet.mode == self.sos.mode == "exact") \
-            else "float"
+        return self.jet.mode
 
     def composites(self, d: int) -> JetMap:
         """The generators (odd, then even) composed with the jet (only its
@@ -312,7 +313,7 @@ def full_verification_report(iso: IsometryJet, d: Optional[int] = None,
             "radius": pol.radius,
             "passed": pol.passed,
         },
-        "passed": bool(fe.passed and jac <= tol and pol.passed),
+        "passed": fe.passed and pol.passed,
         "degree": fe.degree,
         "isometric_constant": iso.k,
         "domain": iso.spec.label,
@@ -331,7 +332,7 @@ def _require_coordinate_minus_block(sos: SignedSOS, u_rows=None) -> None:
         raise ParameterError(
             f"{label}: minus block must consist of the {n} coordinates")
     for j, (g, exp) in enumerate(zip(sos.odd, _units(n))):
-        if set(g.terms) != {exp} or complex(g.coeff(exp)) != 1:
+        if set(g.terms) != {exp} or g.coeff(exp) != 1:
             raise ParameterError(
                 f"{label}: minus generator {j} is not the coordinate z_{j}")
     if u_rows is not None and not m2 <= len(u_rows) < n:
@@ -517,17 +518,16 @@ def _solve_from_unitary(full, sos: SignedSOS, n: int, degree: int,
     The plus generators have degree >= 2, so the degree-m part of the
     right side involves only parts of z below degree m: one
     ``solve_graded`` pass on the linear and plus blocks of conj(full)^T,
-    exact when full and the kernel are.  The jet keeps the stack the pass
-    built (its components, then z^#) for the FE check, which decides.
+    exact when full is.  The jet keeps the stack the pass built (its
+    components, then z^#) for the FE check, which decides.
     """
     m2 = len(sos.even)
     even = JetMap(sos.even, degree, sos.nvars)
-    if isinstance(full, list) and even.mode == "exact":
+    if isinstance(full, list):
         adjoint = ex_conj_t(full)
         linear = [row[:n] for row in adjoint]
         back = [row[n:n + m2] for row in adjoint]
     else:
-        # exact rows with a float kernel give a float jet from degree 1 on
         adjoint = to_complex_matrix(full).conj().T
         linear, back = adjoint[:, :n], adjoint[:, n:n + m2]
     jet, plus = solve_graded(linear, even, back, degree)
@@ -617,7 +617,7 @@ def extend_isometry(iso: IsometryJet, tol: float = DEFAULT_TOL) -> ExtensionResu
         if len(rows) == m2:
             with suppress(ExactCompletionError):
                 rows = ex_gs_orthonormal(rows)
-                full = ex_complete_orthonormal(rows) + rows
+                full = complete_to_unitary(rows)
     if full is None:
         # Completing U's rows that meet (w, z^#(f)) and moving the plus rows
         # last gives full f = ((w, 0), z^#(f)), so F solved from full has

@@ -14,13 +14,17 @@ Implemented expansions: polydisk (square-free monomials), type IV
 Cauchy-Binet).
 
 h is the signature form of the minimal embedding [1, odd, even], whose
-stack (odd, then even generators) and signs a `SignedSOS` holds.  Kernel
-values, the embedding and the curvature at the origin (a closed form in
-the generators' values along the direction) evaluate the stack.  The
-pullback h(f, conj f) of a jet f is summed from the stack composed with
-f: for an exact stack as a sparse bidegree polynomial (`h_pullback`, the
-exact FE check's route), for a float one as one signed Gram product of
-their coefficient matrix (`signed_gram`, the float check's route).
+stack (odd, then even generators) and signs a `SignedSOS` holds.  Each
+domain has one expansion, exact, shared by both modes: the generators'
+coefficients (+-1 and 1/2) are floats without rounding, so float work
+reads them through ``complex()``, and a result's mode is that of the
+jet or the points it is computed for.  Kernel values, the embedding and
+the curvature at the origin (a closed form in the generators' values
+along the direction) evaluate the stack.  The pullback h(f, conj f) of
+a jet f is summed from the stack composed with f: for an exact jet as a
+sparse bidegree polynomial (`h_pullback`, the exact FE check's route),
+for a float one as one signed Gram product of the composites'
+coefficient matrix (`signed_gram`, the float check's route).
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ class SignedSOS:
     spec: DomainSpec
     odd: Tuple[HoloPoly, ...]
     even: Tuple[HoloPoly, ...]
-    mode: str
     stack: JetMap = field(init=False, compare=False, repr=False)
     signs: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -82,38 +85,36 @@ class SignedSOS:
         return list(zip(self.signs, self.stack.components))
 
 
-def _squarefree_monomials(p: int, parity: int, mode: str) -> List[HoloPoly]:
+def _squarefree_monomials(p: int, parity: int) -> List[HoloPoly]:
     out = []
     for k in range(1, p + 1):
         if k % 2 != parity:
             continue
         for subset in itertools.combinations(range(p), k):
             exp = tuple(1 if j in subset else 0 for j in range(p))
-            out.append(HoloPoly.monomial(p, exp, 1, mode))
+            out.append(HoloPoly.monomial(p, exp, 1))
     return out
 
 
-def sos_polydisk(p: int, mode: str = "exact") -> SignedSOS:
+def sos_polydisk(p: int) -> SignedSOS:
     """Expansion of prod_j (1 - |z_j|^2): square-free monomials by parity."""
     spec = make_spec("polydisk", p=p)
     return SignedSOS(spec,
-                     tuple(_squarefree_monomials(p, 1, mode)),
-                     tuple(_squarefree_monomials(p, 0, mode)),
-                     mode)
+                     tuple(_squarefree_monomials(p, 1)),
+                     tuple(_squarefree_monomials(p, 0)))
 
 
-def sos_type_iv(n: int, mode: str = "exact") -> SignedSOS:
+def sos_type_iv(n: int) -> SignedSOS:
     """Expansion 1 - sum |z_j|^2 + |(1/2) sum z_j^2|^2."""
     spec = make_spec("IV", n=n)
-    odd = tuple(HoloPoly.var(n, j, mode) for j in range(n))
+    odd = tuple(HoloPoly.var(n, j) for j in range(n))
     terms = {tuple(2 if i == j else 0 for i in range(n)): Fraction(1, 2)
              for j in range(n)}
-    even = (HoloPoly(n, terms, mode),)
-    return SignedSOS(spec, odd, even, mode)
+    return SignedSOS(spec, odd, (HoloPoly(n, terms),))
 
 
-def _minor(p: int, q: int, rows: Sequence[int], cols: Sequence[int],
-           mode: str) -> HoloPoly:
+def _minor(p: int, q: int, rows: Sequence[int],
+           cols: Sequence[int]) -> HoloPoly:
     # determinant of the (rows, cols) submatrix of the p x q variable matrix,
     # variables flattened row-major
     n = p * q
@@ -129,10 +130,10 @@ def _minor(p: int, q: int, rows: Sequence[int], cols: Sequence[int],
         for i in range(k):
             exp[rows[i] * q + cols[perm[i]]] += 1
         terms[tuple(exp)] = sign
-    return HoloPoly(n, terms, mode)
+    return HoloPoly(n, terms)
 
 
-def sos_type_i(p: int, q: int, mode: str = "exact") -> SignedSOS:
+def sos_type_i(p: int, q: int) -> SignedSOS:
     """All k x k minors of the p x q matrix of coordinates, sign (-1)^k."""
     spec = make_spec("I", p=p, q=q)
     odd: List[HoloPoly] = []
@@ -141,24 +142,21 @@ def sos_type_i(p: int, q: int, mode: str = "exact") -> SignedSOS:
         bucket = odd if k % 2 == 1 else even
         for rows in itertools.combinations(range(p), k):
             for cols in itertools.combinations(range(q), k):
-                bucket.append(_minor(p, q, rows, cols, mode))
-    return SignedSOS(spec, tuple(odd), tuple(even), mode)
+                bucket.append(_minor(p, q, rows, cols))
+    return SignedSOS(spec, tuple(odd), tuple(even))
 
 
-def make_sos(spec: DomainSpec, mode: str = "exact") -> SignedSOS:
-    """The expansion of spec's kernel in mode, built once per process and
-    shared: a ``SignedSOS`` is frozen, and nothing changes its generators."""
-    return _shared_sos(spec, mode)
-
-
-@functools.lru_cache(maxsize=32)  # keyed (spec, mode) however make_sos is called
-def _shared_sos(spec: DomainSpec, mode: str) -> SignedSOS:
+@functools.lru_cache(maxsize=32)
+def make_sos(spec: DomainSpec) -> SignedSOS:
+    """The expansion of spec's kernel, built once per process and shared by
+    both modes: a ``SignedSOS`` is frozen, and nothing changes its
+    generators."""
     if spec.family == "polydisk":
-        return sos_polydisk(spec.params[0], mode)
+        return sos_polydisk(spec.params[0])
     if spec.family == "IV":
-        return sos_type_iv(spec.params[0], mode)
+        return sos_type_iv(spec.params[0])
     if spec.family == "I":
-        return sos_type_i(*spec.params, mode=mode)
+        return sos_type_i(*spec.params)
     raise ParameterError(
         f"no signed-square expansion implemented for {spec.label}")
 
@@ -172,7 +170,7 @@ def kernel_value(sos: SignedSOS, z: Sequence) -> Scalar:
 
 def kernel_polarized(sos: SignedSOS, z: Sequence, xi: Sequence) -> Scalar:
     """h(z, conj xi): holomorphic in z, anti-holomorphic in xi; an ``Exact``
-    when the expansion and both points are exact, else a ``complex``."""
+    when both points are exact, else a ``complex``."""
     total = EXACT_ONE
     for sign, val, wal in zip(sos.signs, sos.stack.evaluate(z),
                               sos.stack.evaluate(xi)):
@@ -254,9 +252,8 @@ def _pullback_products(signs, stack):
 
 def minimal_embedding(sos: SignedSOS, z: Sequence) -> List[Scalar]:
     """Projective coordinates [1, odd generators, even generators] at z,
-    never zero; ``Exact`` exactly when the expansion and z are exact."""
-    return [HoloPoly.const(sos.nvars, 1, sos.mode).evaluate(z)] + \
-        sos.stack.evaluate(z)
+    never zero; ``Exact`` exactly when z is exact."""
+    return [HoloPoly.const(sos.nvars, 1).evaluate(z)] + sos.stack.evaluate(z)
 
 
 def curvature_at_origin(sos: SignedSOS, alpha: Sequence) -> float:

@@ -233,7 +233,7 @@ def iso_from_json(obj: dict) -> IsometryJet:
     if jet.target_dim != spec.dim:
         raise ValueError(f"jet lands in C^{jet.target_dim}, domain has "
                          f"dimension {spec.dim}")
-    return IsometryJet(jet, k, make_sos(spec, jet.mode))
+    return IsometryJet(jet, k, make_sos(spec))
 
 
 def variety_to_json(v: VarietySystem) -> dict:

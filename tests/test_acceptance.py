@@ -208,7 +208,7 @@ def test_criterion_03_kernel_identities():
     checked = 0
 
     for p in range(1, 7):
-        sos = sos_polydisk(p, mode="float")
+        sos = sos_polydisk(p)
         for _ in range(200):
             z = rand_interior(sos.spec, r)
             want = 1.0
@@ -218,7 +218,7 @@ def test_criterion_03_kernel_identities():
             checked += 1
 
     for n in range(3, 9):
-        sos = sos_type_iv(n, mode="float")
+        sos = sos_type_iv(n)
         for _ in range(200):
             z = rand_interior(sos.spec, r)
             n2 = sum(abs(c) ** 2 for c in z)
@@ -229,7 +229,7 @@ def test_criterion_03_kernel_identities():
 
     for p in range(1, 4):
         for q in range(p, 6):
-            sos = sos_type_i(p, q, mode="float")
+            sos = sos_type_i(p, q)
             for _ in range(200):
                 z = rand_interior(sos.spec, r)
                 mat = np.array(z, dtype=complex).reshape(p, q)
@@ -276,7 +276,7 @@ def test_criterion_04_curvature_pinching():
              make_spec("IV", n=4), make_spec("IV", n=6),
              make_spec("I", p=2, q=3), make_spec("I", p=3, q=4)]
     for spec in specs:
-        sos = make_sos(spec, "float")
+        sos = make_sos(spec)
         lo, hi = -2.0 - 1e-9, -2.0 / spec.rank + 1e-9
         for _ in range(100):
             v = [complex(r.gauss(0, 1), r.gauss(0, 1))
@@ -287,7 +287,7 @@ def test_criterion_04_curvature_pinching():
             assert lo <= c <= hi, f"{spec.label}: {c}"
 
     for rk in (2, 3, 4):
-        sos = sos_polydisk(rk, mode="float")
+        sos = sos_polydisk(rk)
         axis = [1.0] + [0.0] * (rk - 1)
         assert abs(curvature_at_origin(sos, axis) + 2.0) < 1e-10
         diag = [1.0 / math.sqrt(rk)] * rk
@@ -446,7 +446,7 @@ def test_criterion_10_negative_controls():
         terms[exp] = complex(terms[exp]) + 1e-3
         comps = list(jet.components)
         comps[ci] = HoloPoly(jet.components[ci].nvars, terms, "float")
-        bad = IsometryJet(JetMap(comps, DEG, n), 1, make_sos(spec, "float"))
+        bad = IsometryJet(JetMap(comps, DEG, n), 1, make_sos(spec))
         rep = check_functional_eq(bad)
         assert not rep.passed
         assert rep.max_residual >= 1e-4, f"{spec.label}: {rep.max_residual}"

@@ -619,6 +619,26 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, iv4_jet_doc, command, tol):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "IV", "--n", "4", "--dim", "1", "--degree",
+     "4", "--seed", "-5", "--mode", "exact"],
+    ["construct", "--family", "IV", "--n", "4", "--dim", "1", "--degree",
+     "4", "--seed", "-5", "--mode", "float"],
+    ["verify", "--seed", "-1"]], ids=["construct-exact", "construct-float",
+                                      "verify"])
+def test_negative_seed_exits_2(tmp_path, capsys, iv4_jet_doc, argv):
+    # refused before anything runs, with a message that names the option
+    jet_file = tmp_path / "jet.json"
+    jet_file.write_text(json.dumps(iv4_jet_doc))
+    if argv[0] == "verify":
+        argv = argv + ["--in", str(jet_file)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("degree", [-1, 0, 1])
 def test_construct_degree_below_two_exits_2(tmp_path, capsys, degree, mode):

@@ -1,6 +1,7 @@
 """tools/compare_outputs.py: the command grid, the per-checkout worker and
 the explanation of a differing document."""
 
+import collections
 import importlib.util
 import json
 from pathlib import Path
@@ -38,8 +39,8 @@ def test_kernel_directions_follow_the_grid():
     tool = _tool()
     labelled = tool.commands()
     kernel = labelled[204:224]
-    assert len(labelled) == 292
-    assert len({label for label, _ in labelled}) == 292
+    assert len(labelled) == 340
+    assert len({label for label, _ in labelled}) == 340
     assert [argv[0] for _, argv in kernel] == ["kernel"] * 20
     families = {tuple(argv[1:argv.index("--mode")]) for _, argv in kernel}
     assert len(families) == 5
@@ -56,7 +57,7 @@ def test_kernel_directions_follow_the_grid():
             pt = [complex(*c) if isinstance(c, list) else c
                   for c in json.loads(argv[argv.index("--point") + 1])]
             assert len(pt) == spec.dim
-            assert contains(make_sos(spec, "float"), pt)
+            assert contains(make_sos(spec), pt)
     for dim in (4, 6, 8):
         for _, direction in tool.directions(dim):
             coords = [complex(*c) if isinstance(c, list) else c
@@ -124,9 +125,10 @@ def test_repeated_sample_verifies_close_the_commands(tmp_path, monkeypatch):
 def test_invariants_and_threshold_tables_close_the_commands(tmp_path,
                                                            monkeypatch):
     # invariants for one domain per family, in json and text, then the
-    # threshold table of I, II and III up to 12, in csv and json
+    # threshold table of I, II and III up to 12, in csv and json, close the
+    # commands on the tables; only the off-grid pipelines come after them
     tool = _tool()
-    tail = tool.commands()[276:]
+    tail = tool.commands()[276:292]
     assert len(tail) == 16
     invariants = [argv for _, argv in tail[:14]]
     assert [argv[0] for argv in invariants] == ["invariants"] * 14
@@ -154,6 +156,41 @@ def test_invariants_and_threshold_tables_close_the_commands(tmp_path,
         f"  2: here {lines[2]!r}, other 'I,p=3;q=5,2,3,false'",
         "  1 paths differ, largest absolute numeric difference none "
         "(no numbers differ)"], None)
+
+
+def test_off_grid_pipelines_come_last(tmp_path, monkeypatch):
+    # construct --variety -> verify -> extend on two families outside the
+    # construct grid, polydisk^2 at dimension 1 and I(2,2) at dimensions
+    # 1-3, in both modes at both (seed, degree) runs, after the tables;
+    # polydisk^2 fails the codimension inequality and I(2,2) at dimension 3
+    # is at its bound, so those extends exit 2
+    tool = _tool()
+    tail = tool.commands()[292:]
+    assert len(tail) == 48
+    assert [argv[0] for _, argv in tail] == \
+        ["construct", "verify", "extend"] * 16
+    cases = collections.Counter()
+    for _, argv in tail[::3]:
+        cases[tuple(argv[1:argv.index("--dim") + 2])] += 1
+        assert tuple(argv[argv.index(opt) + 1] for opt in (
+            "--seed", "--degree")) in (("9", "6"), ("901", "4"))
+    polydisk = ("--family", "polydisk", "--p", "2")
+    square = ("--family", "I", "--p", "2", "--q", "2")
+    assert cases == {polydisk + ("--dim", "1"): 4,
+                     **{square + ("--dim", d): 4 for d in "123"}}
+    monkeypatch.chdir(tmp_path)
+    seed_901 = [argv for _, argv in tail[24:]]
+    results = tool.collect(seed_901)
+    for i, (argv, (code, err, _)) in enumerate(zip(seed_901, results)):
+        construct = seed_901[i - i % 3]
+        blocked = construct[2] == "polydisk" or \
+            construct[construct.index("--dim") + 1] == "3"
+        if argv[0] == "extend" and blocked:
+            assert code == 2 and len(err) == 1
+            assert ("codimension inequality" in err[0]) == \
+                (construct[2] == "polydisk")
+        else:
+            assert (code, err) == (0, [])
 
 
 def test_worker_records_exit_stderr_and_digest(tmp_path, monkeypatch):

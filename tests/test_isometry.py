@@ -66,7 +66,7 @@ def disk_var(mode="exact"):
 
 def bidisk_diagonal(mode="exact"):
     w = disk_var(mode)
-    return IsometryJet(JetMap([w, w], DEG, 1), 2, sos_polydisk(2, mode))
+    return IsometryJet(JetMap([w, w], DEG, 1), 2, sos_polydisk(2))
 
 
 def quadric_null_disk(mode="exact"):
@@ -78,21 +78,21 @@ def quadric_null_disk(mode="exact"):
     else:
         comps = [w.scale(HALF_SQRT2), w.scale(i_half),
                  HoloPoly.zero(1, mode), HoloPoly.zero(1, mode)]
-    return IsometryJet(JetMap(comps, DEG, 1), 1, sos_type_iv(4, mode))
+    return IsometryJet(JetMap(comps, DEG, 1), 1, sos_type_iv(4))
 
 
 def quadric_sqrt2_disk(mode="exact"):
     w = disk_var(mode)
     scale = SQRT2 if mode == "exact" else complex(SQRT2)
     comps = [w.scale(scale)] + [HoloPoly.zero(1, mode) for _ in range(3)]
-    return IsometryJet(JetMap(comps, DEG, 1), 2, sos_type_iv(4, mode))
+    return IsometryJet(JetMap(comps, DEG, 1), 2, sos_type_iv(4))
 
 
 def matrix_diagonal_disk(mode="exact"):
     w = disk_var(mode)
     z = HoloPoly.zero(1, mode)
     comps = [w, z, z, z, w, z]
-    return IsometryJet(JetMap(comps, DEG, 1), 2, sos_type_i(2, 3, mode))
+    return IsometryJet(JetMap(comps, DEG, 1), 2, sos_type_i(2, 3))
 
 
 CANONICAL = [bidisk_diagonal, quadric_null_disk, quadric_sqrt2_disk,
@@ -141,7 +141,7 @@ def _scalar_polarized_residual(iso, samples, seed, radius=0.03):
 def test_polarized_check_matches_scalar_reference(family, params, mode):
     spec = make_spec(family, **params)
     rows = random_coisometry(spec.dim - 2, spec.dim, 11, mode)
-    iso = solve_component_jet(rows, make_sos(spec, mode), degree=4)
+    iso = solve_component_jet(rows, make_sos(spec), degree=4)
     for seed in (0, 7):
         rep = check_polarized_eq(iso, samples=25, seed=seed)
         want = _scalar_polarized_residual(iso, 25, seed)
@@ -156,11 +156,11 @@ def test_polarized_report_is_the_same_with_cold_and_warm_caches(mode):
     spec = make_spec("IV", n=5)
     for dim, degree in ((2, 4), (3, 3)):
         rows = random_coisometry(spec.dim - dim, spec.dim, 5, mode)
-        iso = solve_component_jet(rows, make_sos(spec, mode), degree=degree)
+        iso = solve_component_jet(rows, make_sos(spec), degree=degree)
         for samples, seed in ((25, 0), (7, 3), (1, 11)):
             isometry._sample_pairs.cache_clear()
             fresh = IsometryJet(JetMap(iso.jet.components, degree), iso.k,
-                                kernels._shared_sos.__wrapped__(spec, mode))
+                                make_sos.__wrapped__(spec))
             cold = check_polarized_eq(fresh, samples=samples, seed=seed)
             assert cold.samples == samples and cold.passed
             for _ in range(2):
@@ -192,7 +192,7 @@ def test_polarized_sample_points_are_drawn_once_and_read_only():
 def test_polarized_residual_ignores_term_order(family, params, dims, mode):
     # the same jet with each component's terms held in reverse order
     spec = make_spec(family, **params)
-    sos = make_sos(spec, mode)
+    sos = make_sos(spec)
     for dim in dims:
         rows = random_coisometry(spec.dim - dim, spec.dim, 42, mode)
         iso = solve_component_jet(rows, sos, degree=4)
@@ -268,7 +268,7 @@ def test_solve_component_jet_exact():
 
 def test_solve_component_jet_float():
     spec = make_spec("IV", n=4)
-    sos = make_sos(spec, mode="float")
+    sos = make_sos(spec)
     rows = random_coisometry(spec.dim - 2, spec.dim, 7, "float")
     iso = solve_component_jet(rows, sos, degree=DEG)
     assert iso.mode == "float"
@@ -311,7 +311,7 @@ def test_graded_solve_is_fixed_point(family, params, mode):
     # must return the graded jet unchanged: exactly, or in float within
     # 1e-12 of the largest coefficient
     spec = make_spec(family, **params)
-    sos = make_sos(spec, mode)
+    sos = make_sos(spec)
     n = 2
     rows = random_coisometry(spec.dim - n, spec.dim, 42, mode)
     iso = solve_component_jet(rows, sos, degree=DEG)
@@ -339,15 +339,17 @@ def test_graded_solve_is_fixed_point(family, params, mode):
                              for dim in dims]),
        seed=st.integers(0, 2 ** 20), d=st.integers(2, 6))
 def test_float_solve_matches_exact_solve(case, seed, d):
-    # exact rows with a float kernel take the float route on the exact
-    # completion converted to float; the result and the composite stack it
-    # hands to the jet agree with the exact route's within 1e-12 of the
-    # largest coefficient
+    # the float solve from the float copy of an exact unitary: the result
+    # and the composite stack it hands to the jet agree with the exact
+    # solve's within 1e-12 of the largest coefficient
     family, params, dim = case
     spec = make_spec(family, **params)
+    sos = make_sos(spec)
     rows = random_coisometry(spec.dim - dim, spec.dim, seed, "exact")
-    exact = solve_component_jet(rows, make_sos(spec, "exact"), degree=d)
-    approx = solve_component_jet(rows, make_sos(spec, "float"), degree=d)
+    exact = solve_component_jet(rows, sos, degree=d)
+    approx = isometry._solve_from_unitary(
+        to_complex_matrix(complete_to_unitary(rows)), sos, dim, d,
+        isometry.DEFAULT_TOL)
     assert (exact.mode, approx.mode) == ("exact", "float")
     want, got = exact._stack[d].to_float(), approx._stack[d]
     assert (got.degree, got.target_dim) == (d, want.target_dim)
@@ -400,7 +402,7 @@ def _assert_fe_matches_reference(iso, d):
 def _float_construct(family, params, dim, d=5):
     spec = make_spec(family, **params)
     rows = random_coisometry(spec.dim - dim, spec.dim, 3, "float")
-    return solve_component_jet(rows, make_sos(spec, "float"), degree=d)
+    return solve_component_jet(rows, make_sos(spec), degree=d)
 
 
 def _with_coefficient(iso, deg, value):
@@ -480,7 +482,7 @@ def _plus_tenth(iso, d, i, deg, amount=Fraction(1, 10)):
 def _exact_construct(family, params, dim, d=6):
     spec = make_spec(family, **params)
     rows = random_coisometry(spec.dim - dim, spec.dim, 1, "exact")
-    return solve_component_jet(rows, make_sos(spec, "exact"), degree=d)
+    return solve_component_jet(rows, make_sos(spec), degree=d)
 
 
 EXACT_FE_JETS = {
@@ -528,7 +530,7 @@ def test_exact_degree_10_document_is_pinned():
     # every product and every partial sum
     spec = make_spec("IV", n=8)
     rows = random_coisometry(3, 8, 3, "exact")
-    iso = solve_component_jet(rows, make_sos(spec, "exact"), degree=10)
+    iso = solve_component_jet(rows, make_sos(spec), degree=10)
     assert max(c._n[4].bit_length() for comp in iso.jet.components
                for c in comp.terms.values()) == 414
     text = serialize.dumps(serialize.iso_to_json(iso))
@@ -558,7 +560,7 @@ def test_report_reads_jacobian_off_the_fe_check(family, params, dims, mode):
     # added to a degree-1 coefficient, and with 10^-400 added; within
     # rounding for float jets; at the jet's degree and at degree 2
     spec = make_spec(family, **params)
-    sos = make_sos(spec, mode)
+    sos = make_sos(spec)
     for dim in dims:
         rows = random_coisometry(spec.dim - dim, spec.dim, 1, mode)
         iso = solve_component_jet(rows, sos, degree=4)
@@ -582,7 +584,7 @@ def test_report_reads_jacobian_off_the_fe_check(family, params, dims, mode):
 
 def test_nan_coefficient_fails_checks():
     spec = make_spec("IV", n=4)
-    sos = make_sos(spec, mode="float")
+    sos = make_sos(spec)
     rows = random_coisometry(spec.dim - 2, spec.dim, 1, "float")
     iso = solve_component_jet(rows, sos, degree=4)
     for deg in (2, 4):
@@ -650,7 +652,7 @@ def test_float_rows_meet_one_orthonormality_limit():
     # 5e-10 at entry (0, 0) leaves a residual between COISOMETRY_TOL and
     # the 1e-8 the variety once allowed: both the variety and the solve
     # refuse the rows
-    sos = make_sos(make_spec("IV", n=5), "float")
+    sos = make_sos(make_spec("IV", n=5))
     rows = random_coisometry(3, 5, 4, "float")
     rows[0, 0] += 5e-10
     assert calabi.COISOMETRY_TOL < coisometry_residual(rows) < 1e-8
@@ -661,7 +663,7 @@ def test_float_rows_meet_one_orthonormality_limit():
 
 
 def test_k1_variety_rejects_nan_rows():
-    sos = make_sos(make_spec("IV", n=4), "float")
+    sos = make_sos(make_spec("IV", n=4))
     rows = np.array([[math.nan, 0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="not orthonormal"):
         build_k1_variety(rows, sos)
@@ -715,7 +717,7 @@ def test_k2_variety_composes_generators_once(builder, mode, monkeypatch):
 def _k1_system(mode):
     spec = make_spec("I", p=2, q=3)
     rows = random_coisometry(spec.dim - 2, spec.dim, 7, mode)
-    return build_k1_variety(rows, make_sos(spec, mode))
+    return build_k1_variety(rows, make_sos(spec))
 
 
 VARIETIES = {
@@ -764,7 +766,7 @@ def test_composites_read_the_jet_through_degree_d(mode):
     # composing the whole jet at degree d gives the stack of its
     # truncation at d, bit for bit
     spec = make_spec("I", p=2, q=3)
-    sos = make_sos(spec, mode)
+    sos = make_sos(spec)
     rows = random_coisometry(spec.dim - 2, spec.dim, 5, mode)
     built = solve_component_jet(rows, sos, degree=5)
     iso = IsometryJet(built.jet, 1, sos)  # no stack from the solve
@@ -775,16 +777,24 @@ def test_composites_read_the_jet_through_degree_d(mode):
 
 
 def test_extend_null_disk_exact(monkeypatch):
-    # the vanishing-composite branch completes its relation rows and solves
-    # from them, without the entry checks of the public solve
+    # the vanishing-composite branch completes its relation rows through
+    # the one checked completion, once, and solves from them without the
+    # entry checks of the public solve
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
-    for module in (isometry, calabi):
-        monkeypatch.setattr(module, "complete_to_unitary", refuse)
+    completed = []
+
+    def counted(rows):
+        completed.append(rows)
+        return complete(rows)
+
+    complete = isometry.complete_to_unitary
+    monkeypatch.setattr(isometry, "complete_to_unitary", counted)
     monkeypatch.setattr(isometry, "solve_component_jet", refuse)
     iso = quadric_null_disk()
     res = extend_isometry(iso)
+    assert len(completed) == 1 and isinstance(completed[0], list)
     assert res.mode == "exact"
     assert res.composition_residual == 0.0
     assert res.extended.jet.source_dim == iso.spec.ball_dim_bound == 3
@@ -800,7 +810,7 @@ def test_extend_null_disk_leaves_the_field_for_the_float_route(monkeypatch):
     def no_root(rows):
         raise ExactCompletionError("norm has no square root")
 
-    monkeypatch.setattr(isometry, "ex_complete_orthonormal", no_root)
+    monkeypatch.setattr(calabi, "ex_complete_orthonormal", no_root)
     res = extend_isometry(quadric_null_disk())
     assert res.mode == "float"
     incl = [[float(i == 0)] for i in range(3)]
@@ -919,7 +929,7 @@ def _side_gap(iso):
 def _grid_jet(family, params, dim, mode):
     spec = make_spec(family, **params)
     rows = random_coisometry(spec.dim - dim, spec.dim, 24, mode)
-    return solve_component_jet(rows, make_sos(spec, mode), degree=4)
+    return solve_component_jet(rows, make_sos(spec), degree=4)
 
 
 SIDE_JETS = {
@@ -1015,7 +1025,7 @@ def test_exact_solve_equals_degree_loop_reference(family, params, dims):
     # the one-pass exact solve gives, term for term, the jet and the
     # handed stack of the loop that recomposes z^# at every degree
     spec = make_spec(family, **params)
-    sos = make_sos(spec, "exact")
+    sos = make_sos(spec)
     for dim in dims:
         rows = random_coisometry(spec.dim - dim, spec.dim, 1, "exact")
         ref = degree_loop_solve(complete_to_unitary(rows),
@@ -1040,7 +1050,7 @@ def test_solve_hands_its_composites_to_the_jet(family, params, dims, mode):
     # order differs, about 10^4 float64 roundings)
     d = 4
     spec = make_spec(family, **params)
-    sos = make_sos(spec, mode)
+    sos = make_sos(spec)
     for dim in dims:
         rows = random_coisometry(spec.dim - dim, spec.dim, 42, mode)
         iso = solve_component_jet(rows, sos, degree=d)

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import json
 import math
 import random
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symdom import cli, kernels
+from symdom import cli
 from symdom import (
     BidegPoly,
     Exact,
@@ -91,7 +92,7 @@ def rand_interior(spec, r):
 def test_polydisk_product_formula_float():
     r = random.Random(101)
     for p in range(1, 5):
-        sos = sos_polydisk(p, mode="float")
+        sos = sos_polydisk(p)
         for _ in range(25):
             z = rand_interior(sos.spec, r)
             want = 1.0
@@ -116,7 +117,7 @@ def test_quadric_closed_form():
     one_minus = Exact(1) - Exact(t * t / 2)
     assert val == one_minus * one_minus
     r = random.Random(55)
-    sos_f = sos_type_iv(5, mode="float")
+    sos_f = sos_type_iv(5)
     for _ in range(40):
         z = rand_interior(sos_f.spec, r)
         n2 = sum(abs(c) ** 2 for c in z)
@@ -139,7 +140,7 @@ def test_matrix_domain_determinant_oracle_exact():
 def test_matrix_domain_determinant_oracle_float():
     r = random.Random(77)
     for p, q in [(2, 3), (2, 5), (3, 4)]:
-        sos = sos_type_i(p, q, mode="float")
+        sos = sos_type_i(p, q)
         for _ in range(25):
             z = rand_interior(sos.spec, r)
             m = np.array(z).reshape(p, q)
@@ -181,7 +182,7 @@ def test_kernel_is_one_at_origin():
 
 def test_polarized_hermitian_symmetry():
     r = random.Random(12)
-    sos = make_sos(make_spec("IV", n=4), mode="float")
+    sos = make_sos(make_spec("IV", n=4))
     for _ in range(10):
         z = rand_interior(sos.spec, r)
         xi = rand_interior(sos.spec, r)
@@ -195,43 +196,43 @@ def test_polarized_hermitian_symmetry():
                                   make_spec("I", p=2, q=3)],
                          ids=lambda s: s.label)
 def test_batched_kernel_matches_scalar(spec):
-    # on a fresh expansion in each mode, before and after its stack keeps
-    # the plan of evaluate_many, with the same values both times
+    # on a fresh expansion, before and after its stack keeps the plan of
+    # evaluate_many, with the same values both times
     r = random.Random(5)
     z = np.array([rand_interior(spec, r) for _ in range(8)])
     xi = np.array([rand_interior(spec, r) for _ in range(8)])
-    for mode in ("float", "exact"):
-        sos = kernels._shared_sos.__wrapped__(spec, mode)
-        assert sos.stack._plan is None
-        batched = kernel_polarized_many(sos, z, xi)
-        assert sos.stack._plan is not None
-        again = kernel_polarized_many(sos, z, xi)
-        assert batched.shape == again.shape == (8,)
-        assert np.array_equal(batched, again)
-        for s in range(8):
-            want = complex(kernel_polarized(sos, list(z[s]), list(xi[s])))
-            assert abs(batched[s] - want) < 1e-14
+    sos = make_sos.__wrapped__(spec)
+    assert sos.stack._plan is None
+    batched = kernel_polarized_many(sos, z, xi)
+    assert sos.stack._plan is not None
+    again = kernel_polarized_many(sos, z, xi)
+    assert batched.shape == again.shape == (8,)
+    assert np.array_equal(batched, again)
+    for s in range(8):
+        want = complex(kernel_polarized(sos, list(z[s]), list(xi[s])))
+        assert abs(batched[s] - want) < 1e-14
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_make_sos_is_shared_and_left_unchanged(tmp_path, mode):
-    # one expansion per (spec, mode) in a process; a construct -> verify
-    # -> extend round through the command line leaves its generators alone
+@pytest.mark.parametrize("first", ["exact", "float"])
+def test_make_sos_is_shared_and_left_unchanged(tmp_path, first):
+    # one expansion per spec in a process, for both modes: an exact and a
+    # float construct -> verify -> extend round through the command line,
+    # in either order, share it and leave its generators alone
     spec = make_spec("IV", n=4)
-    sos = make_sos(spec, mode)
-    assert make_sos(spec, mode) is sos
-    assert make_sos(spec, mode=mode) is sos
-    assert (make_sos(spec) is sos) == (mode == "exact")
+    sos = make_sos(spec)
+    assert make_sos(spec) is sos
     before = [dict(g.terms) for g in sos.odd + sos.even]
-    jet = tmp_path / "jet.json"
-    assert cli.main(["construct", "--family", "IV", "--n", "4", "--dim",
-                     "1", "--degree", "4", "--mode", mode, "--out",
-                     str(jet)]) == 0
-    assert cli.main(["verify", "--in", str(jet), "--out",
-                     str(tmp_path / "verify.json")]) == 0
-    assert cli.main(["extend", "--in", str(jet), "--out",
-                     str(tmp_path / "extend.json")]) == 0
-    assert make_sos(spec, mode) is sos
+    for mode in (first, {"exact": "float", "float": "exact"}[first]):
+        jet = tmp_path / f"jet-{mode}.json"
+        assert cli.main(["construct", "--family", "IV", "--n", "4", "--dim",
+                         "1", "--degree", "4", "--mode", mode, "--out",
+                         str(jet)]) == 0
+        assert json.loads(jet.read_text())["jet"]["mode"] == mode
+        assert cli.main(["verify", "--in", str(jet), "--out",
+                         str(tmp_path / "verify.json")]) == 0
+        assert cli.main(["extend", "--in", str(jet), "--out",
+                         str(tmp_path / "extend.json")]) == 0
+        assert make_sos(spec) is sos
     assert sos.stack.components == sos.odd + sos.even
     assert [g.terms for g in sos.odd + sos.even] == before
 
@@ -257,10 +258,10 @@ STACK_SPECS = ([make_spec("polydisk", p=p) for p in (1, 2, 3)]
 @pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda s: s.label)
 def test_signed_stack_is_the_minimal_embedding(spec, mode):
     # the stack is [odd, even] with signs -1, +1; the kernel is its
-    # signature form, typed Exact exactly when the expansion and the
-    # points are exact.  Dyadic Gaussian-rational points keep the float
-    # sums exact too.
-    sos = make_sos(spec, mode)
+    # signature form, typed Exact exactly when the points are exact: the
+    # one expansion at exact points, or (float) at their complex copies.
+    # Dyadic Gaussian-rational points keep the float sums exact too.
+    sos = make_sos(spec)
     n, exact = spec.dim, mode == "exact"
     assert sos.stack.components == sos.odd + sos.even
     assert sos.signs == (-1,) * len(sos.odd) + (1,) * len(sos.even)
@@ -276,17 +277,21 @@ def test_signed_stack_is_the_minimal_embedding(spec, mode):
         want = want - g.evaluate(z) * g.evaluate(xi).conjugate()
     for g in sos.even:
         want = want + g.evaluate(z) * g.evaluate(xi).conjugate()
-    got = kernel_polarized(sos, z, xi)
+    got = (kernel_polarized(sos, z, xi) if exact else kernel_polarized(
+        sos, [complex(c) for c in z], [complex(c) for c in xi]))
     assert got == want and type(got) is (Exact if exact else complex)
-    points = {"Exact": z, "Fraction": [Fraction(r.randint(-2, 2), 4)
-                                       for _ in range(n)],
-              "int": [r.randint(-1, 1) for _ in range(n)],
-              "float": [complex(c) for c in z]}
+    exact_points = {"Exact": z, "Fraction": [Fraction(r.randint(-2, 2), 4)
+                                             for _ in range(n)],
+                    "int": [r.randint(-1, 1) for _ in range(n)],
+                    "float": [complex(c) for c in z]}
+    points = exact_points if exact else {
+        name: [complex(c) for c in pt] for name, pt in exact_points.items()}
     for name, pt in points.items():
         kind = Exact if exact and name != "float" else complex
         value = kernel_value(sos, pt)
         assert type(value) is kind
-        same = z if name in ("Exact", "float") else list(map(Exact.of, pt))
+        same = z if name in ("Exact", "float") else \
+            list(map(Exact.of, exact_points[name]))
         assert value == kernel_value(sos, same)
         emb = minimal_embedding(sos, pt)
         assert emb == [one(mode)] + sos.stack.evaluate(pt)
@@ -298,8 +303,12 @@ def test_signed_stack_is_the_minimal_embedding(spec, mode):
     for d in dirs:
         k = curvature_at_origin(sos, d)
         assert type(k) is float
-        assert curvature_at_origin(sos, [Fraction(a) for a in d]) == k
-        assert curvature_at_origin(sos, [Exact.of(a) for a in d]) == k
+        if exact:
+            assert curvature_at_origin(sos, [Fraction(a) for a in d]) == k
+            assert curvature_at_origin(sos, [Exact.of(a) for a in d]) == k
+        else:
+            assert abs(curvature_at_origin(sos, [complex(a) for a in d])
+                       - k) < 1e-15
 
 
 def _curvature_anchors():
@@ -323,7 +332,7 @@ def test_curvature_window():
     r = random.Random(321)
     for spec in [make_spec("polydisk", p=3), make_spec("IV", n=5),
                  make_spec("I", p=2, q=3)]:
-        sos = make_sos(spec, mode="float")
+        sos = make_sos(spec)
         lo, hi = -2.0 - 1e-9, -2.0 / spec.rank + 1e-9
         for _ in range(30):
             v = [complex(r.gauss(0, 1), r.gauss(0, 1))
@@ -340,8 +349,7 @@ def log_series_curvature(sos, alpha):
     one variable, cut at total degree 4."""
     alpha = [Exact.of(a) if mode_of(a) == "exact" and not isinstance(a, Exact)
              else a for a in alpha]
-    mode = "exact" if sos.mode == "exact" and all(
-        mode_of(a) == "exact" for a in alpha) else "float"
+    mode = "exact" if all(mode_of(a) == "exact" for a in alpha) else "float"
     e0 = ((0,), (0,))
     terms = {e0: one(mode)}
     for sign, g in sos.signed_generators():
@@ -370,7 +378,7 @@ def test_curvature_closed_form_equals_log_series(spec, mode):
     # 30 unit directions: exact rows of exact unitaries, or normalized
     # Gaussian vectors; then the anchors of test_curvature_anchors
     r = random.Random(321)
-    sos = make_sos(spec, mode=mode)
+    sos = make_sos(spec)
     if mode == "exact":
         dirs = [row for seed in range(30)
                 for row in random_exact_unitary(spec.dim, seed)][:30]
@@ -384,7 +392,6 @@ def test_curvature_closed_form_equals_log_series(spec, mode):
     cases = [(sos, v) for v in dirs]
     for anchor, v, _ in _curvature_anchors():
         if mode == "float":
-            anchor = make_sos(anchor.spec, mode="float")
             v = [complex(c) for c in v]
         cases.append((anchor, v))
     for s, v in cases:
@@ -392,19 +399,19 @@ def test_curvature_closed_form_equals_log_series(spec, mode):
 
 
 def test_contains():
-    sos = make_sos(make_spec("polydisk", p=2), mode="float")
+    sos = make_sos(make_spec("polydisk", p=2))
     assert contains(sos, [0.5, -0.5j])
     assert not contains(sos, [1.1, 0.0])
-    quad = make_sos(make_spec("IV", n=3), mode="float")
+    quad = make_sos(make_spec("IV", n=3))
     assert contains(quad, [0.3, 0.2, 0.0])
     assert not contains(quad, [1.5, 0.0, 0.0])
-    mat = make_sos(make_spec("I", p=2, q=3), mode="float")
+    mat = make_sos(make_spec("I", p=2, q=3))
     assert contains(mat, [0.4, 0, 0, 0, 0.4, 0])
     assert not contains(mat, [0.9, 0, 0, 0.9, 0, 0])
     r = random.Random(8)
     for spec in [make_spec("polydisk", p=3), make_spec("IV", n=4),
                  make_spec("I", p=2, q=4)]:
-        s = make_sos(spec, mode="float")
+        s = make_sos(spec)
         for _ in range(20):
             assert contains(s, rand_interior(spec, r))
 
@@ -444,7 +451,7 @@ def test_float_pullback_gaussian_integers_equal_loop(spec):
     # integer and half-integer products and sums far below 2**53 are exact
     # in float64, so the Gram product and the loop agree term for term
     r = random.Random(17)
-    sos = make_sos(spec, mode="float")
+    sos = make_sos(spec)
     for _ in range(3):
         f = random_float_jet(spec, r, lambda g: complex(g.randint(-2, 2),
                                                        g.randint(-2, 2)))
@@ -458,7 +465,7 @@ def test_float_pullback_random_jets_match_loop(spec):
     # summation order differs; 1e-12 of the largest coefficient is about
     # 10^4 float64 roundings at that size
     r = random.Random(23)
-    sos = make_sos(spec, mode="float")
+    sos = make_sos(spec)
     for _ in range(3):
         f = random_float_jet(spec, r, lambda g: complex(g.gauss(0, 1),
                                                        g.gauss(0, 1)))
@@ -466,11 +473,10 @@ def test_float_pullback_random_jets_match_loop(spec):
         got = gram_pullback(sos, generator_composites(sos, f, 4), 4)
         scale = max(1.0, ref.max_abs_coeff())
         assert (got - ref).max_abs_coeff() <= 1e-12 * scale
-        # an exact expansion with a float jet gives a float stack, which
-        # h_pullback refuses: its pullback is signed_gram's
-        exact_sos = make_sos(spec, mode="exact")
+        # the (exact) expansion with a float jet gives a float stack,
+        # which h_pullback refuses: its pullback is signed_gram's
         with pytest.raises(ValueError, match="signed_gram"):
-            h_pullback(exact_sos, generator_composites(exact_sos, f, 4))
+            h_pullback(sos, generator_composites(sos, f, 4))
 
 
 def test_pullback_refuses_a_stack_of_the_wrong_length():
@@ -490,7 +496,7 @@ def test_pullback_refuses_a_stack_of_the_wrong_length():
                          ids=["nan", "overflow"])
 def test_float_pullback_nonfinite_fails_quietly(bad, capfd):
     spec = make_spec("IV", n=4)
-    sos = make_sos(spec, mode="float")
+    sos = make_sos(spec)
     rows = random_coisometry(spec.dim - 2, spec.dim, 1, "float")
     jet = solve_component_jet(rows, sos, degree=4).jet
     comps = list(jet.components)

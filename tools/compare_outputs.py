@@ -16,11 +16,16 @@ degree 4: 32 commands, whose extensions take the exact route (plus
 composites that vanish) for 10 of the 16 jets.  Then ``verify --seed 5
 --samples 40`` on the seed-901 documents at source dimension 2, in both
 modes, each twice: 20 commands, whose second runs read the polarized
-sample points and the expansions that the process keeps.  Last,
+sample points and the expansions that the process keeps.  Then
 ``invariants`` for one domain of each of the 7 families, in json and in
 text, and ``threshold-table --families I,II,III --max 12`` in csv and in
-json: 16 commands; 292 commands in all.  Each checkout runs them in one
-process of its own, importing symdom from its ``src/``.  For every
+json: 16 commands.  After them, ``construct --variety`` -> ``verify`` ->
+``extend`` as above on two families outside the grid, polydisk^2 at
+source dimension 1 (whose ``extend`` exits 2: it fails the codimension
+inequality) and I(2,2) at dimensions 1-3 (at 3, the bound, ``extend``
+exits 2 too), in both modes at both (seed, degree) runs: 48 commands;
+340 commands in all.  Each checkout runs them in one process of its
+own, importing symdom from its ``src/``.  For every
 command the exit code, the lines written to stderr and the sha256 of the
 output document are compared; every difference is printed, and the exit
 status is 1 if there is any, else 0.  For a document whose sha256
@@ -67,6 +72,8 @@ SAMPLE_KEY = (5, 40)  # (--seed, --samples) of the repeated verify runs
 SAMPLE_INPUTS = (901, 2)  # on the construct documents of this seed and dim
 INVARIANTS = (("I", {"p": 3, "q": 5}), ("II", {"m": 8}), ("III", {"m": 7}),
               ("IV", {"n": 5}), ("V", {}), ("VI", {}), ("polydisk", {"p": 3}))
+# families outside the construct grid, as (family, params, dims) rows
+OFF_GRID = (("polydisk", {"p": 2}, (1,)), ("I", {"p": 2, "q": 2}, (1, 2, 3)))
 MODES = ("exact", "float")
 SHOWN_PATHS = 10  # paths listed per differing document
 
@@ -77,24 +84,9 @@ def commands() -> list:
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import CONSTRUCT_GRID
 
-    out, sampled = [], []
-    for seed, degree in RUNS:
-        for mode in MODES:
-            for family, params, dims in CONSTRUCT_GRID:
-                fam, vals = _family(family, params)
-                for dim in dims:
-                    case = (f"{family}({vals}) dim {dim} {mode} seed {seed} "
-                            f"degree {degree}")
-                    jet = f"{len(out)}.jet.json"
-                    out.append((f"construct {case}", [
-                        "construct", *fam, "--dim", str(dim), "--seed",
-                        str(seed), "--mode", mode, "--degree", str(degree),
-                        "--variety", "--out", jet]))
-                    if (seed, dim) == SAMPLE_INPUTS:
-                        sampled.append((case, jet))
-                    for name in ("verify", "extend"):
-                        out.append((f"{name} {case}", [
-                            name, "--in", jet, "--out", f"{jet}.{name}"]))
+    out = []
+    sampled = [(case, jet) for key, case, jet in _pipelines(out, CONSTRUCT_GRID)
+               if key == SAMPLE_INPUTS]
     for family, params, _ in CONSTRUCT_GRID:
         fam, vals = _family(family, params)
         dim = math.prod(params.values())  # IV(n): n, I(p, q): p q
@@ -134,7 +126,32 @@ def commands() -> list:
         out.append((f"threshold-table {fmt}", [
             "threshold-table", "--families", "I,II,III", "--max", "12",
             "--format", fmt, "--out", f"{len(out)}.table.{fmt}"]))
+    _pipelines(out, OFF_GRID)
     return out
+
+
+def _pipelines(out: list, grid) -> list:
+    """Append ``construct --variety``, ``verify`` and ``extend`` on each
+    case of grid, in both modes, at both RUNS, to out; for each construct,
+    ((seed, dim), case, its document name)."""
+    made = []
+    for seed, degree in RUNS:
+        for mode in MODES:
+            for family, params, dims in grid:
+                fam, vals = _family(family, params)
+                for dim in dims:
+                    case = (f"{family}({vals}) dim {dim} {mode} seed {seed} "
+                            f"degree {degree}")
+                    jet = f"{len(out)}.jet.json"
+                    out.append((f"construct {case}", [
+                        "construct", *fam, "--dim", str(dim), "--seed",
+                        str(seed), "--mode", mode, "--degree", str(degree),
+                        "--variety", "--out", jet]))
+                    made.append(((seed, dim), case, jet))
+                    for name in ("verify", "extend"):
+                        out.append((f"{name} {case}", [
+                            name, "--in", jet, "--out", f"{jet}.{name}"]))
+    return made
 
 
 def _family(family: str, params: dict) -> tuple:
