@@ -20,8 +20,9 @@ pipeline that checks the same jet at several stages pays for one check,
 and the Calabi matchings split that stack by sign into the two sides of
 the pullback equation (``_kernel_sides``).  A jet rebuilt by
 `solve_component_jet` is handed the stack its solve built, so its check
-composes nothing.  The solve is the degree pass that composition runs
-too (`poly.solve_graded`), in the mode of the unitary it solves from.  In
+composes nothing: the jet, then ``sos.higher`` of it, from the degree pass
+that composition runs too (`poly.solve_graded`), so a `construct` or
+`extend` document carries the report `verify` prints.  In
 floating point the pullback check is one array identity over the graded
 basis: the signed Gram product of the stack's coefficient matrix (see
 `kernels.signed_gram`) plus 1 minus the diagonal of (1 - |w|^2)^k, read
@@ -52,8 +53,7 @@ from .kernels import (SignedSOS, generator_composites, h_pullback,
 from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
                      ex_matmul, ex_nullspace, ex_transpose, row_complement,
                      to_complex_matrix)
-from .poly import (HoloPoly, JetMap, _graded, _units, compose_truncate,
-                   solve_graded)
+from .poly import HoloPoly, JetMap, _graded, compose_truncate, solve_graded
 from .scalars import EXACT_ZERO, Exact, field_sqrt, one, zero
 
 __all__ = [
@@ -116,8 +116,7 @@ class IsometryJet:
         return self.jet.mode
 
     def composites(self, d: int) -> JetMap:
-        """The generators (odd, then even) composed with the jet (only its
-        terms of degree <= d are read), truncated at d; composed once per d."""
+        """``generator_composites`` of the jet at d, composed once per d."""
         if d not in self._stack:
             self._stack[d] = generator_composites(self.sos, self.jet, d)
         return self._stack[d]
@@ -324,17 +323,13 @@ def full_verification_report(iso: IsometryJet, d: Optional[int] = None,
 # -- rank-2 machinery --------------------------------------------------------
 
 def _require_coordinate_minus_block(sos: SignedSOS, u_rows=None) -> None:
-    """The minus generators must be the coordinates; given the rows u_rows
-    of a k = 1 construction, their count m must have m2 <= m < N (the
-    plus block covered, a positive source dimension)."""
+    """The minus block must be the N coordinates, with which it starts; given
+    the rows u_rows of a k = 1 construction, their count m must have
+    m2 <= m < N (the plus block covered, a positive source dimension)."""
     label, n, m2 = sos.spec.label, sos.nvars, len(sos.even)
     if len(sos.odd) != n:
         raise ParameterError(
             f"{label}: minus block must consist of the {n} coordinates")
-    for j, (g, exp) in enumerate(zip(sos.odd, _units(n))):
-        if set(g.terms) != {exp} or g.coeff(exp) != 1:
-            raise ParameterError(
-                f"{label}: minus generator {j} is not the coordinate z_{j}")
     if u_rows is not None and not m2 <= len(u_rows) < n:
         raise ParameterError(f"row count {len(u_rows)} outside {m2}..{n - 1}")
 
@@ -518,11 +513,10 @@ def _solve_from_unitary(full, sos: SignedSOS, n: int, degree: int,
     The plus generators have degree >= 2, so the degree-m part of the
     right side involves only parts of z below degree m: one
     ``solve_graded`` pass on the linear and plus blocks of conj(full)^T,
-    exact when full is.  The jet keeps the stack the pass built (its
-    components, then z^#) for the FE check, which decides.
+    exact when full is.  The jet keeps the stack the pass built, as
+    ``generator_composites`` builds it, for the FE check, which decides.
     """
     m2 = len(sos.even)
-    even = JetMap(sos.even, degree, sos.nvars)
     if isinstance(full, list):
         adjoint = ex_conj_t(full)
         linear = [row[:n] for row in adjoint]
@@ -530,7 +524,7 @@ def _solve_from_unitary(full, sos: SignedSOS, n: int, degree: int,
     else:
         adjoint = to_complex_matrix(full).conj().T
         linear, back = adjoint[:, :n], adjoint[:, n:n + m2]
-    jet, plus = solve_graded(linear, even, back, degree)
+    jet, plus = solve_graded(linear, sos.higher, back, degree)
     iso = IsometryJet(jet, 1, sos)
     iso._stack[degree] = JetMap._from_graded(
         jet.components + plus.components, degree, n)

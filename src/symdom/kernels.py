@@ -7,7 +7,7 @@ For the implemented families the polynomial
 
 is the denominator of the Bergman kernel up to the standard exponent, with
 homogeneous polynomial generators whose sign is the parity of their degree.
-The first ``dim`` odd generators are always the coordinates themselves.
+The first ``dim`` odd generators are the coordinates (checked by `SignedSOS`).
 
 Implemented expansions: polydisk (square-free monomials), type IV
 (coordinates and one half-sum of squares), type I (all k x k minors, signs by
@@ -21,8 +21,9 @@ reads them through ``complex()``, and a result's mode is that of the
 jet or the points it is computed for.  Kernel values, the embedding and
 the curvature at the origin (a closed form in the generators' values
 along the direction) evaluate the stack.  The pullback h(f, conj f) of
-a jet f is summed from the stack composed with f: for an exact jet as a
-sparse bidegree polynomial (`h_pullback`, the exact FE check's route),
+a jet f is summed from the stack composed with f, that is f itself, then
+the generators after the coordinates composed with f: for an exact jet as
+a sparse bidegree polynomial (`h_pullback`, the exact FE check's route),
 for a float one as one signed Gram product of the composites'
 coefficient matrix (`signed_gram`, the float check's route).
 """
@@ -38,7 +39,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .domains import DomainSpec, ParameterError, make_spec
-from .poly import BidegPoly, HoloPoly, JetMap, compose_truncate
+from .poly import BidegPoly, HoloPoly, JetMap, _units, compose_truncate
 from .scalars import EXACT_ONE, EXACT_ZERO, Scalar, sum_products
 
 
@@ -46,43 +47,46 @@ from .scalars import EXACT_ONE, EXACT_ZERO, Scalar, sum_products
 class SignedSOS:
     """Kernel expansion: odd-degree generators enter with minus, even with plus.
 
-    Set once, after the checks: ``stack``, the jet of odd + even at the top
-    generator degree, and ``signs``, -1 per odd and +1 per even generator."""
+    The odd block starts with the coordinates.  Set once, after the checks:
+    ``stack``, the jet of odd + even at the top generator degree, ``higher``,
+    its components after the coordinates, and ``signs``, -1 per odd and +1
+    per even generator."""
 
     spec: DomainSpec
     odd: Tuple[HoloPoly, ...]
     even: Tuple[HoloPoly, ...]
     stack: JetMap = field(init=False, compare=False, repr=False)
+    higher: JetMap = field(init=False, compare=False, repr=False)
     signs: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.spec.dim
         gens = self.odd + self.even
-        for g in gens:
+        signs = (-1,) * len(self.odd) + (1,) * len(self.even)
+        for g, sign in zip(gens, signs):
             if g.nvars != n:
                 raise ValueError("generator variable count mismatch")
             degs = {sum(e) for e in g.terms}
             if len(degs) != 1:
                 raise ValueError("generators must be homogeneous")
-        for g in self.odd:
-            if g.degree % 2 != 1:
-                raise ValueError("odd block contains an even-degree generator")
-        for g in self.even:
-            if g.degree % 2 != 0:
-                raise ValueError("even block contains an odd-degree generator")
+            if (-1) ** g.degree != sign:
+                block = "odd" if sign < 0 else "even"
+                raise ValueError(f"{block} block holds a degree-{g.degree} "
+                                 f"generator")
         if (self.spec.sos_odd, self.spec.sos_even) != (len(self.odd), len(self.even)):
             raise ValueError("generator counts disagree with the catalog")
+        for j, (g, exp) in enumerate(zip(self.odd, _units(n))):  # sos_odd >= n
+            if set(g.terms) != {exp} or g.coeff(exp) != 1:
+                raise ValueError(f"odd generator {j} is not z_{j}")
         object.__setattr__(self, "stack",
                            JetMap(gens, max(g.degree for g in gens)))
-        object.__setattr__(self, "signs",
-                           (-1,) * len(self.odd) + (1,) * len(self.even))
+        object.__setattr__(self, "higher", JetMap._from_graded(
+            self.stack.components[n:], self.stack.degree, n))
+        object.__setattr__(self, "signs", signs)
 
     @property
     def nvars(self) -> int:
         return self.spec.dim
-
-    def signed_generators(self) -> List[Tuple[int, HoloPoly]]:
-        return list(zip(self.signs, self.stack.components))
 
 
 def _squarefree_monomials(p: int, parity: int) -> List[HoloPoly]:
@@ -186,9 +190,11 @@ def kernel_polarized_many(sos: SignedSOS, z, xi) -> np.ndarray:
 
 
 def generator_composites(sos: SignedSOS, f: JetMap, d: int) -> JetMap:
-    """The generators (odd, then even) composed with f, truncated at d:
-    the composition reads only the stack's terms of degree <= d."""
-    return compose_truncate(sos.stack, f, d)
+    """The generators (odd, then even) composed with f, truncated at d: f's
+    own components for the coordinates, then ``higher`` composed with f."""
+    own = tuple(c.truncate(d) for c in f.components)
+    rest = compose_truncate(sos.higher, f, d).components
+    return JetMap._from_graded(own + rest, d, f.source_dim)
 
 
 def signed_gram(sos: SignedSOS, composites: JetMap,

@@ -277,7 +277,8 @@ def test_pullback_computed_once_per_jet(tmp_path, monkeypatch, mode):
 def test_extend_composes_generators_with_its_input_once(tmp_path,
                                                         monkeypatch, mode):
     # the input jet's generator stack is composed once and sliced for the
-    # plus block; the rebuilt jet's check uses the stack its solve left
+    # plus block; the rebuilt jet's check uses the stack its solve left;
+    # the coordinates are never composed, they give the jet back
     calls = []
     real = kernels.compose_truncate
 
@@ -306,6 +307,9 @@ def test_extend_composes_generators_with_its_input_once(tmp_path,
 
     assert generator_calls(given) == 1
     assert generator_calls(built) == 0
+    coords = given.sos.odd[:given.sos.nvars]
+    assert not any(g is c for outer, _ in calls for g in outer.components
+                   for c in coords)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -788,6 +792,43 @@ def test_float_extend_is_stable_under_rounding(tmp_path, capsys, family,
             exts.append(serialize.jet_from_json(
                 json.loads(out.read_text())["extended"]["jet"]))
         assert exts[0].max_coeff_distance(exts[1]) <= 1e-10, seed
+
+
+def test_documents_carry_the_report_verify_prints(tmp_path):
+    # a construct document's report is verify --seed <its seed> on it, and
+    # an extend document's report is verify on its extended part: the
+    # solve hands its jet the stack that verify composes
+    jet_file, ext_file = tmp_path / "jet.json", tmp_path / "ext.json"
+    part_file, report_file = tmp_path / "part.json", tmp_path / "report.json"
+
+    def verify(path, *opts):
+        main(["verify", "--in", str(path), *opts, "--out", str(report_file)])
+        return json.loads(report_file.read_text())
+
+    differ = []
+    for mode in ("exact", "float"):
+        for family, params, dims in CONSTRUCT_GRID:
+            bound = domains.make_spec(family, **params).ball_dim_bound
+            opts = [x for k, v in params.items() for x in (f"--{k}", str(v))]
+            for dim, seed in itertools.product(dims, (1, 2, 3, 4)):
+                case = (family, params, dim, seed, mode)
+                assert main(["construct", "--family", family, *opts,
+                             "--dim", str(dim), "--seed", str(seed),
+                             "--mode", mode, "--degree", "4",
+                             "--out", str(jet_file)]) == 0
+                doc = json.loads(jet_file.read_text())
+                if doc["verification"] != verify(jet_file, "--seed",
+                                                 str(seed)):
+                    differ.append(("construct",) + case)
+                if dim == bound:
+                    continue
+                assert main(["extend", "--in", str(jet_file),
+                             "--out", str(ext_file)]) == 0
+                ext = json.loads(ext_file.read_text())
+                part_file.write_text(json.dumps(ext["extended"]))
+                if ext["verification"] != verify(part_file):
+                    differ.append(("extend",) + case)
+    assert differ == []
 
 
 def test_degree_beyond_the_graded_basis_exits_2(tmp_path, capsys):

@@ -22,6 +22,7 @@ from symdom import (
     IsometryJet,
     JetMap,
     ParameterError,
+    SignedSOS,
     check_functional_eq,
     contains,
     curvature_at_origin,
@@ -311,6 +312,32 @@ def test_signed_stack_is_the_minimal_embedding(spec, mode):
                        - k) < 1e-15
 
 
+ALL_EXPANSIONS = ([make_spec("polydisk", p=p) for p in range(1, 6)]
+                  + [make_spec("IV", n=n) for n in range(3, 9)]
+                  + [make_spec("I", p=p, q=q)
+                     for p in range(1, 4) for q in range(p, 5)])
+
+
+@pytest.mark.parametrize("spec", ALL_EXPANSIONS, ids=lambda s: s.label)
+def test_stack_starts_with_the_coordinates(spec):
+    # the first dim stack components are z_0, z_1, ... with coefficient 1,
+    # and higher is the rest of the stack, at the stack's degree
+    sos, n = make_sos(spec), spec.dim
+    coords = sos.stack.components[:n]
+    assert coords == tuple(HoloPoly.var(n, j) for j in range(n))
+    assert sos.higher.components == sos.stack.components[n:]
+    assert (sos.higher.source_dim, sos.higher.degree) == (n, sos.stack.degree)
+
+
+def test_expansion_without_leading_coordinates_is_refused():
+    spec = make_spec("IV", n=3)
+    z = [HoloPoly.var(3, j) for j in range(3)]
+    even = make_sos(spec).even
+    for odd in ((z[0].scale(2), z[1], z[2]), (z[1], z[0], z[2])):
+        with pytest.raises(ValueError, match="odd generator 0 is not z_0"):
+            SignedSOS(spec, odd, even)
+
+
 def _curvature_anchors():
     """(expansion, exact unit direction, curvature) at known values."""
     half = Exact(Fraction(1, 2))
@@ -352,7 +379,7 @@ def log_series_curvature(sos, alpha):
     mode = "exact" if all(mode_of(a) == "exact" for a in alpha) else "float"
     e0 = ((0,), (0,))
     terms = {e0: one(mode)}
-    for sign, g in sos.signed_generators():
+    for sign, g in zip(sos.signs, sos.stack.components):
         val = g.evaluate(alpha)
         mag = val * (val.conjugate() if isinstance(val, Exact)
                      else complex(val).conjugate())

@@ -45,12 +45,14 @@ TRACE_SEED = 42
 CRITERIA = ("test_criterion_06", "test_criterion_07")
 
 
-def bench_run(workload: str, seed: int, seconds: float, trace: int):
-    """(env, result) of one ``bench/run.py`` run: its first and last line."""
+def bench_run(workload: str, seed: int, seconds: float, trace: int,
+              root: Path = ROOT):
+    """(env, result) of one ``bench/run.py`` run of the checkout at root:
+    its first and last line."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=True)
+        cwd=root, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[0])["env"], json.loads(lines[-1])
 
