@@ -53,7 +53,8 @@ from .kernels import (SignedSOS, generator_composites, h_pullback,
 from .linalg import (coisometry_residual, ex_conj_t, ex_gs_orthonormal,
                      ex_matmul, ex_nullspace, ex_transpose, row_complement,
                      to_complex_matrix)
-from .poly import HoloPoly, JetMap, _graded, compose_truncate, solve_graded
+from .poly import (HoloPoly, JetMap, _graded, _stack_jets, compose_truncate,
+                   solve_graded)
 from .scalars import EXACT_ZERO, Exact, field_sqrt, one, zero
 
 __all__ = [
@@ -249,10 +250,10 @@ def check_polarized_eq(iso: IsometryJet, samples: int = 25,
     ``default_rng(seed)``, each as one standard normal draw of the rows
     (re w, im w, re v, im v) and one draw of two uniforms u, the radii
     0.3 + 0.7 u: bit for bit the points of ``normal(size=(4, n))`` and
-    ``uniform(0.3, 1.0, size=2)``.  The draws are stacked once (and kept
-    for each int ``seed``, see ``_sample_pairs``), and the jet and the
-    kernel generators are evaluated in floating point at all of them at
-    once (one numpy batch).
+    ``uniform(0.3, 1.0, size=2)``.  The draws fill two arrays in place
+    once (and are kept for each int ``seed``, see ``_sample_pairs``), and
+    the jet and the kernel generators are evaluated in floating point at
+    all of them at once (one numpy batch).
     """
     if samples < 1:
         raise ValueError(f"need at least 1 polarized sample, got {samples}")
@@ -272,13 +273,13 @@ def _sample_pairs(n: int, samples: int, seed: int, degree: int) -> np.ndarray:
     """``check_polarized_eq``'s points, 2 x samples x n (rows w_s, then
     v_s), drawn once per process for each key and read-only."""
     g = np.random.default_rng(seed)
-    normals, uniforms = [], []
-    for _ in range(samples):
-        normals.append(g.standard_normal((4, n)))
-        uniforms.append(g.random(2))
-    x = np.stack(normals, axis=1)
-    pts = x[0::2] + 1j * x[1::2]
-    scale = 0.3 + (1.0 - 0.3) * np.stack(uniforms, axis=1)
+    normals, uniforms = np.empty((samples, 4, n)), np.empty((samples, 2))
+    for s in range(samples):
+        g.standard_normal(out=normals[s])
+        g.random(out=uniforms[s])
+    x = normals.transpose(1, 0, 2)  # rows (re w, im w, re v, im v)
+    pts = np.ascontiguousarray(x[0::2] + 1j * x[1::2])
+    scale = 0.3 + (1.0 - 0.3) * uniforms.T
     nrm = np.linalg.norm(pts, axis=2)
     pts *= (sample_radius(degree) * scale / nrm)[:, :, None]
     pts.flags.writeable = False
@@ -526,8 +527,7 @@ def _solve_from_unitary(full, sos: SignedSOS, n: int, degree: int,
         linear, back = adjoint[:, :n], adjoint[:, n:n + m2]
     jet, plus = solve_graded(linear, sos.higher, back, degree)
     iso = IsometryJet(jet, 1, sos)
-    iso._stack[degree] = JetMap._from_graded(
-        jet.components + plus.components, degree, n)
+    iso._stack[degree] = _stack_jets(jet, plus, degree)
     fe = check_functional_eq(iso, tol=tol)
     if iso.mode == "exact" and fe.max_residual != 0.0:
         raise VerificationError(

@@ -39,7 +39,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .domains import DomainSpec, ParameterError, make_spec
-from .poly import BidegPoly, HoloPoly, JetMap, _units, compose_truncate
+from .poly import (BidegPoly, HoloPoly, JetMap, _stack_jets, _units,
+                   compose_truncate)
 from .scalars import EXACT_ONE, EXACT_ZERO, Scalar, sum_products
 
 
@@ -192,9 +193,7 @@ def kernel_polarized_many(sos: SignedSOS, z, xi) -> np.ndarray:
 def generator_composites(sos: SignedSOS, f: JetMap, d: int) -> JetMap:
     """The generators (odd, then even) composed with f, truncated at d: f's
     own components for the coordinates, then ``higher`` composed with f."""
-    own = tuple(c.truncate(d) for c in f.components)
-    rest = compose_truncate(sos.higher, f, d).components
-    return JetMap._from_graded(own + rest, d, f.source_dim)
+    return _stack_jets(f, compose_truncate(sos.higher, f, d), d)
 
 
 def signed_gram(sos: SignedSOS, composites: JetMap,

@@ -25,9 +25,13 @@ Three layers:
   (``_sparse_pass``); float rows are coefficient arrays over one graded
   basis (the monomials of degree <= d in the inner variables) with its
   product index split by degree, one cached table per (variables,
-  degree) (``_graded_pass``).  A float basis above ``MAX_GRADED_BASIS``
-  monomials, or an exact degree d with more than ``MAX_EXACT_BASIS``
-  monomials of degree <= d, is refused before anything is built.
+  degree) (``_graded_pass``).  A jet keeps the plan of each pass it is
+  the outer map of (``_pass_plan``), so the shared kernel expansion's are
+  built once per process, and a float jet made from graded rows keeps
+  them (``JetMap.graded_rows``), so its coefficients become an array
+  once.  A float basis above ``MAX_GRADED_BASIS`` monomials, or an exact
+  degree d with more than ``MAX_EXACT_BASIS`` monomials of degree <= d,
+  is refused before anything is built.
 
 Coefficients are either all exact (:class:`symdom.scalars.Exact`) or all
 ``complex``; the containers carry an explicit ``mode`` so exactness is never
@@ -312,10 +316,18 @@ class BidegPoly(HoloPoly):
 
 
 class JetMap:
-    """Degree-d polynomial jet of a holomorphic map C^n -> C^N."""
+    """Degree-d polynomial jet of a holomorphic map C^n -> C^N.
+
+    A jet keeps the coefficient views built from it, each on first use:
+    ``evaluate_many``'s plan, the plan of each degree pass it is the outer
+    map of (``_pass_plan``), and float coefficient rows over a graded basis
+    (``graded_rows``), which a float jet built from such rows keeps from
+    the start.  They rely on its components never being mutated, which no
+    code does once a jet is built.
+    """
 
     __slots__ = ("source_dim", "target_dim", "degree", "components", "mode",
-                 "_plan")
+                 "_plan", "_rows", "_passes")
 
     def __init__(self, components: Sequence[HoloPoly], degree: int,
                  source_dim: Optional[int] = None):
@@ -335,6 +347,8 @@ class JetMap:
         self.components = comps
         self.mode = "exact" if all(c.mode == "exact" for c in comps) else "float"
         self._plan = None  # evaluate_many's exponents and coefficients
+        self._rows = None  # (d, read-only rows over _graded(n, d)'s basis)
+        self._passes = {}  # (mode, rank, d) -> a pass plan, see _pass_plan
 
     @classmethod
     def _from_graded(cls, components: Sequence[HoloPoly], degree: int,
@@ -364,7 +378,15 @@ class JetMap:
         return [c.evaluate(point) for c in self.components]
 
     def float_coefficients(self, basis: Sequence[Exponent]) -> np.ndarray:
-        """target_dim x len(basis) complex array of coefficients over basis."""
+        """target_dim x len(basis) complex array of coefficients over basis:
+        one column gather from the kept graded rows when they hold every
+        monomial of basis, else read off the terms."""
+        if self._rows is not None:
+            d, rows = self._rows
+            index = _graded_index(self.source_dim, d)
+            cols = [index.get(e, -1) for e in basis]
+            if -1 not in cols:
+                return rows[:, cols]
         index = {e: m for m, e in enumerate(basis)}
         rows = [[0j] * len(basis) for _ in self.components]
         for row, comp in zip(rows, self.components):
@@ -372,6 +394,21 @@ class JetMap:
                 if e in index:
                     row[index[e]] = c
         return np.array(rows, dtype=complex).reshape(len(rows), len(basis))
+
+    def graded_rows(self, d: int) -> np.ndarray:
+        """The read-only float coefficient rows over the graded basis of
+        ``_graded(source_dim, d)``: the kept rows, or their first columns
+        when they reach a higher degree (the graded bases of lower degree
+        are their prefixes); else read off the terms and kept."""
+        basis, first, _ = _graded(self.source_dim, d)
+        if self._rows is None or self._rows[0] < d:
+            self._keep_rows(self.float_coefficients(basis), d)
+        kept, rows = self._rows
+        return rows if kept == d else rows[:, :first[d + 1]]
+
+    def _keep_rows(self, rows: np.ndarray, d: int) -> None:
+        rows.flags.writeable = False
+        self._rows = (d, rows)
 
     def evaluate_many(self, points) -> np.ndarray:
         """Float values at the rows of an S x source_dim array (S x target_dim):
@@ -503,6 +540,12 @@ def _graded(n: int, d: int):
 
 
 @functools.cache
+def _graded_index(n: int, d: int) -> Dict[Exponent, int]:
+    """The column of each monomial of ``_graded(n, d)``'s basis."""
+    return {e: i for i, e in enumerate(_graded(n, d)[0])}
+
+
+@functools.cache
 def _units(m: int) -> Tuple[Exponent, ...]:
     return tuple(tuple(int(i == j) for i in range(m)) for j in range(m))
 
@@ -545,6 +588,27 @@ def _monomial_rows(polys: Sequence[HoloPoly], nvars: int, d: int):
     return order, steps
 
 
+def _pass_plan(outer: JetMap, mode: str, rank: int, d: int):
+    """(rows, steps, coefficients): the plan of a degree-d pass with outer
+    map outer on rank inner rows, built on its first use and kept on
+    outer.  ``rows`` counts the monomial rows and ``steps`` are
+    ``_monomial_rows``' steps; the coefficients of outer over the rows'
+    order are a float matrix for ``_graded_pass`` (mode "float") and
+    lists of (row, internal form) for ``_sparse_pass`` (mode "exact")."""
+    key = (mode, rank, d)
+    if key not in outer._passes:
+        order, steps = _monomial_rows(outer.components, rank, d)
+        if mode == "float":
+            coeffs = outer.float_coefficients(order)
+            coeffs.flags.writeable = False
+        else:
+            index = {e: r for r, e in enumerate(order)}
+            coeffs = [[(index[e], c._n) for e, c in comp.terms.items()
+                       if e in index] for comp in outer.components]
+        outer._passes[key] = (len(order), steps, coeffs)
+    return outer._passes[key]
+
+
 def _products(low: np.ndarray, right: np.ndarray, run) -> np.ndarray:
     """The columns of the products low[t] * right[t] that a run
     (i, j, starts) of ``_graded`` covers: each one the sum of
@@ -559,10 +623,10 @@ def _graded_pass(z: np.ndarray, outer: JetMap, n: int, d: int,
     basis of ``_graded(n, d)``, for z N x M such rows with a zero constant
     column.
 
-    The rows of the monomials outer needs (``_monomial_rows``) are filled
-    one degree at a time: at step m, the degree-m columns of each row one
-    level lower times one row of z, over runs[m]; outer(z) is the outer
-    coefficients times the rows.  Its degree-m columns involve only the
+    The rows of the monomials outer needs (``_monomial_rows``, kept in
+    outer's plan, see ``_pass_plan``) are filled one degree at a time: at
+    step m, the degree-m columns of each row one level lower times one row
+    of z, over runs[m]; outer(z) is the outer coefficients times the rows.  Its degree-m columns involve only the
     parts of z below degree m, so with ``back`` (N x K) step m also sets
     z's degree-m columns, in place, to back times them: for outer of
     degree >= 2, z then solves z = z_1 + back outer(z), z_1 its given
@@ -571,11 +635,10 @@ def _graded_pass(z: np.ndarray, outer: JetMap, n: int, d: int,
     """
     basis, first, runs = _graded(n, d)
     rank = len(z)
-    order, steps = _monomial_rows(outer.components, rank, d)
-    table = np.zeros((len(order), len(basis)), dtype=complex)
+    size, steps, coeffs = _pass_plan(outer, "float", rank, d)
+    table = np.zeros((size, len(basis)), dtype=complex)
     table[0, 0] = 1.0
     table[1:rank + 1] = z
-    coeffs = outer.float_coefficients(order)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(2, d + 1):
             cols = slice(first[m], first[m + 1])
@@ -590,12 +653,32 @@ def _graded_pass(z: np.ndarray, outer: JetMap, n: int, d: int,
         return coeffs @ table
 
 
-def _rows_jet(rows: np.ndarray, basis: Sequence[Exponent], n: int,
-              d: int) -> JetMap:
+def _rows_jet(rows: np.ndarray, n: int, d: int) -> JetMap:
+    """The float jet of coefficient rows over ``_graded(n, d)``'s basis,
+    which keeps them (see ``JetMap.graded_rows``) with each zero made
+    0j, as a term that is not there reads."""
+    basis = _graded(n, d)[0]
+    rows[rows == 0] = 0
     # from_field keeps the entries != 0, a NaN among them
-    return JetMap._from_graded([HoloPoly.from_field(n, dict(zip(basis, row)),
-                                                    "float")
-                                for row in rows.tolist()], d, n)
+    jet = JetMap._from_graded([HoloPoly.from_field(n, dict(zip(basis, row)),
+                                                   "float")
+                               for row in rows.tolist()], d, n)
+    jet._keep_rows(rows, d)
+    return jet
+
+
+def _stack_jets(top: JetMap, bottom: JetMap, d: int) -> JetMap:
+    """The jet at degree d of top's components truncated at d, then
+    bottom's, which hold no term above d.  When both jets keep graded rows
+    that reach d, the stack keeps theirs at d, one over the other."""
+    comps = top.components
+    if top.degree > d:
+        comps = tuple(c.truncate(d) for c in comps)
+    jet = JetMap._from_graded(comps + bottom.components, d, top.source_dim)
+    if all(j._rows is not None and j._rows[0] >= d for j in (top, bottom)):
+        jet._keep_rows(np.vstack([top.graded_rows(d), bottom.graded_rows(d)]),
+                       d)
+    return jet
 
 
 def _sparse_pass(z: List[Parts], outer: JetMap, n: int, d: int,
@@ -611,15 +694,12 @@ def _sparse_pass(z: List[Parts], outer: JetMap, n: int, d: int,
     the internal forms, so every coefficient is reduced once.
     """
     rank = len(z)
-    order, steps = _monomial_rows(outer.components, rank, d)
-    index = {e: r for r, e in enumerate(order)}
-    coeffs = [[(index[e], c._n) for e, c in comp.terms.items() if e in index]
-              for comp in outer.components]
+    size, steps, coeffs = _pass_plan(outer, "exact", rank, d)
     if back is not None:
         back = [[(k, c._n) for k, c in enumerate(b) if not c.is_zero]
                 for b in back]
     table = [[{(0,) * n: EXACT_ONE}] + [{}] * d, *z]
-    table += [[{}] * (d + 1) for _ in order[rank + 1:]]
+    table += [[{}] * (d + 1) for _ in range(size - rank - 1)]
     by_degree = []
     for m in range(d + 1):
         # steps[t] is level t + 2, and a level above m has no degree-m part
@@ -652,11 +732,9 @@ def _parts_jet(rows: List[Parts], n: int, d: int) -> JetMap:
 
 def _compose_float(outer: JetMap, inner: JetMap, d: int) -> JetMap:
     """compose_truncate's float route: ``_graded_pass`` on the inner jet's
-    coefficient rows."""
+    graded rows."""
     n = inner.source_dim
-    basis, _, _ = _graded(n, d)
-    return _rows_jet(_graded_pass(inner.float_coefficients(basis), outer,
-                                  n, d), basis, n, d)
+    return _rows_jet(_graded_pass(inner.graded_rows(d), outer, n, d), n, d)
 
 
 def solve_graded(linear, outer: JetMap, back, d: int) -> Tuple[JetMap, JetMap]:
@@ -674,7 +752,7 @@ def solve_graded(linear, outer: JetMap, back, d: int) -> Tuple[JetMap, JetMap]:
         z = np.zeros((linear.shape[0], len(basis)), dtype=complex)
         z[:, first[1]:first[2]] = linear
         q = _graded_pass(z, outer, n, d, back)
-        return _rows_jet(z, basis, n, d), _rows_jet(q, basis, n, d)
+        return _rows_jet(z, n, d), _rows_jet(q, n, d)
     _check_basis(n, d, MAX_EXACT_BASIS, "an exact pass takes")
     units = _units(n)
     rows = [[{}, {e: c for e, c in zip(units, row) if not c.is_zero}]

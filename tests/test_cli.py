@@ -831,6 +831,33 @@ def test_documents_carry_the_report_verify_prints(tmp_path):
     assert differ == []
 
 
+def test_the_shared_expansion_builds_each_pass_plan_once(tmp_path,
+                                                         monkeypatch):
+    # two float constructs, a verify and an extend of IV(5) in one process
+    # pass through sos.higher four times, all float passes on its 5
+    # variables at degree 4: its monomial rows are built for the first
+    kernels.make_sos.cache_clear()  # an expansion that keeps no plan yet
+    higher = kernels.make_sos(domains.make_spec("IV", n=5)).higher
+    calls, monomial_rows = [], poly._monomial_rows
+
+    def counting(polys, nvars, d):
+        if polys is higher.components:
+            calls.append((nvars, d))
+        return monomial_rows(polys, nvars, d)
+
+    monkeypatch.setattr(poly, "_monomial_rows", counting)
+    jet, out = tmp_path / "jet.json", tmp_path / "out.json"
+    for seed in ("2", "1"):
+        assert main(["construct", "--family", "IV", "--n", "5", "--dim",
+                     "2", "--seed", seed, "--mode", "float", "--degree", "4",
+                     "--out", str(jet)]) == 0
+    assert main(["verify", "--in", str(jet), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"]
+    assert main(["extend", "--in", str(jet), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mode"] == "float"
+    assert calls == [(5, 4)]
+
+
 def test_degree_beyond_the_graded_basis_exits_2(tmp_path, capsys):
     # at degree 60 a float check would need C(63, 3) = 39711 monomials in 3
     # variables (a Gram of about 25 GB) and a float solve C(65, 5) in 5;

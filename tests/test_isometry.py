@@ -2,6 +2,8 @@
 
 import functools
 import hashlib
+import itertools
+import json
 import math
 import sys
 import warnings
@@ -43,7 +45,7 @@ from symdom import (
     sos_type_iv,
 )
 from symdom import calabi, isometry, kernels, serialize
-from symdom.kernels import generator_composites
+from symdom.kernels import generator_composites, signed_gram
 from symdom.calabi import complete_to_unitary, match_unitary
 from symdom.linalg import (coisometry_residual, ex_conj_t,
                            ex_gs_orthonormal, ex_matmul, ex_nullspace,
@@ -183,6 +185,32 @@ def test_polarized_sample_points_are_drawn_once_and_read_only():
     norms = np.linalg.norm(pts, axis=2)
     radius = isometry.sample_radius(4)
     assert np.all((0.3 * radius <= norms) & (norms <= radius * (1 + 1e-15)))
+
+
+def _stacked_sample_pairs(n, samples, seed, degree):
+    # the points as drawn before the draws filled arrays in place: one
+    # array per draw, stacked
+    g = np.random.default_rng(seed)
+    normals, uniforms = [], []
+    for _ in range(samples):
+        normals.append(g.standard_normal((4, n)))
+        uniforms.append(g.random(2))
+    x = np.stack(normals, axis=1)
+    pts = x[0::2] + 1j * x[1::2]
+    scale = 0.3 + (1.0 - 0.3) * np.stack(uniforms, axis=1)
+    nrm = np.linalg.norm(pts, axis=2)
+    pts *= (isometry.sample_radius(degree) * scale / nrm)[:, :, None]
+    return pts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_polarized_sample_points_match_the_stacked_draws(n):
+    for samples, seed, degree in itertools.product((1, 7, 25, 40),
+                                                   (0, 1, 42, 901), (2, 4, 6)):
+        pts = isometry._sample_pairs.__wrapped__(n, samples, seed, degree)
+        want = _stacked_sample_pairs(n, samples, seed, degree)
+        assert pts.shape == want.shape and pts.flags.c_contiguous
+        assert pts.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -1059,3 +1087,50 @@ def test_solve_hands_its_composites_to_the_jet(family, params, dims, mode):
         else:
             scale = max(1.0, max(c.max_abs_coeff() for c in fresh.components))
             assert cached.max_coeff_distance(fresh) <= 1e-12 * scale
+
+
+def _copy(jet):
+    # a fresh jet over copies of the components, which keeps no view
+    return JetMap([HoloPoly.from_field(c.nvars, dict(c.terms), c.mode)
+                   for c in jet.components], jet.degree, jet.source_dim)
+
+
+@pytest.mark.parametrize(
+    "family, params, dims", CONSTRUCT_GRID,
+    ids=[f"{f}({','.join(map(str, p.values()))})" for f, p, _ in CONSTRUCT_GRID])
+def test_kept_views_equal_fresh_views_bit_for_bit(family, params, dims):
+    # the float jets that a solve built and that a document gives back read
+    # the same floats from their kept rows as a fresh jet reads off its
+    # terms: coefficients, values at the polarized sample, signed Gram.
+    # The float extensions below the bound solve from a conjugated unitary,
+    # whose exact zeros read -0j: kept rows must hold them as 0j
+    d = 4
+    spec = make_spec(family, **params)
+    sos = make_sos(spec)
+    jets = []
+    for dim in dims:
+        rows = random_coisometry(spec.dim - dim, spec.dim, 7, "float")
+        solved = solve_component_jet(rows, sos, degree=d)
+        jets += [solved, IsometryJet(serialize.jet_from_json(json.loads(
+            json.dumps(serialize.jet_to_json(solved.jet)))), 1, sos)]
+        if dim < spec.ball_dim_bound:
+            exact = solve_component_jet(
+                random_coisometry(spec.dim - dim, spec.dim, 7, "exact"), sos,
+                degree=d)
+            jets += [extend_isometry(iso).extended for iso in (solved, exact)]
+    for iso in jets:
+        if iso.mode == "exact":
+            continue
+        dim = iso.source_dim
+        basis = _graded(dim, d)[0]
+        pts = isometry._sample_pairs(dim, 25, 0, d).reshape(50, dim)
+        stack = iso.composites(d)
+        assert iso.jet._rows is not None and stack._rows is not None
+        fresh = _copy(iso.jet)
+        for b in (basis, _monomial_basis([iso.jet])):
+            assert iso.jet.float_coefficients(b).tobytes() == \
+                fresh.float_coefficients(b).tobytes()
+        assert iso.jet.evaluate_many(pts).tobytes() == \
+            fresh.evaluate_many(pts).tobytes()
+        assert signed_gram(sos, stack, basis).tobytes() == \
+            signed_gram(sos, _copy(stack), basis).tobytes()

@@ -1,4 +1,5 @@
-"""tools/write_bench.py: the line count it records."""
+"""tools/write_bench.py: the line count it records and how it runs the
+benchmark."""
 
 import importlib.util
 from pathlib import Path
@@ -29,3 +30,30 @@ def test_src_lines_of_this_checkout_match_the_files():
     assert files
     want = sum(len(f.read_text().splitlines()) for f in files)
     assert _tool().src_lines() == want
+
+
+FAKE_RUN = """\
+import json, os, pathlib, sys
+here = pathlib.Path.cwd()
+caches = sorted(str(p.relative_to(here)) for p in here.rglob("__pycache__"))
+nobytecode = os.environ.get("PYTHONDONTWRITEBYTECODE")
+print(json.dumps({"env": {"caches": caches, "argv": sys.argv[1:],
+                          "nobytecode": nobytecode}}))
+print(json.dumps({"result": 1}))
+"""
+
+
+def test_bench_run_starts_without_bytecode_caches(tmp_path):
+    # the caches under src/ and bench/ are gone before the run, which is
+    # told to write none; others are left alone
+    for cache in ("src/pkg/__pycache__", "src/pkg/sub/__pycache__",
+                  "bench/__pycache__", "tools/__pycache__"):
+        (tmp_path / cache).mkdir(parents=True)
+        (tmp_path / cache / "m.cpython-311.pyc").write_bytes(b"stale")
+    (tmp_path / "bench" / "run.py").write_text(FAKE_RUN)
+    env, result = _tool().bench_run("float-construct", 7, 1.5, 0, tmp_path)
+    assert env == {"caches": ["tools/__pycache__"], "nobytecode": "1",
+                   "argv": ["--workload", "float-construct", "--seed", "7",
+                            "--seconds", "1.5", "--trace", "0"]}
+    assert result == {"result": 1}
+    assert not (tmp_path / "src" / "pkg" / "__pycache__").exists()

@@ -10,7 +10,10 @@ in the even pairs), so that a drift of the host over the session falls on
 both sides alike.  One line per pair gives each side's end-to-end metrics
 and failed command count.  For ``setup_s`` it also gives, for each run,
 the import time and the median set-up repetition, read from the run's
-report ``.bench_out/<W>-seed<S>-trace0.json`` in its checkout.
+report ``.bench_out/<W>-seed<S>-trace0.json`` in its checkout.  Every
+run starts from no bytecode cache under its checkout's ``src/`` and
+``bench/`` and writes none (``write_bench.bench_run``), so a ``.pyc``
+left in one checkout does not make its imports faster than the other's.
 
 Then, for each end-to-end metric of ``BENCHMARK.json``, one line gives
 both medians, OTHER's quartiles, the pairs this checkout wins (a tie

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,11 +49,17 @@ CRITERIA = ("test_criterion_06", "test_criterion_07")
 def bench_run(workload: str, seed: int, seconds: float, trace: int,
               root: Path = ROOT):
     """(env, result) of one ``bench/run.py`` run of the checkout at root:
-    its first and last line."""
+    its first and last line.  The run finds no bytecode cache under the
+    checkout's ``src/`` and ``bench/`` and writes none, so that every run
+    of every checkout compiles its modules alike."""
+    for top in ("src", "bench"):
+        for cache in list((root / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True, check=True)
+        cwd=root, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[0])["env"], json.loads(lines[-1])
 
