@@ -16,7 +16,8 @@ from typing import List
 import numpy as np
 
 from .errors import ExactCompletionError
-from .scalars import EXACT_ONE, EXACT_ZERO, Exact, dot, field_sqrt
+from .scalars import (EXACT_ONE, EXACT_ZERO, Exact, dot, field_sqrt,
+                      row_sub, sum_products)
 
 ExactMatrix = List[List[Exact]]
 
@@ -44,8 +45,13 @@ def ex_conj_t(a: ExactMatrix) -> ExactMatrix:
 def ex_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch")
-    bt = ex_transpose(b)
-    return [[dot(row, col) for col in bt] for row in a]
+    sums = sum_products(((i, j), x._n, y._n)
+                        for i, row in enumerate(a)
+                        for x, brow in zip(row, b) if not x.is_zero
+                        for j, y in enumerate(brow) if not y.is_zero)
+    ncols = len(b[0]) if b else 0
+    return [[sums.get((i, j), EXACT_ZERO) for j in range(ncols)]
+            for i in range(len(a))]
 
 
 def ex_rref(a: ExactMatrix):
@@ -65,11 +71,10 @@ def ex_rref(a: ExactMatrix):
             continue
         rows[pr], rows[sel] = rows[sel], rows[pr]
         inv = rows[pr][col].inverse()
-        rows[pr] = [x * inv for x in rows[pr]]
+        rows[pr] = [x if x.is_zero else x * inv for x in rows[pr]]
         for r in range(m):
             if r != pr and not rows[r][col].is_zero:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
+                rows[r] = row_sub(rows[r], rows[r][col], rows[pr])
         pivots.append(col)
         pr += 1
         if pr == m:
@@ -113,7 +118,7 @@ def ex_gs_orthonormal(rows: ExactMatrix) -> ExactMatrix:
         for e in ortho:
             coef = dot(v, e, conj=True)
             if not coef.is_zero:
-                v = [x - coef * y for x, y in zip(v, e)]
+                v = row_sub(v, coef, e)
         norm2 = dot(v, v, conj=True)
         if norm2.is_zero:
             continue
@@ -180,10 +185,16 @@ def coisometry_residual(a, k: int = 1) -> float:
         m = a.astype(complex)
         g = m @ m.conj().T
         return float(np.max(np.abs(g - k * np.eye(m.shape[0]))))
+    conj = ex_conj(a)
+    gram = sum_products(((i, j), x._n, y._n)
+                        for i, u in enumerate(a)
+                        for j in range(i, len(a))
+                        for x, y in zip(u, conj[j])
+                        if not (x.is_zero or y.is_zero))
     worst = 0.0
-    for i, u in enumerate(a):
+    for i in range(len(a)):
         for j in range(i, len(a)):
-            acc = dot(u, a[j], conj=True)
+            acc = gram.get((i, j), EXACT_ZERO)
             if i == j:
                 acc = acc - k
             if not acc.is_zero:

@@ -452,10 +452,24 @@ class JetMap:
                 and self.components == other.components)
 
     def max_coeff_distance(self, other: "JetMap") -> float:
+        """The largest ``(a - b).max_abs_coeff()`` over the components a of
+        self and b of other, read off the differences without building
+        a - b: in the order its terms take (a's keys, then the keys only b
+        has) and without its zeros, so that a NaN ranks as there."""
         if (self.source_dim, self.target_dim) != (other.source_dim, other.target_dim):
             raise ValueError("jet shape mismatch")
-        return max((a - b).max_abs_coeff()
-                   for a, b in zip(self.components, other.components))
+        worst = []
+        for a, b in zip(self.components, other.components):
+            at, bt = a.terms, b.terms
+            diffs = [c - bt[e] if e in bt else c for e, c in at.items()]
+            # |-c| = |c|: the keys only b has need no negation
+            diffs += [c for e, c in bt.items() if e not in at]
+            if a.mode != b.mode:
+                # a - b coerces its terms to complex, then drops zeros
+                diffs = [complex(c) for c in diffs]
+            worst.append(max((abs(complex(c)) for c in diffs if c != 0),
+                             default=0.0))
+        return max(worst)
 
     def __repr__(self):
         return (f"JetMap({self.source_dim}->{self.target_dim}, degree "

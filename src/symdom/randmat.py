@@ -15,7 +15,7 @@ import numpy as np
 
 from .linalg import ExactMatrix, ex_matmul
 from .poly import HoloPoly, JetMap
-from .scalars import EXACT_ONE, EXACT_ZERO, HALF_SQRT2, Exact
+from .scalars import EXACT_ONE, EXACT_ZERO, HALF_SQRT2, Exact, row_comb
 
 __all__ = ["as_rng", "random_unit_phase", "random_rotation_pair",
            "random_exact_unitary", "block_pair_unitary", "random_coisometry",
@@ -25,8 +25,10 @@ Rng = Union[int, random.Random]
 
 JET_TERMS = 4  # random monomials added to each component of a random jet
 
-_PYTHAGOREAN = [(3, 4, 5), (5, 12, 13), (8, 15, 17),
-                (7, 24, 25), (20, 21, 29), (9, 40, 41)]
+# the legs (p/h, q/h) of the Pythagorean triples (p, q, h)
+_LEGS = [(Exact(Fraction(p, h)), Exact(Fraction(q, h)))
+         for p, q, h in [(3, 4, 5), (5, 12, 13), (8, 15, 17),
+                         (7, 24, 25), (20, 21, 29), (9, 40, 41)]]
 
 _UNIT_PHASES = [
     Exact.of(1), Exact.of(-1), Exact(0, 1), Exact(0, -1),
@@ -53,19 +55,17 @@ def random_rotation_pair(rng: Rng) -> Tuple[Exact, Exact]:
     if r.random() < 0.25:
         a, b = HALF_SQRT2, HALF_SQRT2
     else:
-        p, q, h = r.choice(_PYTHAGOREAN)
+        a, b = r.choice(_LEGS)
         if r.random() < 0.5:
-            p, q = q, p
-        a = Exact.of(Fraction(p, h))
-        b = Exact.of(Fraction(q, h))
+            a, b = b, a
     return a * random_unit_phase(r), b * random_unit_phase(r)
 
 
 def _apply_rotation(m: ExactMatrix, i: int, j: int,
                     a: Exact, b: Exact) -> None:
     ri, rj = m[i], m[j]
-    m[i] = [a * x + b * y for x, y in zip(ri, rj)]
-    m[j] = [-(b.conjugate()) * x + a.conjugate() * y for x, y in zip(ri, rj)]
+    m[i] = row_comb(a, ri, b, rj)
+    m[j] = row_comb(-(b.conjugate()), ri, a.conjugate(), rj)
 
 
 def random_exact_unitary(n: int, rng: Rng = 0) -> ExactMatrix:

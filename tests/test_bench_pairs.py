@@ -63,3 +63,33 @@ def test_verdict_bound_is_relative_to_the_other_median():
     assert verdict([1.0] * 3, [2.0] * 3, "higher", 0.25) == "fails"
     assert verdict([2.0, 2.0, 4.0, 4.0], [2.0] * 4, "lower", 0.25) \
         == "unresolved"
+
+
+def _cases(**p50_ms):
+    return {"metrics": {}, "failed": 0, "import_s": 0.1, "setup_rep_s": 0.1,
+            "cases": {label: ms / 1e3 for label, ms in p50_ms.items()}}
+
+
+def test_per_case_lines_of_synthetic_pairs():
+    # a: here faster in every pair; b: tied once and slower once; c: its
+    # jobs all failed on the other side of the second pair, so that pair
+    # is skipped for it
+    pairs = [(_cases(a=6.0, b=3.0, c=1.0), _cases(a=8.0, b=3.0, c=2.0)),
+             (_cases(a=6.5, b=3.3, c=1.0), _cases(a=8.5, b=3.0)),
+             (_cases(a=7.0, b=2.8, c=1.5), _cases(a=9.0, b=3.2, c=1.0))]
+    tool = _tool()
+    rows = {r["case"]: r for r in tool.summarize_cases(pairs)}
+    assert list(rows) == ["a", "b", "c"]
+    a, b, c = rows["a"], rows["b"], rows["c"]
+    assert (a["wins"], a["pairs"]) == (3, 3)
+    assert a["median_s"] == 6.5e-3 and a["other_median_s"] == 8.5e-3
+    assert a["ratio"] == 6.5 / 8.5
+    assert (b["wins"], b["pairs"]) == (1, 3)
+    assert b["ratio"] == 1.0
+    assert (c["wins"], c["pairs"]) == (1, 2)
+    assert c["ratio"] == (0.5 + 1.5) / 2
+    assert tool.format_case(a) == (
+        "case a: p50 6.500 ms here, 8.500 ms other; here/other 0.765; "
+        "wins 3 of 3")
+    # a case that no pair has on both sides gives no line
+    assert tool.summarize_cases([(_cases(a=1.0), _cases(d=1.0))]) == []

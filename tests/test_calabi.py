@@ -2,7 +2,9 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,12 +27,19 @@ from symdom import (
 from symdom import calabi, linalg
 from symdom.linalg import (
     coisometry_residual,
+    ex_conj,
+    ex_conj_t,
     ex_gs_orthonormal,
     ex_matmul,
     ex_rref,
 )
-from symdom.scalars import HALF_SQRT2, SQRT2
+from symdom.randmat import random_unit_phase
+from symdom.scalars import (EXACT_ONE, EXACT_ZERO, HALF_SQRT2, SQRT2,
+                            field_sqrt)
 from symdom.poly import HoloPoly, JetMap
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import CONSTRUCT_GRID, EXTEND_GRID  # noqa: E402
 
 
 def apply_matrix(u, jet):
@@ -279,3 +288,161 @@ def test_signature_bound():
         quad = make_spec("IV", n=m)
         assert sos_signature_bound(1, quad)
         assert not sos_signature_bound(2, quad)
+
+
+# -- the exact matrix layer against its per-entry loops ---------------------
+# The exact matrix layer written entry by entry, one Exact * and one + or -
+# per product, where the library sums each entry's products once
+# (``scalars.row_sub``, ``row_comb`` and ``sum_products``): the reference
+# that every value must equal, internal form for internal form.
+
+def _ref_dot(u, v):
+    acc = EXACT_ZERO
+    for x, y in zip(u, v):
+        acc = acc + x * y
+    return acc
+
+
+def _ref_conj(a):
+    return [[x.conjugate() for x in row] for row in a]
+
+
+def _ref_matmul(a, b):
+    return [[_ref_dot(row, col) for col in zip(*b)] for row in a]
+
+
+def _ref_rotation_pair(r):
+    if r.random() < 0.25:
+        a, b = HALF_SQRT2, HALF_SQRT2
+    else:
+        p, q, h = r.choice([(3, 4, 5), (5, 12, 13), (8, 15, 17),
+                            (7, 24, 25), (20, 21, 29), (9, 40, 41)])
+        if r.random() < 0.5:
+            p, q = q, p
+        a, b = Exact.of(Fraction(p, h)), Exact.of(Fraction(q, h))
+    return a * random_unit_phase(r), b * random_unit_phase(r)
+
+
+def _ref_unitary(n, r):
+    if n == 1:
+        return [[random_unit_phase(r)]]
+    m = [[EXACT_ONE if i == j else EXACT_ZERO for j in range(n)]
+         for i in range(n)]
+    for _ in range(2 * n):
+        i, j = sorted(r.sample(range(n), 2))
+        a, b = _ref_rotation_pair(r)
+        ri, rj = m[i], m[j]
+        m[i] = [a * x + b * y for x, y in zip(ri, rj)]
+        m[j] = [-(b.conjugate()) * x + a.conjugate() * y
+                for x, y in zip(ri, rj)]
+    for i in range(n):
+        ph = random_unit_phase(r)
+        m[i] = [ph * x for x in m[i]]
+    r.shuffle(m)
+    return m
+
+
+def _ref_coisometry(nrows, ncols, seed):
+    r = random.Random(seed)
+    coords = list(range(ncols))
+    r.shuffle(coords)
+    base = [[EXACT_ZERO] * ncols for _ in range(ncols)]
+    pos = 0
+    while pos + 1 < ncols:
+        if r.random() < 0.2:
+            base[coords[pos]][coords[pos]] = random_unit_phase(r)
+            pos += 1
+            continue
+        p, q = coords[pos], coords[pos + 1]
+        a, b = _ref_rotation_pair(r)
+        base[p][p], base[p][q] = a, b
+        base[q][p], base[q][q] = -(b.conjugate()), a.conjugate()
+        pos += 2
+    if pos < ncols:
+        base[coords[pos]][coords[pos]] = random_unit_phase(r)
+    rows = [base[i] for i in r.sample(range(ncols), nrows)]
+    return _ref_matmul(_ref_unitary(nrows, r), rows)
+
+
+def _ref_rref(a):
+    rows = [list(row) for row in a]
+    pivots, pr = [], 0
+    for col in range(len(rows[0])):
+        sel = next((r for r in range(pr, len(rows))
+                    if not rows[r][col].is_zero), None)
+        if sel is None:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        inv = rows[pr][col].inverse()
+        rows[pr] = [x * inv for x in rows[pr]]
+        for r in range(len(rows)):
+            if r != pr and not rows[r][col].is_zero:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == len(rows):
+            break
+    return rows, pivots
+
+
+def _ref_complete(rows):
+    ncols = len(rows[0])
+    rref, pivots = _ref_rref(_ref_conj(rows))
+    ortho = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [EXACT_ZERO] * ncols
+        v[fc] = EXACT_ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][fc]
+        for e in ortho:
+            coef = _ref_dot(v, [y.conjugate() for y in e])
+            if not coef.is_zero:
+                v = [x - coef * y for x, y in zip(v, e)]
+        norm2 = _ref_dot(v, [x.conjugate() for x in v])
+        if not norm2.is_zero:
+            inv = field_sqrt(norm2).inverse()
+            ortho.append([x * inv for x in v])
+    return ortho + [list(r) for r in rows]
+
+
+def _ref_residual(a, k=1):
+    worst = 0.0
+    for i, u in enumerate(a):
+        for j in range(i, len(a)):
+            acc = _ref_dot(u, [y.conjugate() for y in a[j]])
+            if i == j:
+                acc = acc - k
+            if not acc.is_zero:
+                worst = max(worst, abs(complex(acc)), math.ulp(0.0))
+    return worst
+
+
+def test_exact_matrix_layer_equals_its_per_entry_loops():
+    # every (N, n) of the benchmark's construct and extend grids: the
+    # N - n rows that construct draws for a source of dimension n
+    shapes = sorted({(make_spec(family, **params).dim, n)
+                     for family, params, dims in CONSTRUCT_GRID + EXTEND_GRID
+                     for n in dims})
+    sizes = sorted({m for big, n in shapes for m in (big, big - n)})
+    assert len(shapes) == 14 and sizes == list(range(1, 9))
+    for size in sizes:
+        for seed in range(1, 6):
+            assert random_exact_unitary(size, seed) == \
+                _ref_unitary(size, random.Random(seed))
+    for big, n in shapes:
+        for seed in range(1, 6):
+            rows = random_coisometry(big - n, big, seed, "exact")
+            assert rows == _ref_coisometry(big - n, big, seed)
+            assert ex_rref(ex_conj(rows)) == _ref_rref(_ref_conj(rows))
+            full = complete_to_unitary(rows)
+            assert full == _ref_complete(rows)
+            assert ex_matmul(rows, ex_conj_t(full)) == \
+                _ref_matmul(rows, [list(c) for c in zip(*_ref_conj(full))])
+            assert coisometry_residual(full) == _ref_residual(full) == 0.0
+            # rows that are not orthonormal, against k = 1 and k = 2
+            bent = [list(row) for row in full]
+            bent[0][-1] = bent[0][-1] + Exact(Fraction(1, 3), 0, 1)
+            for k in (1, 2):
+                got = coisometry_residual(bent, k)
+                assert got == _ref_residual(bent, k) and got > 0

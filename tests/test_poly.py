@@ -592,3 +592,59 @@ def test_exact_cap_admits_degree_14_in_5_variables():
         with pytest.raises(poly.ParameterError, match=f"degree {d} in {n} "):
             poly._check_basis(n, d, poly.MAX_EXACT_BASIS,
                               "an exact pass takes")
+
+
+def _same(u: float, v: float) -> bool:
+    return (math.isnan(u) and math.isnan(v)) or u == v
+
+
+def test_max_coeff_distance_equals_the_difference_poly():
+    # float, exact and mixed component pairs over a few keys, with NaN,
+    # inf, zero and equal coefficients, so that a NaN's rank among the
+    # differences (and so the max) depends on their order and on which
+    # zeros are dropped
+    r = random.Random(34)
+    keys = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    nan, inf = float("nan"), float("inf")
+    floats = [0.5 + 1j, -2.0, complex(nan, 0.0), complex(0.0, nan),
+              complex(inf, 1.0), 1e-300 + 0j, 3j]
+    exacts = [Exact(Fraction(1, 2), 1), Exact(-2), Exact(0, 0, 1),
+              Exact(Fraction(1, 3 ** 700))]
+
+    def comp(mode):
+        pool = exacts if mode == "exact" else floats + exacts
+        terms = {e: r.choice(pool) for e in r.sample(keys, r.randint(0, 5))}
+        return HoloPoly(2, terms, mode)
+
+    def twin(c, mode):
+        # the same keys, some coefficients equal, so that differences vanish
+        pool = exacts if mode == "exact" else floats + exacts
+        terms = {e: v if r.random() < 0.4 and (mode == "float" or c.mode ==
+                                               "exact") else r.choice(pool)
+                 for e, v in c.terms.items()}
+        return HoloPoly(2, terms, mode)
+
+    nan_results = 0
+    for trial in range(400):
+        modes = [(r.choice(["exact", "float"]), r.choice(["exact", "float"]))
+                 for _ in range(r.randint(1, 3))]
+        left = [comp(ma) for ma, _ in modes]
+        right = [twin(c, mb) if r.random() < 0.5 else comp(mb)
+                 for c, (_, mb) in zip(left, modes)]
+        a, b = JetMap(left, 2), JetMap(right, 2)
+        got = a.max_coeff_distance(b)
+        want = max((x - y).max_abs_coeff() for x, y in zip(left, right))
+        assert _same(got, want), (trial, got, want)
+        back = b.max_coeff_distance(a)
+        assert _same(back, max((y - x).max_abs_coeff()
+                               for x, y in zip(left, right))), trial
+        nan_results += math.isnan(got)
+    assert nan_results > 20
+    # a zero difference before a NaN is dropped, so the NaN ranks first
+    x = HoloPoly(1, {(1,): 1.0 + 0j, (2,): complex(nan, 0.0)}, "float")
+    y = HoloPoly(1, {(3,): 2.0 + 0j, (1,): 1.0 + 0j, (2,): 0.5 + 0j},
+                 "float")
+    assert math.isnan(JetMap([x], 3).max_coeff_distance(JetMap([y], 3)))
+    assert JetMap([y], 3).max_coeff_distance(JetMap([x], 3)) == 2.0
+    with pytest.raises(ValueError):
+        JetMap([x], 3).max_coeff_distance(JetMap([x, y], 3))

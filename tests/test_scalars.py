@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from symdom import Exact, EXACT_ZERO, EXACT_ONE, EXACT_I, SQRT2, HALF_SQRT2
 from symdom import field_sqrt, rational_sqrt
-from symdom.scalars import _ZERO_N, coerce, dot, mode_of, sum_products
+from symdom.scalars import (_ZERO_N, coerce, dot, mode_of, row_comb, row_sub,
+                            sum_products)
 
 
 def rand_exact(r, small=False):
@@ -287,17 +288,22 @@ _big = st.builds(lambda sign, v: sign * (2 ** 300 + v),
                  st.sampled_from((-1, 1)), st.integers(0, 2 ** 330))
 
 
-@st.composite
-def _product_triples(draw):
-    # one denominator for every part, or a mix; parts that are 0, small,
-    # or of 300 to 330 bits; few keys, so they repeat; and some products
-    # repeated with x negated, so that sums cancel
+def _values(draw):
+    """A strategy of Exacts over one drawn denominator for every part, or
+    a mix, with parts that are 0, small, or of 300 to 330 bits."""
     den = draw(st.one_of(st.just(None), st.integers(1, 12),
                          st.integers(2 ** 300, 2 ** 330)))
     dens = _denominators if den is None else st.just(den)
     nums = st.one_of(st.just(0), st.integers(-12, 12), _big)
     part = st.builds(Fraction, nums, dens)
-    value = st.builds(Exact, part, part, part, part)
+    return st.builds(Exact, part, part, part, part)
+
+
+@st.composite
+def _product_triples(draw):
+    # values as _values draws them; few keys, so they repeat; and some
+    # products repeated with x negated, so that sums cancel
+    value = _values(draw)
     triples = draw(st.lists(st.tuples(st.integers(0, 3), value, value),
                             max_size=10))
     negate = draw(st.lists(st.booleans(), min_size=len(triples),
@@ -337,3 +343,43 @@ def test_sum_products_edge_cases():
     assert got[1] == Exact(Fraction(7, 6), Fraction(-1, 6))
     assert dot([HALF_SQRT2, EXACT_I], [SQRT2, EXACT_I], conj=True) == \
         Exact(2)
+
+
+# -- the row kernels against the entrywise loops ----------------------------
+
+@st.composite
+def _kernel_rows(draw):
+    # two rows of values as _values draws them, with entries zeroed in x,
+    # in y or in both, and factors that may be zero
+    value = _values(draw)
+    size = draw(st.integers(0, 6))
+    xs = draw(st.lists(value, min_size=size, max_size=size))
+    ys = draw(st.lists(value, min_size=size, max_size=size))
+    for k, zeroed in enumerate(draw(st.lists(
+            st.sampled_from(("", "x", "y", "xy")), min_size=size,
+            max_size=size))):
+        if "x" in zeroed:
+            xs[k] = EXACT_ZERO
+        if "y" in zeroed:
+            ys[k] = EXACT_ZERO
+    factor = st.one_of(st.just(EXACT_ZERO), value)
+    return xs, ys, draw(factor), draw(factor)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_kernel_rows())
+def test_row_kernels_match_entrywise_loops(rows):
+    xs, ys, f, g = rows
+    before = [(x, x._n, y, y._n) for x, y in zip(xs, ys)]
+    sub = row_sub(xs, f, ys)
+    assert [v._n for v in sub] == [(x - f * y)._n for x, y in zip(xs, ys)]
+    # a zero y costs no arithmetic: the entry is x itself
+    assert all(v is x for v, x, y in zip(sub, xs, ys) if y.is_zero)
+    comb = row_comb(f, xs, g, ys)
+    assert [v._n for v in comb] == \
+        [(f * x + g * y)._n for x, y in zip(xs, ys)]
+    assert len(sub) == len(comb) == len(xs)
+    # the inputs are left as they were
+    assert [(x, x._n, y, y._n) for x, y in zip(xs, ys)] == before
+    assert all(a is x and b is y for (a, _, b, _), x, y
+               in zip(before, xs, ys))

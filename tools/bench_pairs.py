@@ -23,6 +23,12 @@ counts for neither side) and a verdict on the metric's bound:
   the bound times its median: the runs spread too widely to tell;
 * else ``holds`` when this checkout's median is worse than OTHER's by at
   most the bound (relative to OTHER's median), ``fails`` when by more.
+
+``jobs_per_kref`` is a geometric mean over the grid's cases, so last, one
+line per case gives each side's median of the case's median job time
+(``cases[label]["p50_s"]`` in the reports), the median over pairs of
+this run's over OTHER's, and the pairs in which this checkout's is lower.
+A pair in which either side has no job of the case left is skipped.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ def one_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
                          f"{workload}-seed{seed}-trace0.json").read_text())
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "failed": result["failed"], "import_s": report["import_s"],
-            "setup_rep_s": statistics.median(report["setup_reps_s"])}
+            "setup_rep_s": statistics.median(report["setup_reps_s"]),
+            "cases": {label: c["p50_s"]
+                      for label, c in report["cases"].items()}}
 
 
 def verdict(mine, other, better: str, bound: float) -> str:
@@ -79,6 +87,31 @@ def summarize(pairs, metrics) -> list:
             "pairs": len(pairs),
             "verdict": verdict(mine, other, better, m["bound"])})
     return rows
+
+
+def summarize_cases(pairs) -> list:
+    """One row per case of the runs in pairs, in the order the cases first
+    appear in this checkout's runs: both sides' median p50 job time, the
+    median ratio of this run's to OTHER's and this checkout's wins."""
+    rows = []
+    for label in dict.fromkeys(k for a, _ in pairs for k in a["cases"]):
+        both = [(a["cases"][label], b["cases"][label]) for a, b in pairs
+                if label in a["cases"] and label in b["cases"]]
+        if not both:
+            continue
+        rows.append({
+            "case": label,
+            "median_s": statistics.median(x for x, _ in both),
+            "other_median_s": statistics.median(y for _, y in both),
+            "ratio": statistics.median(x / y for x, y in both),
+            "wins": sum(x < y for x, y in both), "pairs": len(both)})
+    return rows
+
+
+def format_case(row: dict) -> str:
+    return (f"case {row['case']}: p50 {row['median_s'] * 1e3:.3f} ms here, "
+            f"{row['other_median_s'] * 1e3:.3f} ms other; here/other "
+            f"{row['ratio']:.3f}; wins {row['wins']} of {row['pairs']}")
 
 
 def format_row(row: dict) -> str:
@@ -122,6 +155,8 @@ def main(argv=None) -> int:
         print(f"  other: {format_run(runs[other])}", flush=True)
     for row in summarize(pairs, spec["end_to_end"]):
         print(format_row(row))
+    for row in summarize_cases(pairs):
+        print(format_case(row))
     return 0
 
 
