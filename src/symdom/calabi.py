@@ -26,6 +26,7 @@ from .scalars import EXACT_ZERO
 __all__ = ["coefficient_matrix", "match_unitary", "complete_to_unitary",
            "sos_signature_bound", "ex_rank"]
 
+DEFAULT_TOL = 1e-9
 COISOMETRY_TOL = 1e-10  # max |rows conj(rows)^T - I| of float rows to complete
 
 
@@ -61,7 +62,7 @@ def _float_match(fmat: np.ndarray, gmat: np.ndarray,
     return w @ vh
 
 
-def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
+def match_unitary(target: JetMap, source: JetMap, tol: float = DEFAULT_TOL):
     """Find a constant unitary u with u @ source-components = target.
 
     Returns (u, mode).  When both jets are exact with no zero component
@@ -109,22 +110,27 @@ def match_unitary(target: JetMap, source: JetMap, tol: float = 1e-9):
     return u, mode
 
 
+def _require_orthonormal(rows: Union[ExactMatrix, np.ndarray]) -> None:
+    """ValueError unless the rows pass ``coisometry_residual``: exactly for
+    exact rows, within ``COISOMETRY_TOL`` for a numpy array (NaN never
+    passes)."""
+    res = coisometry_residual(rows)
+    if not res <= (0.0 if isinstance(rows, list) else COISOMETRY_TOL):
+        raise ValueError(f"rows are not orthonormal (residual {res:.3e})")
+
+
 def complete_to_unitary(rows: Union[ExactMatrix, np.ndarray]):
     """Extend orthonormal rows to a full unitary, new rows stacked on top.
 
-    The rows must pass ``coisometry_residual``: exactly for exact rows,
-    within ``COISOMETRY_TOL`` for a numpy array (NaN never passes);
-    otherwise ValueError is raised.  Square rows get an empty completion.
-    Float rows are completed by ``row_complement`` (one complete QR).
-    Exact input stays exact when every Gram-Schmidt normalization has a
-    square root in Q(i, sqrt2); otherwise ExactCompletionError is raised
-    and the caller may retry in floating point.
+    The rows must pass ``_require_orthonormal``, else ValueError is raised.
+    Square rows get an empty completion.  Float rows are completed by
+    ``row_complement`` (one complete QR).  Exact input stays exact when
+    every Gram-Schmidt normalization has a square root in Q(i, sqrt2);
+    otherwise ExactCompletionError is raised and the caller may retry in
+    floating point.
     """
-    exact = isinstance(rows, list)
-    res = coisometry_residual(rows)
-    if not res <= (0.0 if exact else COISOMETRY_TOL):
-        raise ValueError(f"rows are not orthonormal (residual {res:.3e})")
-    if not exact:
+    _require_orthonormal(rows)
+    if not isinstance(rows, list):
         return np.vstack([row_complement(rows), rows])
     comp = ex_complete_orthonormal(rows)
     return comp + [list(r) for r in rows]

@@ -43,8 +43,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .calabi import (COISOMETRY_TOL, coefficient_matrix, complete_to_unitary,
-                     match_unitary)
+from .calabi import (DEFAULT_TOL, _require_orthonormal, coefficient_matrix,
+                     complete_to_unitary, match_unitary)
 from .domains import DomainSpec, rank2_codim_inequality
 from .errors import (ExactCompletionError, ParameterError, TruncationError,
                      VerificationError)
@@ -65,9 +65,12 @@ __all__ = [
     "build_k2_variety", "extend_isometry", "full_verification_report",
 ]
 
-DEFAULT_TOL = 1e-9
 SAMPLE_RADIUS = 0.03  # the sampling radius from degree 4 on
 SAMPLE_TOL = 1e-10
+# The polarized check evaluates the jet's monomials at 2 x samples points
+# at once, 16 bytes each; at up to poly.MAX_GRADED_BASIS (8192) monomials,
+# 4096 samples keep that table within the 1 GiB a float check may hold.
+MAX_SAMPLES = 4096
 
 
 def sample_radius(d: int) -> float:
@@ -85,7 +88,7 @@ class IsometryJet:
     jet: JetMap
     k: int
     sos: SignedSOS
-    # truncation degree -> (max residual, per-bidegree maxima, mode)
+    # truncation degree -> (max residual, per-bidegree maxima)
     _fe: Dict[int, tuple] = field(default_factory=dict, init=False,
                                   compare=False, repr=False)
     # truncation degree -> generator composites of the jet
@@ -172,7 +175,7 @@ def _float_residual(iso: IsometryJet, d: int) -> tuple:
     rows, cols = np.nonzero(kept & (blocks != 0))
     per = {(p, q): float(blocks[p, q])
            for p, q in zip(rows.tolist(), cols.tolist())}
-    return float(np.max(blocks[kept])), per, "float"
+    return float(np.max(blocks[kept])), per
 
 
 def _exact_residual(iso: IsometryJet, d: int) -> tuple:
@@ -193,7 +196,7 @@ def _exact_residual(iso: IsometryJet, d: int) -> tuple:
         mag = max(abs(complex(c)), math.ulp(0.0))  # c != 0 never reads 0.0
         per[key] = _nan_max(per.get(key, 0.0), mag)
         worst = _nan_max(worst, mag)
-    return worst, per, "exact"
+    return worst, per
 
 
 def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
@@ -224,9 +227,9 @@ def check_functional_eq(iso: IsometryJet, d: Optional[int] = None,
     if d not in iso._fe:
         iso._fe[d] = (_float_residual(iso, d) if iso.mode == "float"
                       else _exact_residual(iso, d))
-    worst, per, mode = iso._fe[d]
+    worst, per = iso._fe[d]
     return FEReport(max_residual=worst, per_bidegree=dict(per),
-                    passed=worst <= tol, mode=mode, degree=d)
+                    passed=worst <= tol, mode=iso.mode, degree=d)
 
 
 @dataclass(frozen=True)
@@ -253,10 +256,14 @@ def check_polarized_eq(iso: IsometryJet, samples: int = 25,
     ``uniform(0.3, 1.0, size=2)``.  The draws fill two arrays in place
     once (and are kept for each int ``seed``, see ``_sample_pairs``), and
     the jet and the kernel generators are evaluated in floating point at
-    all of them at once (one numpy batch).
+    all of them at once (one numpy batch).  More than ``MAX_SAMPLES``
+    samples are refused before any point is drawn.
     """
     if samples < 1:
         raise ValueError(f"need at least 1 polarized sample, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ParameterError(f"--samples {samples} exceeds the bound "
+                             f"{MAX_SAMPLES}")
     n = iso.jet.source_dim
     radius = sample_radius(iso.jet.degree)
     pts = _sample_pairs(n, samples, seed, iso.jet.degree)
@@ -457,9 +464,7 @@ def build_k1_variety(u_rows, sos: SignedSOS) -> VarietySystem:
     exact = isinstance(u_rows, list)
     rows = u_rows if exact else np.asarray(u_rows, dtype=complex)
     m = len(rows)
-    res = coisometry_residual(rows)
-    if not res <= (0.0 if exact else COISOMETRY_TOL):
-        raise ValueError(f"rows are not orthonormal (residual {res:.3e})")
+    _require_orthonormal(rows)
     mode = "exact" if exact else "float"
     z0, minus = zero(mode), zero(mode) - one(mode)
     proj = [[z0] + list(rows[l]) + [minus if i == l else z0 for i in range(m2)]

@@ -26,7 +26,7 @@ __all__ = [
     "ex_matmul", "ex_rref", "ex_rank", "ex_nullspace",
     "ex_gs_orthonormal",
     "ex_complete_orthonormal", "to_complex_matrix",
-    "row_complement", "principal_angles", "coisometry_residual",
+    "row_complement", "coisometry_residual",
 ]
 
 
@@ -153,27 +153,6 @@ def row_complement(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     q, _ = np.linalg.qr(a.conj().T, mode="complete")
     return q[:, a.shape[0]:].conj().T
-
-
-def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Principal angles between the row spans of a and b (radians),
-    ascending."""
-
-    def ortho_rows(m):
-        q, _ = np.linalg.qr(np.asarray(m, dtype=complex).T)
-        return q.T
-
-    qa = ortho_rows(a)
-    qb = ortho_rows(b)
-    cosines = np.linalg.svd(qa @ qb.conj().T, compute_uv=False)
-    angles = np.arccos(np.clip(cosines, 0.0, 1.0))
-    # arccos resolves angles near 0 only to sqrt(eps); redo those via sines
-    t = int(np.sum(cosines > 0.7))
-    if t:
-        resid = qb - (qb @ qa.conj().T) @ qa
-        sines = np.sort(np.linalg.svd(resid, compute_uv=False))
-        angles[:t] = np.arcsin(np.clip(sines[:t], 0.0, 1.0))
-    return angles
 
 
 def coisometry_residual(a, k: int = 1) -> float:

@@ -348,7 +348,7 @@ class JetMap:
         self.mode = "exact" if all(c.mode == "exact" for c in comps) else "float"
         self._plan = None  # evaluate_many's exponents and coefficients
         self._rows = None  # (d, read-only rows over _graded(n, d)'s basis)
-        self._passes = {}  # (mode, rank, d) -> a pass plan, see _pass_plan
+        self._passes = {}  # (mode, d) -> a pass plan, see _pass_plan
 
     @classmethod
     def _from_graded(cls, components: Sequence[HoloPoly], degree: int,
@@ -452,24 +452,10 @@ class JetMap:
                 and self.components == other.components)
 
     def max_coeff_distance(self, other: "JetMap") -> float:
-        """The largest ``(a - b).max_abs_coeff()`` over the components a of
-        self and b of other, read off the differences without building
-        a - b: in the order its terms take (a's keys, then the keys only b
-        has) and without its zeros, so that a NaN ranks as there."""
         if (self.source_dim, self.target_dim) != (other.source_dim, other.target_dim):
             raise ValueError("jet shape mismatch")
-        worst = []
-        for a, b in zip(self.components, other.components):
-            at, bt = a.terms, b.terms
-            diffs = [c - bt[e] if e in bt else c for e, c in at.items()]
-            # |-c| = |c|: the keys only b has need no negation
-            diffs += [c for e, c in bt.items() if e not in at]
-            if a.mode != b.mode:
-                # a - b coerces its terms to complex, then drops zeros
-                diffs = [complex(c) for c in diffs]
-            worst.append(max((abs(complex(c)) for c in diffs if c != 0),
-                             default=0.0))
-        return max(worst)
+        return max((a - b).max_abs_coeff()
+                   for a, b in zip(self.components, other.components))
 
     def __repr__(self):
         return (f"JetMap({self.source_dim}->{self.target_dim}, degree "
@@ -602,16 +588,16 @@ def _monomial_rows(polys: Sequence[HoloPoly], nvars: int, d: int):
     return order, steps
 
 
-def _pass_plan(outer: JetMap, mode: str, rank: int, d: int):
+def _pass_plan(outer: JetMap, mode: str, d: int):
     """(rows, steps, coefficients): the plan of a degree-d pass with outer
-    map outer on rank inner rows, built on its first use and kept on
-    outer.  ``rows`` counts the monomial rows and ``steps`` are
+    map outer on its source_dim inner rows, built on its first use and
+    kept on outer.  ``rows`` counts the monomial rows and ``steps`` are
     ``_monomial_rows``' steps; the coefficients of outer over the rows'
     order are a float matrix for ``_graded_pass`` (mode "float") and
     lists of (row, internal form) for ``_sparse_pass`` (mode "exact")."""
-    key = (mode, rank, d)
+    key = (mode, d)
     if key not in outer._passes:
-        order, steps = _monomial_rows(outer.components, rank, d)
+        order, steps = _monomial_rows(outer.components, outer.source_dim, d)
         if mode == "float":
             coeffs = outer.float_coefficients(order)
             coeffs.flags.writeable = False
@@ -649,7 +635,7 @@ def _graded_pass(z: np.ndarray, outer: JetMap, n: int, d: int,
     """
     basis, first, runs = _graded(n, d)
     rank = len(z)
-    size, steps, coeffs = _pass_plan(outer, "float", rank, d)
+    size, steps, coeffs = _pass_plan(outer, "float", d)
     table = np.zeros((size, len(basis)), dtype=complex)
     table[0, 0] = 1.0
     table[1:rank + 1] = z
@@ -708,7 +694,7 @@ def _sparse_pass(z: List[Parts], outer: JetMap, n: int, d: int,
     the internal forms, so every coefficient is reduced once.
     """
     rank = len(z)
-    size, steps, coeffs = _pass_plan(outer, "exact", rank, d)
+    size, steps, coeffs = _pass_plan(outer, "exact", d)
     if back is not None:
         back = [[(k, c._n) for k, c in enumerate(b) if not c.is_zero]
                 for b in back]
@@ -744,13 +730,6 @@ def _parts_jet(rows: List[Parts], n: int, d: int) -> JetMap:
     return JetMap._from_graded(comps, d, n)
 
 
-def _compose_float(outer: JetMap, inner: JetMap, d: int) -> JetMap:
-    """compose_truncate's float route: ``_graded_pass`` on the inner jet's
-    graded rows."""
-    n = inner.source_dim
-    return _rows_jet(_graded_pass(inner.graded_rows(d), outer, n, d), n, d)
-
-
 def solve_graded(linear, outer: JetMap, back, d: int) -> Tuple[JetMap, JetMap]:
     """The degree-d jet z of the solution of z = linear w + back outer(z),
     and outer(z) truncated at d.
@@ -782,8 +761,8 @@ def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
     outer components: the monomial one degree lower times one inner
     component, truncated at d (a degree-1 monomial is the component itself).
     Exact compositions do this on rows of homogeneous parts
-    (``_sparse_pass``); float ones on dense coefficient rows (see
-    ``_compose_float``).
+    (``_sparse_pass``); float ones on the inner jet's graded coefficient
+    rows (``_graded_pass``).
     """
     if outer.source_dim != inner.target_dim:
         raise ValueError(
@@ -791,9 +770,10 @@ def compose_truncate(outer: JetMap, inner: JetMap, d: int) -> JetMap:
             f"variables, inner produces {inner.target_dim}")
     if not inner.constant_free():
         raise ValueError("inner jet must vanish at the origin")
-    if not outer.mode == inner.mode == "exact":
-        return _compose_float(outer, inner, d)
     n = inner.source_dim
+    if not outer.mode == inner.mode == "exact":
+        return _rows_jet(_graded_pass(inner.graded_rows(d), outer, n, d), n,
+                         d)
     _check_basis(n, d, MAX_EXACT_BASIS, "an exact pass takes")
     buckets = [c._buckets() for c in inner.components]
     rows = [[dict(b.get(s, ())) for s in range(d + 1)] for b in buckets]

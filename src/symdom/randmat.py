@@ -13,7 +13,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .linalg import ExactMatrix, ex_matmul
+from .linalg import ExactMatrix, ex_conj_t, ex_matmul
 from .poly import HoloPoly, JetMap
 from .scalars import EXACT_ONE, EXACT_ZERO, HALF_SQRT2, Exact, row_comb
 
@@ -153,8 +153,7 @@ def random_isometric_slice(nbig: int, nsmall: int, rng: Rng = 0,
         raise ValueError("nsmall must not exceed nbig")
     rows = random_coisometry(nsmall, nbig, rng, mode)
     if mode == "exact":
-        return [[rows[j][i].conjugate() for j in range(nsmall)]
-                for i in range(nbig)]
+        return ex_conj_t(rows)
     return np.asarray(rows).conj().T
 
 

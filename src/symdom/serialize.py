@@ -20,7 +20,7 @@ from .domains import FAMILIES, DomainSpec, make_spec
 from .isometry import IsometryJet, VarietySystem
 from .kernels import make_sos
 from .poly import HoloPoly, JetMap
-from .scalars import Exact, _raw, mode_of
+from .scalars import Exact, _make, mode_of
 
 SCHEMA_VERSION = "1"
 
@@ -66,8 +66,9 @@ _fraction_text = re.compile(r"(-?[0-9]{1,300})(?:/([0-9]{1,300}))?").fullmatch
 
 def _exact_from_text(obj: dict):
     """The Exact whose four parts obj writes as _fraction_text strings, built
-    from their integers; None if a part is anything else (an int, "1.5",
-    " 3", "1/0", a 5000-digit string, ...)."""
+    from their integers over the lcm of their denominators and reduced
+    once; None if a part is anything else (an int, "1.5", " 3", "1/0", a
+    5000-digit string, ...)."""
     nums = []
     dens = []
     for key in _EXACT_PARTS:
@@ -76,15 +77,12 @@ def _exact_from_text(obj: dict):
         if match is None:
             return None
         num, den = match.groups()
-        n, d = int(num), int(den or 1)
-        if not d:
-            return None
-        g = gcd(n, d)
-        nums.append(n // g)
-        dens.append(d // g)
-    # over the lcm of the reduced denominators the form is in lowest terms
+        nums.append(int(num))
+        dens.append(int(den or 1))
+    if 0 in dens:
+        return None
     d = lcm(*dens)
-    return _raw(tuple(n * (d // q) for n, q in zip(nums, dens)) + (d,))
+    return _make(*(n * (d // q) for n, q in zip(nums, dens)), d)
 
 
 def scalar_from_json(obj: dict):

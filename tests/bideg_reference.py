@@ -15,6 +15,8 @@ functional-equation checks.
 * ``degree_loop_solve`` -- the exact k = 1 solve
   z = conj(full)^T (w, z^#(z), 0) that recomposes z^# with the whole jet
   at each degree, using ``recursive_compose``;
+* ``principal_angles`` -- the principal angles between two row spans, the
+  distance of a recovered unitary block from the rows it recovers;
 * ``PRIMES`` -- distinct primes of 30 to 607 bits, whose reciprocals give
   the exact references coefficients with large, unequal denominators.
 """
@@ -119,3 +121,24 @@ def degree_loop_solve(full, even, n, degree):
                       for a, b in zip(linear, rest.components)], deg, n)
         out[deg] = (jet, plus)
     return out
+
+
+def principal_angles(a, b):
+    """Principal angles between the row spans of a and b (radians),
+    ascending."""
+
+    def ortho_rows(m):
+        q, _ = np.linalg.qr(np.asarray(m, dtype=complex).T)
+        return q.T
+
+    qa = ortho_rows(a)
+    qb = ortho_rows(b)
+    cosines = np.linalg.svd(qa @ qb.conj().T, compute_uv=False)
+    angles = np.arccos(np.clip(cosines, 0.0, 1.0))
+    # arccos resolves angles near 0 only to sqrt(eps); redo those via sines
+    t = int(np.sum(cosines > 0.7))
+    if t:
+        resid = qb - (qb @ qa.conj().T) @ qa
+        sines = np.sort(np.linalg.svd(resid, compute_uv=False))
+        angles[:t] = np.arcsin(np.clip(sines[:t], 0.0, 1.0))
+    return angles

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +44,10 @@ from symdom import (
     sos_type_iv,
     sos_signature_bound,
 )
-from symdom.linalg import principal_angles, to_complex_matrix
+from symdom.linalg import to_complex_matrix
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bideg_reference import principal_angles  # noqa: E402
 
 DEG = 6
 

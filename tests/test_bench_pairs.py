@@ -93,3 +93,24 @@ def test_per_case_lines_of_synthetic_pairs():
         "wins 3 of 3")
     # a case that no pair has on both sides gives no line
     assert tool.summarize_cases([(_cases(a=1.0), _cases(d=1.0))]) == []
+
+
+def test_gain_claim_of_synthetic_pairs():
+    # ten pairs; other's rates 1000..1009 (IQR 4.5). rate: here wins 9 and
+    # ties 1, 10 better in the median: met. setup: here wins all, better
+    # by 0.001 s only, within other's IQR: not met. rss: here better by a
+    # lot but wins only 8: not met
+    other = [_run(0.20 + 0.002 * i, 1000 + i, 50.0) for i in range(10)]
+    here = [_run(0.20 + 0.002 * i - 0.001, 1010 + i if i else 1000,
+                 40.0 if i < 8 else 60.0) for i in range(10)]
+    tool = _tool()
+    rows = {r["name"]: r for r in tool.summarize(list(zip(here, other)),
+                                                 METRICS)}
+    rate, setup, rss = rows["jobs_per_kref"], rows["setup_s"], \
+        rows["peak_rss_mb"]
+    assert (rate["wins"], rate["gain"], rate["claim"]) == (9, 10.0, "met")
+    assert setup["wins"] == 10 and setup["claim"] == "not met"
+    assert rss["wins"] == 8 and rss["claim"] == "not met"
+    assert tool.format_claim(rate) == (
+        "jobs_per_kref gain claim: wins 9 of 10, median better by 10 "
+        "1/kref against other's IQR 4.5: met")

@@ -410,6 +410,24 @@ def test_verify_without_samples_exits_2(tmp_path, samples):
     assert proc.stderr.startswith("error:")
 
 
+def test_verify_beyond_the_sample_bound_exits_2_before_drawing(
+        tmp_path, monkeypatch, capsys, iv4_jet_doc):
+    # one sample above the bound is refused with a line naming the flag,
+    # and no point is drawn
+    drawn = []
+    monkeypatch.setattr(isometry, "_sample_pairs",
+                        lambda *key: drawn.append(key))
+    jet_file = tmp_path / "jet.json"
+    jet_file.write_text(json.dumps(iv4_jet_doc))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(jet_file), "--samples",
+                 str(isometry.MAX_SAMPLES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and drawn == []
+    assert captured.err == ("error: --samples 4097 exceeds the bound "
+                            "4096\n")
+
+
 def _bad_coefficient(comp):
     comp["terms"][0]["coeff"]["re"] = "x"
 

@@ -49,7 +49,7 @@ from symdom.kernels import generator_composites, signed_gram
 from symdom.calabi import complete_to_unitary, match_unitary
 from symdom.linalg import (coisometry_residual, ex_conj_t,
                            ex_gs_orthonormal, ex_matmul, ex_nullspace,
-                           ex_transpose, principal_angles, to_complex_matrix)
+                           ex_transpose, to_complex_matrix)
 from symdom.poly import _graded, _monomial_basis
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -57,7 +57,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from workloads import CONSTRUCT_GRID  # noqa: E402
 from bideg_reference import (  # noqa: E402
     PRIMES, ball_kernel_power, degree_loop_solve, gram_pullback,
-    sandwich_pullback)
+    principal_angles, sandwich_pullback)
 
 DEG = 6
 
@@ -695,6 +695,27 @@ def test_k1_variety_rejects_nan_rows():
     rows = np.array([[math.nan, 0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="not orthonormal"):
         build_k1_variety(rows, sos)
+
+
+def test_completion_and_variety_share_one_orthonormality_gate():
+    # exact rows off by 1/10, float rows off by 1e-9 and a NaN entry: the
+    # completion and the variety refuse each with the same message
+    sos = make_sos(make_spec("IV", n=5))
+    exact = random_coisometry(3, 5, 4, "exact")
+    exact[0][0] = exact[0][0] + Fraction(1, 10)
+    off = random_coisometry(3, 5, 4, "float")
+    top = np.argmax(np.abs(off[0]))
+    off[0, top] += 1e-9
+    nan = random_coisometry(3, 5, 4, "float")
+    nan[1, 2] = math.nan
+    for rows in (exact, off, nan):
+        with pytest.raises(ValueError) as completed:
+            complete_to_unitary(rows)
+        with pytest.raises(ValueError) as variety:
+            build_k1_variety(rows, sos)
+        assert str(completed.value) == str(variety.value)
+        assert str(completed.value).startswith("rows are not orthonormal")
+    assert "nan" in str(completed.value)
 
 
 @pytest.mark.parametrize("builder", [bidisk_diagonal, quadric_sqrt2_disk,

@@ -24,6 +24,11 @@ counts for neither side) and a verdict on the metric's bound:
 * else ``holds`` when this checkout's median is worse than OTHER's by at
   most the bound (relative to OTHER's median), ``fails`` when by more.
 
+A second line per metric judges a gain claim: ``met`` when this checkout
+wins at least nine tenths of the pairs (a tie counts for neither side)
+and its median is better than OTHER's by more than OTHER's interquartile
+range, else ``not met``.
+
 ``jobs_per_kref`` is a geometric mean over the grid's cases, so last, one
 line per case gives each side's median of the case's median job time
 (``cases[label]["p50_s"]`` in the reports), the median over pairs of
@@ -76,16 +81,19 @@ def summarize(pairs, metrics) -> list:
         name, better = m["name"], m["better"]
         mine = [a["metrics"][name] for a, _ in pairs]
         other = [b["metrics"][name] for _, b in pairs]
-        theirs = summary(other)
+        ours, theirs = summary(mine), summary(other)
         sign = 1 if better == "higher" else -1
+        wins = sum(sign * (a - b) > 0 for a, b in zip(mine, other))
+        gain = sign * (ours["median"] - theirs["median"])
         rows.append({
             "name": name, "unit": m["unit"], "bound": m["bound"],
-            "median": summary(mine)["median"],
+            "median": ours["median"],
             "other_median": theirs["median"], "other_q1": theirs["q1"],
-            "other_q3": theirs["q3"],
-            "wins": sum(sign * (a - b) > 0 for a, b in zip(mine, other)),
-            "pairs": len(pairs),
-            "verdict": verdict(mine, other, better, m["bound"])})
+            "other_q3": theirs["q3"], "wins": wins, "pairs": len(pairs),
+            "verdict": verdict(mine, other, better, m["bound"]),
+            "gain": gain,
+            "claim": ("met" if 10 * wins >= 9 * len(pairs)
+                      and gain > theirs["iqr"] else "not met")})
     return rows
 
 
@@ -122,6 +130,13 @@ def format_row(row: dict) -> str:
             f"{row['verdict']}")
 
 
+def format_claim(row: dict) -> str:
+    return (f"{row['name']} gain claim: wins {row['wins']} of "
+            f"{row['pairs']}, median better by {row['gain']:.4g} "
+            f"{row['unit']} against other's IQR "
+            f"{row['other_q3'] - row['other_q1']:.4g}: {row['claim']}")
+
+
 def format_run(run: dict) -> str:
     vals = " ".join(f"{k}={v:.4g}" for k, v in sorted(run["metrics"].items()))
     return (f"{vals} failed={run['failed']} (import_s={run['import_s']:.3f}, "
@@ -153,8 +168,11 @@ def main(argv=None) -> int:
         print(f"pair {i} seed {seed} ({first} first)", flush=True)
         print(f"  here:  {format_run(runs[ROOT])}", flush=True)
         print(f"  other: {format_run(runs[other])}", flush=True)
-    for row in summarize(pairs, spec["end_to_end"]):
+    rows = summarize(pairs, spec["end_to_end"])
+    for row in rows:
         print(format_row(row))
+    for row in rows:
+        print(format_claim(row))
     for row in summarize_cases(pairs):
         print(format_case(row))
     return 0
